@@ -3,14 +3,16 @@
 Subcommands:
 
 * ``eval``  — evaluate one Schur series and print its certified value;
-* ``check`` — run identity suites (built-in or from a manifest file);
+* ``check`` — run identity checks: a built-in suite or a manifest file,
+  both lists of manifest entries run through the ``IDENTITIES`` registry;
 * ``paths`` — enumerate lattice-path patterns for a shape, optionally
   rendering them as text diagrams.
 
 One JSON object per line goes to stdout; the human summary goes to stderr.
-Exit codes: 0 success, 1 identity failure, 2 usage/parse error, 3 domain
-error.  The environment variable ``SHZETA_CUTOFF`` sets the default series
-cutoff; explicit flags win over manifest values, which win over defaults.
+Exit codes: 0 success, 1 identity failure, 2 malformed input, 3 domain
+error.  The series cutoff comes from the ``--cutoff`` flag, else the
+``SHZETA_CUTOFF`` environment variable, else a manifest entry's
+``cfg.cutoff``, else 2000.
 """
 
 from __future__ import annotations
@@ -21,52 +23,33 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
+from . import identities
 from .errors import DomainError, UsageError
-from .ezzeta import EvalConfig
-from .identities import (
-    IdentityReport,
-    derivative_fd_check,
-    derivative_identity,
-    dirichlet_series_expr,
-    extended_jacobi_trudi,
-    frobenius_expansion,
-    giambelli,
-    hook_expansion_star,
-    hook_expansion_zeta,
-    jacobi_trudi_E,
-    jacobi_trudi_H,
-    skew_giambelli_hash,
-)
+from .ezzeta import DEFAULT_CONFIG, EvalConfig
 from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
 from .schurzeta import SchurInstance, instance_from_spec, schur_eval
 from .shapes import Partition, parse_partition, parse_shape
-from .tableaux import ContentSpec, Tableau, expand_content, tableau_from_rows
+from .tableaux import (
+    ContentSpec,
+    Tableau,
+    content_spec_from_json,
+    expand_content,
+    tableau_from_rows,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-BUILTIN_SUITES = (
-    "jacobi-trudi",
-    "giambelli",
-    "hook",
-    "frobenius",
-    "dirichlet",
-    "derivative",
-    "lgv-exact",
-    "reductions",
-    "all",
-)
 
-
-def _default_cutoff() -> int:
+def _env_cutoff() -> int | None:
     raw = os.environ.get("SHZETA_CUTOFF")
     if raw is None:
-        return 2000
+        return None
     try:
         return int(raw)
     except ValueError as exc:
@@ -100,11 +83,13 @@ def _parse_assignments(text: str, caster: Callable[[str], Any]) -> dict[int, Any
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = EvalConfig(cutoff=args.cutoff)
+    cfg = EvalConfig() if args.cutoff is None else EvalConfig(cutoff=args.cutoff)
     t0 = time.perf_counter()
     if args.tableau_file:
         with open(args.tableau_file) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or "s" not in data:
+            raise UsageError(f"{args.tableau_file}: needs an \"s\" row array")
         s = tableau_from_rows(data["s"])
         x = (
             tableau_from_rows(data["x"])
@@ -141,234 +126,174 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check: built-in suites
+# check: the identity registry
+#
+# A runner takes the entry's content spec, the entry itself (for its shape
+# and extra fields) and the config, and returns the fields of its record.
+# Identity functions are looked up on their module at call time, so
+# wrappers installed there (tracing, profiling) see every call.
 
-Check = tuple[dict, Callable[[EvalConfig], dict]]
+Runner = Callable[[ContentSpec, dict, EvalConfig], dict]
 
-
-def _suite_spec(palette: dict[int, complex] | None = None) -> ContentSpec:
-    z = palette or {-3: 3, -2: 2.5, -1: 2, 0: 3, 1: 2, 2: 2.5, 3: 3}
-    return ContentSpec(z, {0: 0.3})
-
-
-def _report_fields(rep: IdentityReport) -> dict:
-    return rep.as_dict()
-
-
-def _identity_check(
-    identity_id: str, shape_text: str, run: Callable[[EvalConfig], IdentityReport]
-) -> Check:
-    meta = {"identity_id": identity_id, "shape": shape_text}
-
-    def runner(cfg: EvalConfig) -> dict:
-        return _report_fields(run(cfg))
-
-    return meta, runner
+LGV_GRID_HEIGHT = 3
+_NO_SPEC = ContentSpec({}, {})
 
 
-def _suite_jacobi_trudi() -> list[Check]:
-    spec = _suite_spec()
-    checks = []
-    for text in ("1,1", "2", "2,1", "2,2", "3,2"):
-        shape = parse_partition(text)
-        checks.append(
-            _identity_check(
-                "jacobi_trudi_H", text, lambda c, s=shape: jacobi_trudi_H(spec, s, c)
-            )
-        )
-        checks.append(
-            _identity_check(
-                "jacobi_trudi_E", text, lambda c, s=shape: jacobi_trudi_E(spec, s, c)
-            )
-        )
-    shape = parse_partition("2,1")
+def _partition(entry: dict) -> Partition:
+    return parse_partition(str(entry.get("shape", "")))
+
+
+def _on_shape(name: str) -> Runner:
+    """An identity called as ``name(spec, shape, cfg)``."""
+
+    def run(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+        return getattr(identities, name)(spec, _partition(entry), cfg).as_dict()
+
+    return run
+
+
+def _on_hook(name: str) -> Runner:
+    """An identity called as ``name(spec, p, q, cfg)`` on the hook (p+1, 1^q)."""
+
+    def run(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+        p, q = identities.hook_pq(_partition(entry))
+        return getattr(identities, name)(spec, p, q, cfg).as_dict()
+
+    return run
+
+
+def _extended_jacobi_trudi(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    shape = _partition(entry)
     s, x = expand_content(spec, shape)
-    checks.append(
-        _identity_check(
-            "extended_jacobi_trudi",
-            "2,1",
-            lambda c: extended_jacobi_trudi(s, x, shape, c),
-        )
-    )
-    return checks
+    return identities.extended_jacobi_trudi(s, x, shape, cfg).as_dict()
 
 
-def _suite_giambelli() -> list[Check]:
-    spec = _suite_spec()
-    checks = [
-        _identity_check(
-            "giambelli", text, lambda c, s=parse_partition(text): giambelli(spec, s, c)
-        )
-        for text in ("2,2", "3,2", "3,3,1")
-    ]
-    shape = parse_partition("2,2")
-    gamma = Tableau(shape, {cell: 3 if cell[1] == cell[0] else 2 for cell in shape.cells()})
-    x = Tableau(shape, {cell: 0.0 for cell in shape.cells()})
-    checks.append(
-        _identity_check(
-            "skew_giambelli_hash", "2,2", lambda c: skew_giambelli_hash(gamma, x, c)
-        )
-    )
-    return checks
+def _skew_giambelli_hash(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    s, x = expand_content(spec, _partition(entry))
+    return identities.skew_giambelli_hash(s, x, cfg).as_dict()
 
 
-def _suite_hook() -> list[Check]:
-    spec = _suite_spec()
-    checks = []
-    for p, q in ((0, 1), (1, 1), (2, 1), (1, 2)):
-        checks.append(
-            _identity_check(
-                "hook_expansion_star",
-                f"hook({p},{q})",
-                lambda c, p=p, q=q: hook_expansion_star(spec, p, q, c),
-            )
-        )
-        checks.append(
-            _identity_check(
-                "hook_expansion_zeta",
-                f"hook({p},{q})",
-                lambda c, p=p, q=q: hook_expansion_zeta(spec, p, q, c),
-            )
-        )
-    return checks
+def _derivative_identity(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    ell, order = int(entry.get("ell", 0)), int(entry.get("order", 1))
+    rep = identities.derivative_identity(spec, _partition(entry), ell, order, cfg)
+    return {**rep.as_dict(), "ell": ell}
 
 
-def _suite_frobenius() -> list[Check]:
-    spec = _suite_spec()
-    return [
-        _identity_check(
-            "frobenius_expansion",
-            text,
-            lambda c, s=parse_partition(text): frobenius_expansion(spec, s, c),
-        )
-        for text in ("2,2", "3,2")
-    ]
+def _derivative_fd_check(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    ell = int(entry.get("ell", 0))
+    rep = identities.derivative_fd_check(spec, _partition(entry), ell, cfg)
+    return {**rep.as_dict(), "ell": ell}
 
 
-def _suite_dirichlet() -> list[Check]:
-    spec = _suite_spec()
-    return [
-        _identity_check(
-            "dirichlet_series_expr",
-            text,
-            lambda c, s=parse_partition(text): dirichlet_series_expr(spec, s, c),
-        )
-        for text in ("2,1", "3,1,1", "2,2")
-    ]
-
-
-def _suite_derivative() -> list[Check]:
-    spec = ContentSpec(
-        {-2: 2.5, -1: 2, 0: 3, 1: 2, 2: 2.5},
-        {k: 0.3 for k in range(-2, 3)},
-    )
-    checks = []
-    for text in ("2,1", "3,1,1"):
-        shape = parse_partition(text)
-        p = shape.part(1) - 1
-        for ell in range(p + 1):
-            for order in (1, 2):
-                checks.append(
-                    _identity_check(
-                        f"derivative_identity_{order}",
-                        f"{text} ell={ell}",
-                        lambda c, s=shape, e=ell, o=order: derivative_identity(
-                            spec, s, e, o, c
-                        ),
-                    )
-                )
-            checks.append(
-                _identity_check(
-                    "derivative_fd_check",
-                    f"{text} ell={ell}",
-                    lambda c, s=shape, e=ell: derivative_fd_check(spec, s, e, c),
-                )
-            )
-    return checks
-
-
-def _suite_lgv_exact() -> list[Check]:
-    spec = ContentSpec(
-        {k: 2 if k % 2 == 0 else 3 for k in range(-3, 4)},
-        {0: 0.5},
-    )
-    checks = []
-    for text in ("1,1", "2,1", "2,2", "3,1"):
-        shape = parse_partition(text)
-        s, x = expand_content(spec, shape)
-
-        def runner(cfg: EvalConfig, shape=shape, s=s, x=x, text=text) -> dict:
-            rep = verify_cancellation(shape, 3, s, x)
-            return {
-                "identity_id": "lgv_exact",
-                "shape": text,
-                "patterns": rep.total_patterns,
-                "nonintersecting": rep.nonintersecting,
-                "pass": rep.passes,
-            }
-
-        checks.append(({"identity_id": "lgv_exact", "shape": text}, runner))
-    return checks
-
-
-def _suite_reductions() -> list[Check]:
-    checks = []
-    for depth, exps in ((1, (2,)), (2, (2, 3)), (2, (3, 2))):
-        for m in (1, 2):
-
-            def runner(cfg: EvalConfig, exps=exps, m=m, depth=depth) -> dict:
-                reports = check_reductions(exps, exps, float(m), cfg)
-                return {
-                    "identity_id": "root_reductions",
-                    "shape": f"depth={depth} m={m}",
-                    "discrepancy": max(r.discrepancy for r in reports),
-                    "budget": max(r.budget for r in reports),
-                    "pass": all(r.passes() for r in reports),
-                }
-
-            checks.append(
-                ({"identity_id": "root_reductions", "shape": f"depth={depth} m={m}"}, runner)
-            )
-    return checks
-
-
-def builtin_suite(name: str) -> list[Check]:
-    table = {
-        "jacobi-trudi": _suite_jacobi_trudi,
-        "giambelli": _suite_giambelli,
-        "hook": _suite_hook,
-        "frobenius": _suite_frobenius,
-        "dirichlet": _suite_dirichlet,
-        "derivative": _suite_derivative,
-        "lgv-exact": _suite_lgv_exact,
-        "reductions": _suite_reductions,
+def _lgv_exact(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    shape = _partition(entry)
+    rep = verify_cancellation(shape, LGV_GRID_HEIGHT, *expand_content(spec, shape))
+    return {
+        "patterns": rep.total_patterns,
+        "nonintersecting": rep.nonintersecting,
+        "pass": rep.passes,
     }
-    if name == "all":
-        out: list[Check] = []
-        for key in table:
-            out.extend(table[key]())
-        return out
-    if name not in table:
-        raise UsageError(
-            f"unknown suite {name!r}; choose from {', '.join(BUILTIN_SUITES)}"
-        )
-    return table[name]()
 
 
-# ---------------------------------------------------------------------------
-# check: manifest files
+def _root_reductions(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    z = [complex(v) for v in entry.get("z", ())]
+    if not z:
+        raise UsageError("root_reductions needs a nonempty exponent list z")
+    m = entry.get("m", 1)
+    reports = check_reductions(z, z, float(m), cfg)
+    return {
+        "shape": f"depth={len(z)} m={m}",
+        "discrepancy": max(r.discrepancy for r in reports),
+        "budget": max(r.budget for r in reports),
+        "pass": all(r.passes() for r in reports),
+    }
 
-MANIFEST_IDENTITIES = {
-    "jacobi_trudi_H": jacobi_trudi_H,
-    "jacobi_trudi_E": jacobi_trudi_E,
-    "giambelli": giambelli,
-    "frobenius_expansion": frobenius_expansion,
-    "dirichlet_series_expr": dirichlet_series_expr,
+
+IDENTITIES: dict[str, Runner] = {
+    "jacobi_trudi_H": _on_shape("jacobi_trudi_H"),
+    "jacobi_trudi_E": _on_shape("jacobi_trudi_E"),
+    "extended_jacobi_trudi": _extended_jacobi_trudi,
+    "giambelli": _on_shape("giambelli"),
+    "skew_giambelli_hash": _skew_giambelli_hash,
+    "hook_expansion_star": _on_hook("hook_expansion_star"),
+    "hook_expansion_zeta": _on_hook("hook_expansion_zeta"),
+    "frobenius_expansion": _on_shape("frobenius_expansion"),
+    "dirichlet_series_expr": _on_shape("dirichlet_series_expr"),
+    "derivative_identity": _derivative_identity,
+    "derivative_fd_check": _derivative_fd_check,
+    "lgv_exact": _lgv_exact,
+    "root_reductions": _root_reductions,
 }
 
 
-def _manifest_checks(path: str, flag_cutoff: int | None) -> list[Check]:
-    checks: list[Check] = []
+# ---------------------------------------------------------------------------
+# check: built-in suites, kept as manifest entries
+
+_PALETTE = {"z": {-3: 3, -2: 2.5, -1: 2, 0: 3, 1: 2, 2: 2.5, 3: 3}, "y": {0: 0.3}}
+# Every content shifted, so the finite-difference check can step y_ell down.
+_ALL_SHIFTED = {
+    "z": {-2: 2.5, -1: 2, 0: 3, 1: 2, 2: 2.5},
+    "y": {k: 0.3 for k in range(-2, 3)},
+}
+_LGV_PALETTE = {"z": {k: 2 if k % 2 == 0 else 3 for k in range(-3, 4)}, "y": {0: 0.5}}
+
+
+def _entries(ident: str, shapes: tuple[str, ...], spec: dict = _PALETTE) -> list[dict]:
+    return [{"identity_id": ident, "shape": s, "spec": spec} for s in shapes]
+
+
+SUITES: dict[str, list[dict]] = {
+    "jacobi-trudi": [
+        {"identity_id": ident, "shape": text, "spec": _PALETTE}
+        for text in ("1,1", "2", "2,1", "2,2", "3,2")
+        for ident in ("jacobi_trudi_H", "jacobi_trudi_E")
+    ]
+    + _entries("extended_jacobi_trudi", ("2,1",)),
+    "giambelli": _entries("giambelli", ("2,2", "3,2", "3,3,1"))
+    # Integer exponents: 3 on the diagonal, 2 off it; no shifts.
+    + _entries("skew_giambelli_hash", ("2,2",), {"z": {-1: 2, 0: 3, 1: 2}}),
+    "hook": [
+        {"identity_id": ident, "shape": text, "spec": _PALETTE}
+        for text in ("1,1", "2,1", "3,1", "2,1,1")
+        for ident in ("hook_expansion_star", "hook_expansion_zeta")
+    ],
+    "frobenius": _entries("frobenius_expansion", ("2,2", "3,2")),
+    "dirichlet": _entries("dirichlet_series_expr", ("2,1", "3,1,1", "2,2")),
+    "derivative": [
+        {"identity_id": ident, "shape": text, "spec": _ALL_SHIFTED, "ell": ell, **extra}
+        for text, arm in (("2,1", 1), ("3,1,1", 2))
+        for ell in range(arm + 1)
+        for ident, extra in (
+            ("derivative_identity", {"order": 1}),
+            ("derivative_identity", {"order": 2}),
+            ("derivative_fd_check", {}),
+        )
+    ],
+    "lgv-exact": _entries("lgv_exact", ("1,1", "2,1", "2,2", "3,1"), _LGV_PALETTE),
+    "reductions": [
+        {"identity_id": "root_reductions", "z": z, "m": m}
+        for z in ([2], [2, 3], [3, 2])
+        for m in (1, 2)
+    ],
+}
+
+BUILTIN_SUITES = (*SUITES, "all")
+
+
+def builtin_suite(name: str) -> list[dict]:
+    """The manifest entries of a built-in suite, one per emitted record."""
+    if name == "all":
+        return [entry for entries in SUITES.values() for entry in entries]
+    if name not in SUITES:
+        raise UsageError(
+            f"unknown suite {name!r}; choose from {', '.join(BUILTIN_SUITES)}"
+        )
+    return list(SUITES[name])
+
+
+def read_manifest(path: str) -> list[dict]:
+    """Manifest entries from a JSON-lines file (``#`` lines are comments)."""
+    entries = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -378,78 +303,51 @@ def _manifest_checks(path: str, flag_cutoff: int | None) -> list[Check]:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            ident = entry.get("identity_id")
-            shape_text = entry.get("shape", "")
-            spec_obj = entry.get("spec", {})
-            spec = ContentSpec(
-                {int(k): complex(v) for k, v in spec_obj.get("z", {}).items()},
-                {int(k): float(v) for k, v in spec_obj.get("y", {}).items()},
-            )
-            cutoff = flag_cutoff or entry.get("cfg", {}).get("cutoff")
-
-            if ident == "derivative_identity":
-                ell = int(entry.get("ell", 0))
-                order = int(entry.get("order", 1))
-                shape = parse_partition(shape_text)
-
-                def runner(cfg, spec=spec, shape=shape, ell=ell, order=order, cutoff=cutoff):
-                    if cutoff:
-                        cfg = EvalConfig(cutoff=int(cutoff))
-                    return _report_fields(
-                        derivative_identity(spec, shape, ell, order, cfg)
-                    )
-
-            elif ident in ("hook_expansion_star", "hook_expansion_zeta"):
-                shape = parse_partition(shape_text)
-                p, q = shape.part(1) - 1, shape.rows - 1
-                fn = (
-                    hook_expansion_star
-                    if ident == "hook_expansion_star"
-                    else hook_expansion_zeta
-                )
-
-                def runner(cfg, spec=spec, p=p, q=q, fn=fn, cutoff=cutoff):
-                    if cutoff:
-                        cfg = EvalConfig(cutoff=int(cutoff))
-                    return _report_fields(fn(spec, p, q, cfg))
-
-            elif ident in MANIFEST_IDENTITIES:
-                shape = parse_partition(shape_text)
-                fn = MANIFEST_IDENTITIES[ident]
-
-                def runner(cfg, spec=spec, shape=shape, fn=fn, cutoff=cutoff):
-                    if cutoff:
-                        cfg = EvalConfig(cutoff=int(cutoff))
-                    return _report_fields(fn(spec, shape, cfg))
-
-            else:
+            ident = entry.get("identity_id") if isinstance(entry, dict) else None
+            if ident not in IDENTITIES:
                 raise UsageError(f"{path}:{lineno}: unknown identity_id {ident!r}")
-            checks.append(({"identity_id": ident, "shape": shape_text}, runner))
-    return checks
+            entries.append(entry)
+    return entries
+
+
+def run_one(entry: dict, cutoff: int | None) -> dict:
+    """Run one manifest entry through the registry and return its record.
+
+    ``cutoff`` is the flag or environment override; without one the
+    entry's ``cfg.cutoff`` applies, else the default.
+    """
+    spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
+    if cutoff is None:
+        cutoff = entry.get("cfg", {}).get("cutoff", DEFAULT_CONFIG.cutoff)
+    cfg = EvalConfig(cutoff=int(cutoff))
+    ident = entry["identity_id"]
+    t0 = time.perf_counter()
+    record = {
+        "identity_id": ident,
+        "shape": entry.get("shape", ""),
+        **IDENTITIES[ident](spec, entry, cfg),
+    }
+    record["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+    record["cutoffs"] = {"series": cfg.cutoff}
+    return record
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = EvalConfig(cutoff=args.cutoff)
     if args.manifest:
-        checks = _manifest_checks(args.manifest, args.cutoff if args.cutoff_set else None)
+        entries = read_manifest(args.manifest)
     elif args.builtin:
-        checks = builtin_suite(args.builtin)
+        entries = builtin_suite(args.builtin)
     else:
         raise UsageError("check needs --builtin <suite> or --manifest <file>")
 
-    def run_one(check: Check) -> dict:
-        meta, runner = check
-        t0 = time.perf_counter()
-        out = runner(cfg)
-        out["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-        out["cutoffs"] = {"series": cfg.cutoff}
-        return out
+    def run(entry: dict) -> dict:
+        return run_one(entry, args.cutoff)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, checks))
+            results = list(pool.map(run, entries))
     else:
-        results = [run_one(c) for c in checks]
+        results = [run(e) for e in entries]
 
     failures = 0
     for out in results:
@@ -469,6 +367,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     shape = parse_partition(args.shape)
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     total = count_patterns(shape, args.n, args.kind)
     by_type: dict[str, int] = {}
     nonintersecting = 0
@@ -569,16 +469,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_merge_value_flags(list(argv)))
-        args.cutoff_set = getattr(args, "cutoff", None) is not None
-        if getattr(args, "cutoff", None) is None:
-            args.cutoff = _default_cutoff()
+        if "cutoff" in vars(args) and args.cutoff is None:
+            args.cutoff = _env_cutoff()
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except (ValueError, OSError) as exc:
+        # UsageError, and every other malformed-input error (bad shapes,
+        # cutoffs or JSON, unreadable files): DomainError is caught above.
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

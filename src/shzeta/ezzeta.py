@@ -22,7 +22,7 @@ such chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ class EvalConfig:
 
     cutoff: int = 2000
     tail_mode: str = "integral_correction"
-    target_abs_err: float | None = None
     override_domain: bool = False
 
     def __post_init__(self) -> None:
@@ -51,9 +50,6 @@ class EvalConfig:
             raise ValueError("cutoff must be >= 1")
         if self.tail_mode not in ("bound_only", "integral_correction"):
             raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
-
-    def with_cutoff(self, cutoff: int) -> "EvalConfig":
-        return replace(self, cutoff=cutoff)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -100,6 +96,30 @@ def _tail_integral(sigma: float, m: int, y: float) -> float:
     if sigma <= 1.0:
         return math.inf
     return (m + y) ** (1.0 - sigma) / (sigma - 1.0)
+
+
+def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
+    """Elementwise base^(-s), with 0 wherever base <= 0."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.where(base > 0, base, 1.0))
+    out = np.exp(-s * logs)
+    out[base <= 0] = 0.0
+    return out
+
+
+def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
+    """Euler-Maclaurin value of c * sum_{k >= 0} (base + k)^(-s), Re s > 1,
+    with a bound on its error:
+
+        sum_{k >= a} f(k) = int_a^inf f + f(a)/2 + R,
+        |R| <= (1/12) int_a^inf |f''|.
+    """
+    sigma = s.real
+    value = c * (base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s))
+    err = (
+        abs(c) * abs(s * (s + 1.0)) * base ** (-sigma - 1.0) / (12.0 * (sigma + 1.0))
+    )
+    return value, err
 
 
 def _check_chain_domain(s: Sequence[complex], override: bool) -> None:
@@ -157,15 +177,10 @@ def eval_chain(
         lows.append(lows[-1] + (1 if st else 0))
 
     def powers(i: int, absolute: bool) -> np.ndarray:
-        base = idx + y[i]
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.where(base > 0, base, 1.0))
-        expo = sigmas[i] if absolute else complex(s[i])
         # Indices below lows[i] may overflow (tiny base, negative log);
         # they are zeroed below, so the overflow is silenced, not fixed.
         with np.errstate(over="ignore"):
-            a = np.exp(-expo * logs)
-        a[base <= 0] = 0.0
+            a = neg_power(idx + y[i], sigmas[i] if absolute else complex(s[i]))
         a[: lows[i]] = 0.0
         return a
 
@@ -241,19 +256,9 @@ def eval_chain(
         return Approx(value, tail)
 
     # Freeze the inner prefix at the cutoff and treat the outer tail as
-    # c * sum_{k > M} (k + y_r)^(-s_r), corrected by Euler-Maclaurin:
-    #   sum_{k >= a} f(k) = int_a^inf f + f(a)/2 + R,
-    #   |R| <= (1/12) int_a^inf |f''|.
-    c = inner_prefix_at_cutoff
-    a = m + 1
-    s_r = complex(s[-1])
-    base = a + y[-1]
-    em_value = c * (base ** (1.0 - s_r) / (s_r - 1.0) + 0.5 * base ** (-s_r))
-    em_remainder = (
-        abs(c)
-        * abs(s_r * (s_r + 1.0))
-        * base ** (-sigma_r - 1.0)
-        / (12.0 * (sigma_r + 1.0))
+    # c * sum_{k > M} (k + y_r)^(-s_r), corrected by Euler-Maclaurin.
+    em_value, em_remainder = em_tail(
+        inner_prefix_at_cutoff, complex(s[-1]), m + 1 + y[-1]
     )
     # Residual from freezing the inner prefix: chains whose next-to-last
     # variable also exceeds the cutoff.

@@ -41,13 +41,12 @@ from .shapes import (
     content,
     hash_transpose,
     hook,
+    perm_sign,
 )
 from .tableaux import (
     ContentSpec,
-    Shape,
     Tableau,
     apply_orbit,
-    as_skew,
     diagonal_orbit,
     diagonal_sets,
     in_I_theta,
@@ -89,16 +88,6 @@ class IdentityReport:
         }
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def determinant(entries: Sequence[Sequence[Approx]]) -> Approx:
     """Signed permutation expansion; linear in the entry error bounds."""
     n = len(entries)
@@ -109,7 +98,7 @@ def determinant(entries: Sequence[Sequence[Approx]]) -> Approx:
         term = APPROX_ONE
         for i, j in enumerate(perm):
             term = term * entries[i][j]
-        total = total + term if _perm_sign(perm) > 0 else total - term
+        total = total + term if perm_sign(perm) > 0 else total - term
     return total
 
 
@@ -389,7 +378,7 @@ def frobenius_expansion(
     n = fr.depth
     total = APPROX_ZERO
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
+        sign = perm_sign(perm)
         for js in itertools.product(*(range(q + 1) for q in fr.q)):
             term = APPROX_ONE
             for k in range(n):
@@ -485,7 +474,7 @@ def dirichlet_series_expr(
         term = APPROX_ONE
         for a in sums:
             term = term * a
-        total = total + term if _perm_sign(perm) > 0 else total - term
+        total = total + term if perm_sign(perm) > 0 else total - term
         full = [abs(a.value) + a.err_bound + t for a, t in zip(sums, tails)]
         for j in range(n):
             tail_err += tails[j] * math.prod(
@@ -499,10 +488,11 @@ def dirichlet_series_expr(
 # Derivative identities
 
 
-def _hook_pq(shape: Partition) -> tuple[int, int]:
+def hook_pq(shape: Partition) -> tuple[int, int]:
+    """(p, q) with shape = hook(p, q), the hook (p + 1, 1^q)."""
     parts = tuple(shape)
-    if len(parts) > 1 and any(v != 1 for v in parts[1:]):
-        raise UsageError("derivative identities are stated for hook shapes")
+    if not parts or any(v != 1 for v in parts[1:]):
+        raise UsageError(f"expected a hook shape (p + 1, 1^q), got {shape}")
     return parts[0] - 1, len(parts) - 1
 
 
@@ -519,7 +509,7 @@ def derivative_identity(
     Order 2 adds twice the sum over unordered distinct same-content pairs
     with both exponents + 1 (empty on hooks, where contents are distinct).
     """
-    p, q = _hook_pq(shape)
+    p, q = hook_pq(shape)
     if not 0 <= ell <= p:
         raise UsageError(f"ell must be in 0..{p}")
     if order not in (1, 2):
@@ -547,7 +537,7 @@ def derivative_fd_check(
 ) -> IdentityReport:
     """Cross-validate the order-1 identity against finite differences:
     the shift derivative should equal -z_ell times the shifted sum."""
-    p, _ = _hook_pq(shape)
+    p, _ = hook_pq(shape)
     if not 0 <= ell <= p:
         raise UsageError(f"ell must be in 0..{p}")
     inst = instance_from_spec(spec, shape)

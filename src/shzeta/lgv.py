@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import UsageError
 from .shapes import (
@@ -30,8 +30,9 @@ from .shapes import (
     RimDecomposition,
     e_rim_decompositions,
     h_rim_decompositions,
+    perm_sign,
 )
-from .tableaux import Tableau, is_diagonal_constant
+from .tableaux import Tableau, int_exponent, is_diagonal_constant
 
 Point = tuple[int, int]
 
@@ -90,14 +91,7 @@ class Pattern:
 
     @property
     def sign(self) -> int:
-        sgn = 1
-        sigma = list(self.type)
-        for i in range(len(sigma)):
-            while sigma[i] != i + 1:
-                j = sigma[i] - 1
-                sigma[i], sigma[j] = sigma[j], sigma[i]
-                sgn = -sgn
-        return sgn
+        return perm_sign(self.type)
 
     def is_nonintersecting(self) -> bool:
         seen: set[Point] = set()
@@ -275,13 +269,6 @@ def _as_fraction(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _as_int_exponent(v) -> int:
-    c = complex(v)
-    if c.imag != 0 or c.real != int(c.real):
-        raise UsageError(f"exact weights need integer exponents, got {v!r}")
-    return int(c.real)
-
-
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
     """Exact weight of a pattern for integer exponents and rational shifts."""
     decomp = rim_for_type(pat.shape, pat.type, pat.kind)
@@ -296,7 +283,7 @@ def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
                 f"{len(ribbon)} cells"
             )
         for j, cell in zip(rows, ribbon):
-            weight /= (j + _as_fraction(x[cell])) ** _as_int_exponent(s[cell])
+            weight /= (j + _as_fraction(x[cell])) ** int_exponent(s[cell])
     return weight
 
 

@@ -22,7 +22,6 @@ integral bounds that accumulate the decay of inner levels.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,7 +29,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .ezzeta import APPROX_ONE, Approx, DEFAULT_CONFIG, EvalConfig
+from .ezzeta import (
+    APPROX_ONE,
+    Approx,
+    DEFAULT_CONFIG,
+    EvalConfig,
+    em_tail,
+    ez_zeta,
+    ez_zeta_star_star,
+    neg_power,
+)
 
 MAX_DEPTH = 4
 
@@ -112,22 +120,10 @@ def _tail_table(
     """T[v] = sum_{u >= v} (x + u)^(-s) for first <= v <= top, via a reverse
     cumulative sum capped with an Euler-Maclaurin tail; returns (table,
     per-entry error bound).  Entries below ``first`` are unused (zero)."""
-    sigma = complex(s).real
-    u = np.arange(0, top + 1, dtype=np.float64)
-    base = u + x
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.where(base > 0, base, 1.0))
-    a = np.exp(-complex(s) * logs)
-    a[base <= 0] = 0.0
+    a = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, complex(s))
     a[:first] = 0.0
     # Analytic remainder beyond the table.
-    b = top + 1 + x
-    em = b ** (1.0 - complex(s)) / (complex(s) - 1.0) + 0.5 * b ** (-complex(s))
-    em_err = (
-        abs(complex(s) * (complex(s) + 1.0))
-        * b ** (-sigma - 1.0)
-        / (12.0 * (sigma + 1.0))
-    )
+    em, em_err = em_tail(1.0, complex(s), top + 1 + x)
     table = np.cumsum(a[::-1])[::-1] + em
     return table, float(em_err)
 
@@ -162,19 +158,14 @@ def _eval_nested(
         """(x + offset)^(-s(i,j)) with the primed replacement where the
         integer part of the offset vanishes."""
         s_ij = e.s[(i, j)]
-        base = offsets + x
         if s_ij == 0:
-            return np.ones_like(base, dtype=np.complex128)
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.where(base > 0, base, 1.0))
-        out = np.exp(-s_ij * logs)
-        zero = int_offsets == 0
+            return np.ones_like(offsets, dtype=np.complex128)
+        # Zero bases come out as 0; outside the primed rule they are always
+        # masked by a zero weight (genuine unshifted zero terms are rejected
+        # up front).
+        out = neg_power(offsets + x, s_ij)
         if primed and j <= d + 1:
-            out[zero] = 1.0
-        else:
-            # Zero bases here are always masked by a zero weight (genuine
-            # unshifted zero terms are rejected up front).
-            out[zero & (base <= 0)] = 0.0
+            out[int_offsets == 0] = 1.0
         return out
 
     if analytic_last and r >= 1:
@@ -389,8 +380,6 @@ def check_reductions(
     * the all-one-started shifted series over q variables vs. the strict
       chain with constant shift.
     """
-    from .ezzeta import ez_zeta, ez_zeta_star_star
-
     reports = []
     p = len(z_plus)
     if p:

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .errors import DomainError, UsageError
 from .ezzeta import APPROX_ONE, Approx, DEFAULT_CONFIG, EvalConfig, eval_chain
-from .shapes import Cell, Partition, SkewShape, content
+from .shapes import Cell, SkewShape, content
 from .tableaux import (
     ContentSpec,
     Shape,
@@ -32,6 +32,7 @@ from .tableaux import (
     as_skew,
     expand_content,
     in_W_lambda,
+    int_exponent,
     ssyt_iter,
 )
 
@@ -56,13 +57,6 @@ class SchurInstance:
 def instance_from_spec(spec: ContentSpec, shape: Shape) -> SchurInstance:
     s, x = expand_content(spec, shape)
     return SchurInstance(shape, s, x)
-
-
-def _int_exponent(v: Any) -> int:
-    c = complex(v)
-    if c.imag != 0 or c.real != int(c.real):
-        raise UsageError(f"exact mode needs integer exponents, got {v!r}")
-    return int(c.real)
 
 
 def _omega(cell: Cell) -> tuple[int, int]:
@@ -141,18 +135,6 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     return Approx(total, err)
 
 
-def schur_weight(s: Tableau, t: Tableau) -> complex:
-    """Single-filling weight: prod over cells of t_ij^(-s_ij)."""
-    if as_skew(s.shape) != as_skew(t.shape):
-        raise UsageError("exponent and entry tableaux must share a shape")
-    out = 1.0 + 0.0j
-    for c, base in t.entries.items():
-        if not (float(complex(base).real) > 0) or complex(base).imag:
-            raise UsageError(f"entry at {c} must be a positive real")
-        out *= complex(base) ** (-complex(s[c]))
-    return out
-
-
 def schur_truncated_exact(
     shape: Shape,
     exponents: Tableau,
@@ -168,7 +150,7 @@ def schur_truncated_exact(
     for t in ssyt_iter(shape, max_entry):
         term = Fraction(1)
         for c, m in t.entries.items():
-            term /= (Fraction(m) + Fraction(shifts[c])) ** _int_exponent(
+            term /= (Fraction(m) + Fraction(shifts[c])) ** int_exponent(
                 exponents[c]
             )
         total += term
@@ -196,7 +178,7 @@ def chain_truncated_exact(
                 continue
             lo = prev + 1 if (k > 0 and strict[k - 1]) else max(prev, 1)
             c = cells[k]
-            e = _int_exponent(exponents[c])
+            e = int_exponent(exponents[c])
             for m in range(lo, max_entry + 1):
                 stack.append(
                     (k + 1, m, w / (Fraction(m) + Fraction(shifts[c])) ** e)

@@ -10,10 +10,9 @@ and the content of a cell is ``col - row``.
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
 
@@ -161,12 +160,19 @@ def frobenius(p: Partition) -> FrobeniusCoords:
     return p.frobenius()
 
 
-def from_frobenius(f: FrobeniusCoords) -> Partition:
-    return f.to_partition()
-
-
 def corners(p: "Partition | SkewShape") -> frozenset[Cell]:
     return p.corners()
+
+
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as a sequence of distinct values."""
+    inversions = sum(
+        1
+        for a in range(len(perm))
+        for b in range(a + 1, len(perm))
+        if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
 
 
 def hook(p: int, q: int) -> Partition:
@@ -344,130 +350,61 @@ class RimDecomposition:
         )
 
 
-def _cells_form_partition(cells: set[Cell]) -> bool:
-    """True iff the cell set is the diagram of a partition."""
-    if not cells:
-        return True
-    rows = {}
-    for (i, j) in cells:
-        rows.setdefault(i, set()).add(j)
-    nrows = max(rows)
-    lam = []
-    for i in range(1, nrows + 1):
-        cols = rows.get(i, set())
-        if cols != set(range(1, len(cols) + 1)):
-            return False
-        lam.append(len(cols))
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
-def _is_ribbon_cells(cells: frozenset[Cell]) -> bool:
-    if not cells:
-        return False
-    for (i, j) in cells:
-        if {(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= cells:
-            return False
-    seen = {next(iter(cells))}
-    frontier = list(seen)
-    while frontier:
-        i, j = frontier.pop()
-        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return seen == cells
-
-
 def _rim_decompositions(shape: Partition, kind: str) -> list[RimDecomposition]:
-    """Enumerate all rim decompositions of the given kind.
+    """All rim decompositions of the given kind, one per admissible type.
 
     A decomposition is a chain of partitions () = mu^(0) <= mu^(1) <= ... <=
-    mu^(t) = lambda where each step adds either nothing or a ribbon, and a
-    nonempty k-th ribbon contains the anchor cell ((k,1) for H, (1,k) for E).
+    mu^(t) = lambda where step k adds either nothing or a ribbon whose
+    initial end is the anchor (k, 1) for H (the anchor (1, k) for E).
+
+    Step k of an H-decomposition of type sigma adds a ribbon of
+    lambda_r - r + k cells, r = sigma(k).  That ribbon is forced: walking
+    from its anchor, it must go up while the cell above is free (otherwise
+    mu^(k) would not be a partition) and go right otherwise.  So each type
+    yields at most one decomposition, built directly.  E-decompositions are
+    the transposes of the H-decompositions of the conjugate.
     """
-    t = shape.rows if kind == "H" else shape.part(1)
-    target = set(shape.cells())
+    if kind == "E":
+        return [
+            RimDecomposition(
+                shape, {(j, i): v for (i, j), v in d.assignment.items()}, "E"
+            )
+            for d in _rim_decompositions(shape.conjugate(), "H")
+        ]
+    t = shape.rows
     results: list[RimDecomposition] = []
 
-    def extend(step: int, current: set[Cell], assignment: dict[Cell, int]) -> None:
-        if step > t:
-            if current == target:
-                results.append(RimDecomposition(shape, dict(assignment), kind))
+    def extend(
+        k: int, used: set[int], current: set[Cell], assignment: dict[Cell, int]
+    ) -> None:
+        if k > t:
+            results.append(RimDecomposition(shape, assignment, kind))
             return
-        anchor = (step, 1) if kind == "H" else (1, step)
-        # An empty ribbon is always permitted at any slot; a later ribbon may
-        # still cover this slot's anchor cell.
-        extend(step + 1, current, assignment)
-        if anchor in current or anchor not in target:
-            # A nonempty ribbon here would have to contain its anchor, which
-            # is already taken (or absent), so only the empty option exists.
-            return
-        # Nonempty ribbon: any subset of target \ current that is a ribbon,
-        # contains the anchor, and whose union with current is a partition.
-        free = sorted(target - current)
-        # Candidate ribbons are rim-connected subsets containing the anchor;
-        # grow them incrementally.
-        def starts_at_anchor(rib: set[Cell]) -> bool:
-            # A ribbon "starts from" its anchor: the anchor must be the
-            # initial end of the ribbon walk (bottom-left end for H-kind,
-            # top-right end for E-kind), not merely a member.
-            if kind == "H":
-                end = max(rib, key=lambda c: (c[0], -c[1]))
-            else:
-                end = min(rib, key=lambda c: (c[0], -c[1]))
-            return end == anchor
-
-        def grow(rib: set[Cell]) -> None:
-            union = current | rib
-            frozen = frozenset(rib)
-            if (
-                _is_ribbon_cells(frozen)
-                and starts_at_anchor(rib)
-                and _cells_form_partition(union)
+        for r in range(1, t + 1):
+            size = shape.part(r) - r + k
+            if r in used or size < 0:
+                continue
+            ribbon: list[Cell] = []
+            cell = (k, 1)
+            while len(ribbon) < size:
+                if cell not in shape or cell in current:
+                    break
+                ribbon.append(cell)
+                i, j = cell
+                cell = (i - 1, j) if i > 1 and (i - 1, j) not in current else (i, j + 1)
+            union = current.union(ribbon)
+            # mu^(k-1) is a partition, so mu^(k) is one iff every new cell
+            # has its upper and left neighbours in it.
+            if len(ribbon) == size and all(
+                (i == 1 or (i - 1, j) in union) and (j == 1 or (i, j - 1) in union)
+                for (i, j) in ribbon
             ):
-                for c in rib:
-                    assignment[c] = step
-                extend(step + 1, union, assignment)
-                for c in rib:
-                    del assignment[c]
-            # Try to extend the ribbon by one adjacent free cell that keeps
-            # it 2x2-free and connected; to avoid duplicates only add cells
-            # greater than the current lexicographic frontier is not sound
-            # for ribbons, so deduplicate at the end instead.
-            for c in free:
-                if c in rib:
-                    continue
-                i, j = c
-                if not any(
-                    nb in rib
-                    for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
-                ):
-                    continue
-                nxt = rib | {c}
-                if any(
-                    {(a, b + 1), (a + 1, b), (a + 1, b + 1)} <= nxt
-                    for (a, b) in nxt
-                ):
-                    continue
-                if frozenset(nxt) in tried:
-                    continue
-                tried.add(frozenset(nxt))
-                grow(nxt)
+                extend(
+                    k + 1, used | {r}, union, {**assignment, **dict.fromkeys(ribbon, k)}
+                )
 
-        tried: set[frozenset[Cell]] = {frozenset({anchor})}
-        grow({anchor})
-
-    extend(1, set(), {})
-    # Deduplicate (the ribbon growth can reach the same ribbon along
-    # different orders despite the `tried` cache being per-slot).
-    seen = set()
-    unique = []
-    for d in results:
-        key = tuple(sorted(d.assignment.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(d)
-    return unique
+    extend(1, set(), set(), {})
+    return results
 
 
 def h_rim_decompositions(shape: Partition) -> list[RimDecomposition]:

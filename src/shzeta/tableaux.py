@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import DomainError, UsageError
 from .shapes import (
     Cell,
-    FrobeniusCoords,
     Partition,
     SkewShape,
     content,
@@ -55,9 +54,6 @@ class Tableau:
 
     def cells(self) -> tuple[Cell, ...]:
         return as_skew(self.shape).cells()
-
-    def map(self, f: Callable[[Any], Any]) -> "Tableau":
-        return Tableau(self.shape, {c: f(v) for c, v in self.entries.items()})
 
     def with_entries(self, updates: Mapping[Cell, Any]) -> "Tableau":
         new = dict(self.entries)
@@ -139,6 +135,14 @@ def _re(v: Any) -> float:
     return complex(v).real
 
 
+def int_exponent(v: Any) -> int:
+    """An exponent as an int, for exact rational arithmetic."""
+    c = complex(v)
+    if c.imag != 0 or c.real != int(c.real):
+        raise UsageError(f"exact arithmetic needs integer exponents, got {v!r}")
+    return int(c.real)
+
+
 def in_W_lambda(s: Tableau) -> bool:
     """Real part >= 1 everywhere, and > 1 on the corners of the shape."""
     cs = as_skew(s.shape).corners()
@@ -199,12 +203,6 @@ class ContentSpec:
     def y_at(self, k: int) -> float:
         # Unspecified shifts default to 0, matching the ordinary (x = 0) case.
         return self.y.get(k, 0.0)
-
-    def z_slice(self, contents: Iterable[int]) -> tuple[complex, ...]:
-        return tuple(self.z_at(k) for k in contents)
-
-    def y_slice(self, contents: Iterable[int]) -> tuple[float, ...]:
-        return tuple(self.y_at(k) for k in contents)
 
 
 def expand_content(spec: ContentSpec, shape: Shape) -> tuple[Tableau, Tableau]:
@@ -347,12 +345,12 @@ def decompose_sigma_tableau(
 
 
 def in_I_theta(gamma: Tableau) -> bool:
-    """All entries >= 1 and corner entries >= 2."""
+    """All entries >= 1 and corner entries >= 2 (real parts compared)."""
     cs = as_skew(gamma.shape).corners()
     for cell, v in gamma.entries.items():
-        if v < 1:
+        if _re(v) < 1:
             return False
-        if cell in cs and v < 2:
+        if cell in cs and _re(v) < 2:
             return False
     return True
 

@@ -162,3 +162,80 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestRegistry:
+    def test_builtin_all_record_schema(self, capsys):
+        from shzeta.cli import builtin_suite
+
+        code, out, _ = run(capsys, "check", "--builtin", "all")
+        assert code == 0
+        recs = json_lines(out)
+        assert len(recs) == len(builtin_suite("all"))
+        for rec in recs:
+            assert {"identity_id", "shape", "pass"} <= set(rec)
+            assert rec["shape"]
+            assert rec["cutoffs"]["series"] == 2000
+            if rec["identity_id"].startswith("derivative_"):
+                assert "ell" in rec
+
+    def test_example_manifest_lists_every_registry_id(self):
+        from pathlib import Path
+
+        from shzeta.cli import IDENTITIES
+
+        manifest = Path(__file__).resolve().parents[1] / "suite.manifest.example"
+        lines = manifest.read_text().splitlines()
+        start = lines.index("# identity_id is one of:") + 1
+        ids = []
+        for line in lines[start:]:
+            if line.strip() == "#":
+                break
+            ids.append(line.lstrip("#").split()[0])
+        assert ids == list(IDENTITIES)
+
+    def test_cutoff_precedence(self, capsys, monkeypatch, tmp_path):
+        # flag > SHZETA_CUTOFF > manifest cfg.cutoff > 2000
+        entry = {"identity_id": "jacobi_trudi_H", "shape": "2,1",
+                 "spec": {"z": {"-1": 2, "0": 3, "1": 2}}}
+        f = tmp_path / "suite.manifest"
+        f.write_text(json.dumps(entry) + "\n"
+                     + json.dumps({**entry, "cfg": {"cutoff": 50}}) + "\n")
+
+        def cutoffs(*flags):
+            code, out, _ = run(capsys, "check", "--manifest", str(f), *flags)
+            assert code == 0
+            return [(r["cutoffs"]["series"], r["lhs"]) for r in json_lines(out)]
+
+        (default, default_lhs), (manifest, manifest_lhs) = cutoffs()
+        assert (default, manifest) == (2000, 50)
+        # The reported cutoff is the one the check ran at.
+        assert manifest_lhs == cutoffs("--cutoff", "50")[0][1] != default_lhs
+        monkeypatch.setenv("SHZETA_CUTOFF", "70")
+        assert [c for c, _ in cutoffs()] == [70, 70]
+        assert [c for c, _ in cutoffs("--cutoff", "90")] == [90, 90]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--shape", "2,a", "--z", "0=2"],
+        ["eval", "--shape", "1,2", "--z", "-1=2,0=2,1=2"],
+        ["eval", "--tableau-file", "{missing}"],
+        ["eval", "--tableau-file", "{no_s}"],
+        ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "0"],
+        ["paths", "--shape", "2,1", "--n", "0"],
+        ["check", "--manifest", "{missing}"],
+    ],
+    ids=["bad-part", "increasing-parts", "missing-tableau-file",
+         "tableau-without-s", "cutoff-0", "paths-n-0", "missing-manifest"],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    no_s = tmp_path / "no_s.json"
+    no_s.write_text(json.dumps({"x": [[0.3]]}))
+    paths = {"{missing}": str(tmp_path / "missing.json"), "{no_s}": str(no_s)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

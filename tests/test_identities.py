@@ -131,6 +131,15 @@ class TestSkewGiambelli:
         g, x = self.gamma_x(Partition((2, 2)))
         assert_passes(skew_giambelli_hash(g, x, CFG))
 
+    def test_from_content_spec(self):
+        # expand_content yields complex exponents; the corner condition must
+        # read their real parts.
+        spec = ContentSpec({-1: 2, 0: 3, 1: 2}, {})
+        report = skew_giambelli_hash(*expand_content(spec, Partition((2, 2))), CFG)
+        assert_passes(report)
+        g, x = self.gamma_x(Partition((2, 2)))
+        assert report.as_dict() == skew_giambelli_hash(g, x, CFG).as_dict()
+
     def test_entry_shapes_4332(self):
         shape = Partition((4, 3, 3, 2))
         g, x = self.gamma_x(shape)

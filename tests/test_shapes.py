@@ -157,6 +157,55 @@ class TestRimDecompositions:
         assert len(e_rim_decompositions(p)) == 1
 
 
+def _all_partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _all_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _partition_of(cells):
+    rows = {}
+    for i, _ in cells:
+        rows[i] = rows.get(i, 0) + 1
+    p = Partition(tuple(rows[i] for i in sorted(rows)))
+    assert set(p.cells()) == set(cells), "cells do not form a partition"
+    return p
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rim_decomposition_properties(n):
+    from shzeta.lgv import rim_type
+
+    for parts in _all_partitions(n):
+        shape = Partition(parts)
+        for kind, decomps in (
+            ("H", h_rim_decompositions(shape)),
+            ("E", e_rim_decompositions(shape)),
+        ):
+            types = [rim_type(d) for d in decomps]
+            assert len(set(types)) == len(types) >= 1
+            for d in decomps:
+                done = set()
+                for k, ribbon in enumerate(d.ribbons(), start=1):
+                    if not ribbon:
+                        continue
+                    before = _partition_of(done)
+                    done |= ribbon
+                    after = _partition_of(done)
+                    assert SkewShape(after, before).is_ribbon()
+                    # The anchor is the ribbon's initial end: bottom-left
+                    # for H, top-right for E.
+                    if kind == "H":
+                        assert max(ribbon, key=lambda c: (c[0], -c[1])) == (k, 1)
+                    else:
+                        assert min(ribbon, key=lambda c: (c[0], -c[1])) == (1, k)
+                assert done == set(shape.cells())
+
+
 class TestParsers:
     def test_partition(self):
         assert parse_partition("4,3,3,2") == Partition((4, 3, 3, 2))

@@ -117,6 +117,12 @@ class TestDomainPredicates:
         assert not in_I_theta(constant_tableau(shape, 1))  # corners at 1
         assert not in_I_theta(good.with_entries({(1, 1): 0}))
 
+    def test_in_I_theta_reads_real_parts(self):
+        shape = Partition((2, 1))
+        s, _ = expand_content(ContentSpec({-1: 2, 0: 1, 1: 2}, {}), shape)
+        assert in_I_theta(s)
+        assert not in_I_theta(s.with_entries({(2, 1): 1 + 5j}))
+
 
 class TestContentSpec:
     def test_missing_exponent_raises(self):
