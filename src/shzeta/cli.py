@@ -30,7 +30,7 @@ from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig
 from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
-from .schurzeta import SchurInstance, instance_from_spec, schur_eval
+from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
 from .shapes import Partition, parse_partition, parse_shape
 from .tableaux import (
     ContentSpec,
@@ -114,11 +114,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "err_bound": approx.err_bound,
             "cutoff": cfg.cutoff,
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
+            "work": {"dp_states": dp_states(inst.shape), "array_len": cfg.cutoff + 1},
         }
     )
+    im = approx.value.imag
     print(
         f"value = {approx.value.real:.12g}"
-        + (f" + {approx.value.imag:.12g}i" if approx.value.imag else "")
+        + (f" {'-' if im < 0 else '+'} {abs(im):.12g}i" if im else "")
         + f"  (err <= {approx.err_bound:.3g})",
         file=sys.stderr,
     )

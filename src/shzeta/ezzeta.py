@@ -14,15 +14,17 @@ truncation-error bound valid under the stated convergence hypotheses
 Conventions: depth 0 returns exactly 1 and negative depth exactly 0, so
 determinant entries of vanishing or negative depth need no special casing.
 
-The general chain evaluator also accepts arbitrary mixed strict/weak
-relations; the Schur-series module reduces semi-standard tableau sums to
-such chains.
+One kernel, ``eval_layers``, sums over the P-partitions of a labelled poset
+given as its graph of (order ideal, last cell) states.  ``eval_chain``, with
+any mixed strict/weak relations, is its chain case; the Schur-series module
+runs it on the cell poset of a shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -122,16 +124,158 @@ def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
     return value, err
 
 
-def _check_chain_domain(s: Sequence[complex], override: bool) -> None:
-    if not s:
-        return
-    sig = [complex(v).real for v in s]
-    ok = sig[-1] > 1.0 and all(v >= 1.0 for v in sig[:-1])
-    if not ok and not override:
-        raise DomainError(
-            "exponents outside the absolute-convergence domain "
-            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
-        )
+# A P-partition state graph: layer i holds a state ``(cell, preds)`` per
+# (order ideal of size i + 1, cell added last), ``preds`` listing ``(index in
+# layer i - 1, strict)`` per state it extends; layer -1 is the empty ideal,
+# extended weakly.  The last layer has one state per maximal cell (corner).
+Layers = tuple[tuple[tuple[int, tuple[tuple[int, bool], ...]], ...], ...]
+
+
+@lru_cache(maxsize=256)
+def chain_layers(strict: tuple[bool, ...]) -> Layers:
+    """The state graph of a chain: one state per layer."""
+    return tuple(((i, ((0, st),)),) for i, st in enumerate((False, *strict)))
+
+
+def _inflow(cums: list[np.ndarray], preds: Sequence[tuple[int, bool]]) -> np.ndarray:
+    # h[n] = sum over preds of their partial sums through n (strict: n - 1).
+    if len(preds) == 1:
+        ((p, strict),) = preds
+        c = cums[p]
+        return np.concatenate((np.zeros(1, c.dtype), c[:-1])) if strict else c
+    h = np.zeros_like(cums[preds[0][0]])
+    for p, strict in preds:
+        if strict:
+            h[1:] += cums[p][:-1]
+        else:
+            h += cums[p]
+    return h
+
+
+def eval_layers(
+    layers: Layers, s: Sequence[complex], y: Sequence[float],
+    cfg: EvalConfig = DEFAULT_CONFIG, first_min: int = 1,
+) -> Approx:
+    """Sum prod_c (m_c + y_c)^(-s_c) over the P-partitions m >= first_min of
+    a labelled poset, given as its state graph (``chain_layers`` for a chain).
+
+    Each state holds, summed over the linear extensions reaching it, the
+    array over the last entry's value n <= M, its |.| majorant and the
+    scalar Hbar below; every certificate term is linear in the states and
+    is summed per final corner d.  The tail (final, largest entry > M) is
+    certified through bounds on the full inner sums from the |.| sums,
+
+        Hbar(empty) = 1,
+        Hbar(state) = Habs(state)(M) + Hbar(preds) * int_M^inf (t+y_c)^(-sigma_c) dt,
+
+    which stay of the same magnitude as the actual nested sums (a loose
+    product of one-variable majorants would not).
+    """
+    r, m = len(layers), cfg.cutoff
+    sigmas = [complex(v).real for v in s]
+    tails = [_tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
+    idx = np.arange(0, m + 1, dtype=np.float64)
+    # Per final corner d, the number of other cells on the Re s = 1 boundary.
+    ks = [sum(sg <= 1.0 for sg in sigmas) - (sigmas[d] <= 1.0) for d, _ in layers[-1]]
+    # Powers are kept only where a cell ends several states (not in a chain).
+    shared = sum(map(len, layers)) > len(s)
+    cache: dict[tuple[int, bool], np.ndarray] = {}
+
+    def powers(c: int, absolute: bool) -> np.ndarray:
+        a = cache.get((c, absolute))
+        if a is None:
+            a = neg_power(idx + y[c], sigmas[c] if absolute else complex(s[c]))
+            # Entries below first_min may overflow (tiny base) and are zeroed;
+            # below a cell's own minimum its inflow is 0.
+            a[:first_min] = 0.0
+            if shared:
+                cache[c, absolute] = a
+        return a
+
+    arrs = {a: [] for a in ((False, True) if 0 in ks else (False,))}  # |.| feeds Hbar
+    hbar, carry = [1.0], [0.0]  # of the empty ideal; carry = Hbar(preds) * tail
+    prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
+    with np.errstate(over="ignore"):  # see powers()
+        for i, layer in enumerate(layers):
+            for absolute in arrs:
+                cums = arrs[absolute]  # only two layers of arrays are alive
+                for k, a in enumerate(cums):
+                    cums[k] = np.cumsum(a)
+                if i == r - 1 and i and not absolute:  # strict final step too
+                    prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
+                out = []
+                for c, preds in layer:
+                    a = powers(c, absolute)
+                    if i:
+                        # Keep the operand order: with fused multiply-adds,
+                        # complex products do not commute bitwise.
+                        h = _inflow(cums, preds)
+                        a = a * h if shared else np.multiply(a, h, out=a)
+                    out.append(a)
+                arrs[absolute] = out
+            if True in arrs:
+                prev_carry = carry
+                hbar_in = [sum(hbar[p] for p, _ in preds) for _, preds in layer]
+                carry = [h * tails[c] for h, (c, _) in zip(hbar_in, layer)]
+                hbar = [float(a.sum()) + t for a, t in zip(arrs[True], carry)]
+
+    total, err = 0j, 0.0
+    for k, (d, preds) in enumerate(layers[-1]):
+        total += complex(arrs[False][k].sum())
+        if ks[k]:
+            err += _boundary_tail(layers, k, ks[k], sigmas, y, tails, idx, first_min)
+        elif cfg.tail_mode == "integral_correction" and sigmas[d] > 1.0:
+            # Freeze the inner prefix at the cutoff and treat the outer tail
+            # as C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
+            em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
+            # Residual from freezing the inner prefix: fillings whose
+            # next-to-last entry also exceeds the cutoff.
+            frozen_residual = sum(prev_carry[p] for p, _ in preds) * tails[d]
+            total += em_value
+            err += em_remainder + frozen_residual
+        else:
+            err += hbar_in[k] * tails[d]
+    return Approx(total, err)
+
+
+def _boundary_tail(
+    layers: Layers, k: int, n_eps: int, sigmas: list[float], y: Sequence[float],
+    tails: list[float], idx: np.ndarray, first_min: int,
+) -> float:
+    """Tail bound for the fillings ending at final state ``k`` when ``n_eps``
+    other cells sit on the Re s = 1 boundary.
+
+    Such a cell's partial sums are bounded by sum_{j<=n} (j+y)^(-1) <= 1/(lo+y)
+    + ln(n+y) <= c_eps (n+Y)^eps, with eps keeping the outer exponent > 1;
+    every other inner cell by its full one-variable majorant.  Both depend
+    on the cell's least entry lo = first_min + the strict steps before it,
+    so a scalar DP over (state, lo) sums their product over the extensions.
+    """
+    d, final_preds = layers[-1][k]
+    eps = (sigmas[d] - 1.0) / (2.0 * n_eps)
+    if eps <= 0:
+        raise DomainError("outermost exponent must exceed 1 strictly")
+
+    @lru_cache(maxsize=None)
+    def g(c: int, lo: int) -> float:
+        if sigmas[c] <= 1.0:
+            return 1.0 / max(lo + y[c], 1.0) + 1.0 / eps
+        return float(np.sum((idx[lo:] + y[c]) ** (-sigmas[c]))) + tails[c]
+
+    weights = [{first_min: 1.0}]  # the empty ideal
+    for layer in layers[:-1]:
+        nxt = []
+        for c, preds in layer:
+            w: dict[int, float] = {}
+            for p, strict in preds:
+                for lo, v in weights[p].items():
+                    w[lo + strict] = w.get(lo + strict, 0.0) + v * g(c, lo + strict)
+            nxt.append(w)
+        weights = nxt
+    inner = sum(v for p, _ in final_preds for v in weights[p].values())
+    sigma_eff = sigmas[d] - n_eps * eps
+    growth = (1.0 + max(y)) ** (n_eps * eps)
+    return inner * growth * (len(idx) - 1) ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
 
 
 def eval_chain(
@@ -143,20 +287,9 @@ def eval_chain(
 ) -> Approx:
     """Evaluate sum over m_1 R_1 m_2 ... R_{r-1} m_r of prod (m_i+y_i)^(-s_i).
 
-    ``strict[i]`` chooses R_{i+1} as ``<`` (True) or ``<=`` (False); the
-    chain starts at m_1 >= first_min.  Depth 0 returns exactly 1.
-
-    Because the chain is monotone, truncating every variable at the cutoff M
-    is the same as truncating the last variable, so the tail is exactly the
-    sum over chains with m_r > M.  It is certified through upper bounds
-    Hbar_i on the full inner sums, built recursively from the DP's own
-    absolute-value partial sums:
-
-        Hbar_0 = 1,
-        Hbar_i = Habs_i(M) + Hbar_{i-1} * int_M^inf (t+y_i)^(-sigma_i) dt,
-
-    which stay of the same magnitude as the chain's actual nested sums
-    (a loose product of one-variable majorants would not).
+    ``strict[i]`` chooses R_{i+1} as ``<`` (True) or ``<=`` (False); the chain
+    starts at m_1 >= first_min.  Depth 0 returns exactly 1.  ``eval_layers``
+    does the work, one state per layer.
     """
     r = len(s)
     if r == 0:
@@ -165,131 +298,32 @@ def eval_chain(
         raise ValueError("length mismatch between s, y, strict")
     if first_min == 0 and y[0] <= 0:
         raise DomainError("a chain starting at 0 needs a positive first shift")
-    _check_chain_domain(s, cfg.override_domain)
-
-    m = cfg.cutoff
-    sigmas = [complex(v).real for v in s]
-    idx = np.arange(0, m + 1, dtype=np.float64)
-
-    # Minimal admissible value of each variable.
-    lows = [first_min]
-    for st in strict:
-        lows.append(lows[-1] + (1 if st else 0))
-
-    def powers(i: int, absolute: bool) -> np.ndarray:
-        # Indices below lows[i] may overflow (tiny base, negative log);
-        # they are zeroed below, so the overflow is silenced, not fixed.
-        with np.errstate(over="ignore"):
-            a = neg_power(idx + y[i], sigmas[i] if absolute else complex(s[i]))
-        a[: lows[i]] = 0.0
-        return a
-
-    eps_slots = [i for i in range(r - 1) if sigmas[i] <= 1.0]
-    sigma_r = sigmas[-1]
-    track_hbar = not eps_slots
-
-    f = powers(0, absolute=False)
-    fabs = powers(0, absolute=True) if track_hbar else None
-    hbars = [1.0]  # Hbar_0 .. Hbar_{r-1}
-    if track_hbar:
-        hbars.append(
-            float(fabs.sum()) + _tail_integral(sigmas[0], m, y[0])
+    sig = [complex(v).real for v in s]
+    if not cfg.override_domain and not (sig[-1] > 1.0 and min(sig) >= 1.0):
+        raise DomainError(
+            "exponents outside the absolute-convergence domain "
+            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
         )
-    inner_prefix_at_cutoff = 1.0 + 0.0j  # H_{r-1}(M), frozen for the EM tail
-    for i in range(1, r):
-        c = np.cumsum(f)
-        if strict[i - 1]:
-            h = np.concatenate(([0.0 + 0.0j], c[:-1]))
-        else:
-            h = c
-        if i == r - 1:
-            # Freeze the full prefix through M (for a strict relation this
-            # still underlies every tail term, since m_r > M implies the
-            # prefix may run through M).
-            inner_prefix_at_cutoff = complex(c[m])
-        f = powers(i, absolute=False) * h
-        if track_hbar:
-            cabs = np.cumsum(fabs)
-            habs = np.concatenate(([0.0], cabs[:-1])) if strict[i - 1] else cabs
-            fabs = powers(i, absolute=True) * habs
-            hbars.append(
-                float(fabs.sum())
-                + hbars[-1] * _tail_integral(sigmas[i], m, y[i])
-            )
-    value = complex(f.sum())
-
-    if not track_hbar:
-        # Some inner exponent sits on the Re = 1 boundary: bound each such
-        # factor's logarithmic partial sum by c_eps * (n+Y)^eps with
-        #   sum_{k<=n} (k+y)^(-1) <= 1/(lo+y) + ln(n+y) <= c_eps (n+Y)^eps,
-        # choosing eps so the outer exponent stays > 1, and bound the
-        # remaining factors by full one-variable majorants.
-        k = len(eps_slots)
-        eps = (sigma_r - 1.0) / (2.0 * k)
-        if eps <= 0:
-            raise DomainError("outermost exponent must exceed 1 strictly")
-        c_eps = 1.0
-        for i in eps_slots:
-            c_eps *= 1.0 / max(lows[i] + y[i], 1.0) + 1.0 / eps
-        others = 1.0
-        for i in range(r - 1):
-            if i in eps_slots:
-                continue
-            base = idx[lows[i] :] + y[i]
-            others *= float(np.sum(base ** (-sigmas[i]))) + _tail_integral(
-                sigmas[i], m, y[i]
-            )
-        y_max = max(y)
-        sigma_eff = sigma_r - k * eps
-        tail = (
-            c_eps
-            * others
-            * (1.0 + y_max) ** (k * eps)
-            * m ** (1.0 - sigma_eff)
-            / (sigma_eff - 1.0)
-        )
-        return Approx(value, tail)
-
-    use_em = cfg.tail_mode == "integral_correction" and sigma_r > 1.0
-    if not use_em:
-        tail = hbars[r - 1] * _tail_integral(sigma_r, m, y[-1])
-        return Approx(value, tail)
-
-    # Freeze the inner prefix at the cutoff and treat the outer tail as
-    # c * sum_{k > M} (k + y_r)^(-s_r), corrected by Euler-Maclaurin.
-    em_value, em_remainder = em_tail(
-        inner_prefix_at_cutoff, complex(s[-1]), m + 1 + y[-1]
-    )
-    # Residual from freezing the inner prefix: chains whose next-to-last
-    # variable also exceeds the cutoff.
-    if r >= 2:
-        frozen_residual = (
-            hbars[r - 2]
-            * _tail_integral(sigmas[r - 2], m, y[r - 2])
-            * _tail_integral(sigma_r, m, y[-1])
-        )
-    else:
-        frozen_residual = 0.0
-    return Approx(value + em_value, em_remainder + frozen_residual)
+    return eval_layers(chain_layers(tuple(strict)), s, y, cfg, first_min)
 
 
-def _normalize(
-    s: Sequence[complex], y: "Sequence[float] | None", depth: int | None
-) -> tuple[tuple[complex, ...], tuple[float, ...], int]:
+def _chain_zeta(
+    s: Sequence[complex], y: "Sequence[float] | None", cfg: EvalConfig,
+    depth: int | None, strict: bool, first_min: int,
+) -> Approx:
     if depth is None:
         depth = len(s)
     if depth < 0:
-        return (), (), depth
+        return APPROX_ZERO
     sv = tuple(complex(v) for v in s)
     if len(sv) != depth:
         raise ValueError(f"need {depth} exponents, got {len(sv)}")
-    if y is None:
-        yv: tuple[float, ...] = (0.0,) * depth
-    else:
-        yv = tuple(float(v) for v in y)
-        if len(yv) != depth:
-            raise ValueError(f"need {depth} shifts, got {len(yv)}")
-    return sv, yv, depth
+    yv = (0.0,) * depth if y is None else tuple(float(v) for v in y)
+    if len(yv) != depth:
+        raise ValueError(f"need {depth} shifts, got {len(yv)}")
+    if first_min == 0 and any(v <= 0 for v in yv):
+        raise DomainError("the chain starts at 0, so every shift must be positive")
+    return eval_chain(sv, yv, (strict,) * (depth - 1), cfg, first_min)
 
 
 def ez_zeta(
@@ -299,12 +333,7 @@ def ez_zeta(
     depth: int | None = None,
 ) -> Approx:
     """Strict-chain multiple zeta: 0 < m_1 < ... < m_r."""
-    sv, yv, depth = _normalize(s, y, depth)
-    if depth < 0:
-        return APPROX_ZERO
-    if depth == 0:
-        return APPROX_ONE
-    return eval_chain(sv, yv, (True,) * (depth - 1), cfg, first_min=1)
+    return _chain_zeta(s, y, cfg, depth, True, 1)
 
 
 def ez_zeta_star(
@@ -314,12 +343,7 @@ def ez_zeta_star(
     depth: int | None = None,
 ) -> Approx:
     """Weak-chain multiple zeta: 0 < m_1 <= ... <= m_r."""
-    sv, yv, depth = _normalize(s, y, depth)
-    if depth < 0:
-        return APPROX_ZERO
-    if depth == 0:
-        return APPROX_ONE
-    return eval_chain(sv, yv, (False,) * (depth - 1), cfg, first_min=1)
+    return _chain_zeta(s, y, cfg, depth, False, 1)
 
 
 def ez_zeta_star_star(
@@ -329,14 +353,7 @@ def ez_zeta_star_star(
     depth: int | None = None,
 ) -> Approx:
     """Weak chain starting at 0: 0 <= m_1 <= ... <= m_r; all shifts > 0."""
-    sv, yv, depth = _normalize(s, y, depth)
-    if depth < 0:
-        return APPROX_ZERO
-    if depth == 0:
-        return APPROX_ONE
-    if any(v <= 0 for v in yv):
-        raise DomainError("the chain starts at 0, so every shift must be positive")
-    return eval_chain(sv, yv, (False,) * (depth - 1), cfg, first_min=0)
+    return _chain_zeta(s, y, cfg, depth, False, 0)
 
 
 def hurwitz(s: complex, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:

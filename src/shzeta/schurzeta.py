@@ -1,18 +1,18 @@
 """Definition-level evaluation of Schur multiple zeta series of Hurwitz type.
 
 The series runs over all semi-standard fillings M of a (possibly skew) shape
-and weights cell (i, j) by (m_ij + x_ij)^(-s_ij).  Evaluation decomposes the
-filling set into disjoint monotone chains, one per linear extension of the
-cell order (rows weakly increasing rightward, columns strictly increasing
-downward): reading the cells of an extension in order, consecutive entries
-satisfy ``<=``, tightened to ``<`` exactly where the column-strict labeling
-descends.  Each chain is then a mixed Euler-Zagier chain handled by the
-certified prefix-sum evaluator, so the result is a certified truncation of
-the literal tableau sum — no determinant or expansion identity is used,
-keeping this module independent of the identities it is checked against.
+and weights cell (i, j) by (m_ij + x_ij)^(-s_ij).  The fillings are the
+P-partitions of the cell order (rows weakly increasing rightward, columns
+strictly increasing downward).  ``schur_eval`` sums them with one DP over
+the lattice of order ideals (Stanley, *Enumerative Combinatorics* I, §4.7),
+run by ``ezzeta.eval_layers``: a state is an order ideal with the cell added
+last, at a cost of (number of states) * cutoff.  No determinant or expansion
+identity is used, keeping this module independent of the identities it is
+checked against.
 
-An exact-rational truncated mode (direct tableau enumeration) backs the
-small-scale oracles and the lattice-path cross-checks.
+Oracles only: ``linear_extensions`` and ``chain_decomposition`` (one chain
+per linear extension, Stanley's fundamental lemma, §3.15) and the exact
+rational truncations back the tests and the lattice-path cross-checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Any, Sequence
 
 from .errors import DomainError, UsageError
-from .ezzeta import APPROX_ONE, Approx, DEFAULT_CONFIG, EvalConfig, eval_chain
+from .ezzeta import APPROX_ONE, Approx, DEFAULT_CONFIG, EvalConfig, Layers, eval_layers
 from .shapes import Cell, SkewShape, content
 from .tableaux import (
     ContentSpec,
@@ -114,6 +114,32 @@ def chain_decomposition(
     )
 
 
+@lru_cache(maxsize=None)
+def ideal_layers(shape: SkewShape) -> tuple[tuple[Cell, ...], Layers]:
+    """The cells and the P-partition state graph (``ezzeta.Layers``) of the
+    cell order: adding cell d after cell c is a strict step exactly where
+    the column-strict labeling descends, ``_omega(c) > _omega(d)``."""
+    cells = tuple(shape.cells())
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    need = [bit.get((i, j - 1), 0) | bit.get((i - 1, j), 0) for i, j in cells]
+    states, layers = [(0, None)], []  # from the empty ideal
+    for _ in cells:
+        nxt: dict[tuple[int, int], list[tuple[int, bool]]] = {}
+        for p, (mask, last) in enumerate(states):
+            for d, c in enumerate(cells):
+                if not mask & bit[c] and not need[d] & ~mask:
+                    strict = last is not None and _omega(cells[last]) > _omega(c)
+                    nxt.setdefault((mask | bit[c], d), []).append((p, strict))
+        states = list(nxt)
+        layers.append(tuple((d, tuple(ps)) for (_, d), ps in nxt.items()))
+    return cells, tuple(layers)
+
+
+def dp_states(shape: Shape) -> int:
+    """Number of states ``schur_eval`` runs for the shape."""
+    return sum(map(len, ideal_layers(as_skew(shape))[1]))
+
+
 def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     """Certified value of the tableau series for the instance."""
     if not cfg.override_domain and not in_W_lambda(inst.exponents):
@@ -121,18 +147,12 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
             "exponent tableau violates the convergence domain "
             "(need Re >= 1 everywhere and Re > 1 on corners)"
         )
-    chains = chain_decomposition(inst.shape)
-    if not chains or not chains[0][0]:
+    cells, layers = ideal_layers(as_skew(inst.shape))
+    if not cells:
         return APPROX_ONE  # empty shape: empty product
-    total = 0.0 + 0.0j
-    err = 0.0
-    for cells, strict in chains:
-        s = [inst.exponents[c] for c in cells]
-        y = [float(inst.shifts[c]) for c in cells]
-        a = eval_chain(s, y, strict, cfg, first_min=1)
-        total += a.value
-        err += a.err_bound
-    return Approx(total, err)
+    s = [inst.exponents[c] for c in cells]
+    y = [float(inst.shifts[c]) for c in cells]
+    return eval_layers(layers, s, y, cfg, first_min=1)
 
 
 def schur_truncated_exact(

@@ -239,3 +239,25 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+class TestEvalRecord:
+    def test_record_schema_with_work_counters(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--shape", "3,2,1", "--z", "-2=2,-1=2,0=3,1=2,2=2",
+            "--cutoff", "300",
+        )
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert set(rec) == {
+            "value_re", "value_im", "err_bound", "cutoff", "runtime_ms", "work",
+        }
+        # One DP state per (order ideal, last cell) of the 3,2,1 cell poset.
+        assert rec["work"] == {"dp_states": 21, "array_len": 301}
+
+    def test_negative_imaginary_part_prints_a_minus(self, capsys):
+        code, out, err = run(capsys, "eval", "--shape", "1", "--z", "0=2+1j")
+        assert code == 0
+        assert json_lines(out)[0]["value_im"] < 0
+        assert "+ -" not in err
+        assert f"- {abs(json_lines(out)[0]['value_im']):.12g}i" in err
