@@ -187,6 +187,12 @@ def _derivative_fd_check(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dic
     return {**rep.as_dict(), "ell": ell}
 
 
+def _dirichlet_series_expr(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
+    outer = identities.OUTER_CUTOFF
+    rep = identities.dirichlet_series_expr(spec, _partition(entry), cfg, outer)
+    return {**rep.as_dict(), "cutoffs": {"outer": outer}}
+
+
 def _lgv_exact(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
     shape = _partition(entry)
     rep = verify_cancellation(shape, LGV_GRID_HEIGHT, *expand_content(spec, shape))
@@ -220,7 +226,7 @@ IDENTITIES: dict[str, Runner] = {
     "hook_expansion_star": _on_hook("hook_expansion_star"),
     "hook_expansion_zeta": _on_hook("hook_expansion_zeta"),
     "frobenius_expansion": _on_shape("frobenius_expansion"),
-    "dirichlet_series_expr": _on_shape("dirichlet_series_expr"),
+    "dirichlet_series_expr": _dirichlet_series_expr,
     "derivative_identity": _derivative_identity,
     "derivative_fd_check": _derivative_fd_check,
     "lgv_exact": _lgv_exact,
@@ -330,7 +336,7 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
         **IDENTITIES[ident](spec, entry, cfg),
     }
     record["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    record["cutoffs"] = {"series": cfg.cutoff}
+    record["cutoffs"] = {"series": cfg.cutoff, **record.get("cutoffs", {})}
     return record
 
 

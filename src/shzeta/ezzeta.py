@@ -17,7 +17,8 @@ determinant entries of vanishing or negative depth need no special casing.
 One kernel, ``eval_layers``, sums over the P-partitions of a labelled poset
 given as its graph of (order ideal, last cell) states.  ``eval_chain``, with
 any mixed strict/weak relations, is its chain case; the Schur-series module
-runs it on the cell poset of a shape.
+runs it on the cell poset of a shape.  ``chain_tails`` gives a chain's tails
+for every shift m = 1..N at once, from reverse cumulative sums.
 """
 
 from __future__ import annotations
@@ -252,9 +253,7 @@ def _boundary_tail(
     so a scalar DP over (state, lo) sums their product over the extensions.
     """
     d, final_preds = layers[-1][k]
-    eps = (sigmas[d] - 1.0) / (2.0 * n_eps)
-    if eps <= 0:
-        raise DomainError("outermost exponent must exceed 1 strictly")
+    eps = _eps(sigmas[d], n_eps)
 
     @lru_cache(maxsize=None)
     def g(c: int, lo: int) -> float:
@@ -273,9 +272,26 @@ def _boundary_tail(
             nxt.append(w)
         weights = nxt
     inner = sum(v for p, _ in final_preds for v in weights[p].values())
-    sigma_eff = sigmas[d] - n_eps * eps
-    growth = (1.0 + max(y)) ** (n_eps * eps)
-    return inner * growth * (len(idx) - 1) ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
+    return _eps_outer(inner, sigmas[d], n_eps, eps, max(y), len(idx) - 1)
+
+
+def _eps(sigma: float, n_eps: int) -> float:
+    """The power moved from the outer exponent onto each boundary cell."""
+    eps = (sigma - 1.0) / (2.0 * n_eps)
+    if eps <= 0:
+        raise DomainError("outermost exponent must exceed 1 strictly")
+    return eps
+
+
+def _eps_outer(
+    inner: float | np.ndarray, sigma: float, n_eps: int, eps: float,
+    ymax: float | np.ndarray, cutoff: int | np.ndarray,
+) -> float | np.ndarray:
+    """``inner`` times the outer tail past ``cutoff`` with exponent ``sigma``
+    lowered by ``n_eps * eps``; works elementwise on arrays."""
+    sigma_eff = sigma - n_eps * eps
+    growth = (1.0 + ymax) ** (n_eps * eps)
+    return inner * growth * cutoff ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
 
 
 def eval_chain(
@@ -305,6 +321,105 @@ def eval_chain(
             f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
         )
     return eval_layers(chain_layers(tuple(strict)), s, y, cfg, first_min)
+
+
+def _reverse_pass(
+    arrays: Sequence[np.ndarray], strict: Sequence[bool], size: int,
+    consts: Sequence[float] | None = None,
+) -> np.ndarray:
+    """S_1 over k = 0..K + 1 for chain levels a_1..a_L, each over j = 0..K:
+
+        S_L(k) = sum_{k <= j <= K} a_L(j) + c_L,
+        S_i(k) = sum_{k <= j <= K} a_i(j) S_{i+1}(j + strict_i) + c_i,
+
+    with S_i(K + 1) = c_i (``consts``, default 0).  No levels give 1.
+    """
+    acc = np.ones(size + 1)
+    for i in reversed(range(len(arrays))):
+        st = int(strict[i]) if i + 1 < len(arrays) else 0
+        a = arrays[i] * acc[st:st + size]
+        acc = np.append(np.cumsum(a[::-1])[::-1], 0.0)
+        if consts is not None:
+            acc += consts[i]
+    return acc
+
+
+def chain_tails(
+    s: Sequence[complex],
+    y: Sequence[float],
+    strict: Sequence[bool],
+    cfg: EvalConfig,
+    count: int,
+    first_min: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every shifted tail of a chain in one reverse pass: for m = 1..count,
+
+        F(m) = sum over lo(m) <= k_1 R_1 k_2 ... R_{r-1} k_r of prod (k_i + y_i)^(-s_i),
+
+    lo(m) = m + first_min, so first_min = 0 gives ``ez_zeta_star_star(s, m + y)``
+    and first_min = 1 with strict steps ``ez_zeta(s, m + y)``.  Returns the
+    values and their error bounds as arrays indexed by m - 1.
+
+    Every k runs to K = cutoff + count, the largest k_r those per-m calls
+    reach, so F(m) is the per-m ``eval_chain`` at cutoff K - m, with the same
+    certificate terms: the EM remainder |C(m)| r of the outer tail, C(m) the
+    inner sum; the frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K); in
+    ``bound_only`` mode Hbar_{r-1}(m) T_r(K); with inner Re s = 1 cells the
+    fallback of ``_boundary_tail``.  Each is S_1(lo(m)) of a ``_reverse_pass``;
+    Hbar_L = sum_l U_l prod_{t > l} T_t (U_l the |.| sum of the first l levels)
+    is the pass over |a| with c_i = prod_{t >= i} T_t.
+    """
+    r = len(s)
+    if r == 0:
+        return np.ones(count, complex), np.zeros(count)
+    if len(y) != r or len(strict) != r - 1:
+        raise ValueError("length mismatch between s, y, strict")
+    if first_min == 0 and min(y) <= -1.0:
+        raise DomainError("the chain starts at 0, so every shift m + y must be positive")
+    sig = [complex(v).real for v in s]
+    if not cfg.override_domain and not (sig[-1] > 1.0 and min(sig) >= 1.0):
+        raise DomainError(
+            "exponents outside the absolute-convergence domain "
+            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
+        )
+    big = cfg.cutoff + count
+    size = big + 1
+    j = np.arange(size, dtype=np.float64)
+    ms = np.arange(1, count + 1)
+    lo = ms + first_min
+    tails = [_tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
+
+    def powers(i: int, sigma: complex) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            a = neg_power(j + y[i], sigma)
+        a[:lo[0]] = 0.0  # below every lo(m); tiny bases may overflow
+        return a
+
+    a = [powers(i, complex(v)) for i, v in enumerate(s)]
+    values = _reverse_pass(a, strict, size)[lo]
+    n_eps = sum(sg <= 1.0 for sg in sig[:-1])
+    if n_eps:
+        eps = _eps(sig[-1], n_eps)
+        inner = np.ones(count)
+        for i in range(r - 1):
+            lo_i = lo + sum(strict[:i])
+            if sig[i] <= 1.0:
+                inner *= 1.0 / np.maximum(lo_i + y[i], 1.0) + 1.0 / eps
+            else:
+                inner *= np.cumsum(powers(i, sig[i])[::-1])[::-1][lo_i] + tails[i]
+        return values, _eps_outer(inner, sig[-1], n_eps, eps, ms + max(y), big - ms)
+
+    def hbar(n: int) -> np.ndarray:
+        consts = [math.prod(tails[i:n]) for i in range(n)]
+        absolute = [powers(i, sig[i]) for i in range(n)]
+        return _reverse_pass(absolute, strict, size, consts)[lo]
+
+    if cfg.tail_mode == "integral_correction" and sig[-1] > 1.0:
+        prefix = _reverse_pass(a[:-1], strict, size)[lo]
+        em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
+        frozen_residual = hbar(r - 2) * tails[-2] * tails[-1] if r > 1 else 0.0
+        return values + em_value, em_remainder + frozen_residual
+    return values, hbar(r - 1) * tails[-1]
 
 
 def _chain_zeta(

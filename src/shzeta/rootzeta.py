@@ -363,7 +363,9 @@ class ReductionReport:
         return self.lhs.err_bound + self.rhs.err_bound
 
     def passes(self, slack: float = 1e-9) -> bool:
-        return self.discrepancy <= self.budget + slack
+        """Within the budget plus ``slack`` times the larger |side|."""
+        scale = max(abs(self.lhs.value), abs(self.rhs.value))
+        return self.discrepancy <= self.budget + slack * scale
 
 
 def check_reductions(

@@ -1,0 +1,84 @@
+"""``chain_tails`` (every shifted tail of a chain in one reverse pass)
+against one ``ez_zeta_star_star`` / ``ez_zeta`` call per shift m.
+
+The per-m call at cutoff M reaches k_r <= M + m; the reverse pass runs every
+k to M + count, so each of its tails is that call at a cutoff at least as
+large: the value moves by less than the per-m bound and no bound is looser.
+"""
+
+import pytest
+
+from shzeta.errors import DomainError
+from shzeta.ezzeta import EvalConfig, chain_tails, ez_zeta, ez_zeta_star_star
+
+# first_min -> (per-m oracle, strict steps)
+ORACLES = {0: (ez_zeta_star_star, False), 1: (ez_zeta, True)}
+
+
+def _chain(depth, imag):
+    s = [complex(2 + 0.3 * i, 0.5 * (-1) ** i if imag else 0) for i in range(depth)]
+    y = [0.3 * (i % 2) for i in range(depth)]
+    return s, y
+
+
+def _per_m(s, y, first_min, cfg, count):
+    oracle, _ = ORACLES[first_min]
+    return [oracle(s, [m + v for v in y], cfg, depth=len(s)) for m in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("cutoff", [50, 2000])
+@pytest.mark.parametrize("mode", ["bound_only", "integral_correction"])
+@pytest.mark.parametrize("imag", [False, True])
+@pytest.mark.parametrize("first_min", [0, 1])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_matches_per_m_calls(depth, first_min, imag, mode, cutoff, count):
+    s, y = _chain(depth, imag)
+    cfg = EvalConfig(cutoff=cutoff, tail_mode=mode)
+    strict = (ORACLES[first_min][1],) * max(depth - 1, 0)
+    values, errs = chain_tails(s, y, strict, cfg, count, first_min)
+    assert values.shape == errs.shape == (count,)
+    for m, old in enumerate(_per_m(s, y, first_min, cfg, count), start=1):
+        assert abs(values[m - 1] - old.value) <= old.err_bound
+        assert errs[m - 1] <= old.err_bound * (1 + 1e-12)
+    if count > 1 and depth:
+        # At m = count both cover the same fillings.
+        assert errs[-1] == pytest.approx(old.err_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("first_min", [0, 1])
+@pytest.mark.parametrize("s", [[1.0, 2.5], [2.0, 1.0, 3.0], [1.0, 1.0, 2.5]])
+def test_inner_boundary_cells(s, first_min):
+    # Re s = 1 on inner cells: the logarithmic fallback bound.
+    y = [0.3, 0.0, 0.5][: len(s)]
+    cfg = EvalConfig(cutoff=2000)
+    strict = (ORACLES[first_min][1],) * (len(s) - 1)
+    values, errs = chain_tails(s, y, strict, cfg, 300, first_min)
+    for m, old in enumerate(_per_m(s, y, first_min, cfg, 300), start=1):
+        assert 0 < errs[m - 1] <= old.err_bound * (1 + 1e-12)
+        assert abs(values[m - 1] - old.value) <= errs[m - 1] + old.err_bound
+    # At m = count both cover the same fillings, so the formulas agree.
+    assert errs[-1] == pytest.approx(old.err_bound, rel=1e-12)
+
+
+def test_depth_zero_is_one():
+    values, errs = chain_tails([], [], [], EvalConfig(), 5, 0)
+    assert list(values) == [1] * 5 and list(errs) == [0] * 5
+
+
+@pytest.mark.parametrize(
+    "s,y,first_min",
+    [
+        ([2.0, 1.0], [0.0, 0.0], 1),  # last exponent on the boundary
+        ([0.5, 2.0], [0.0, 0.0], 1),  # inner exponent below 1
+        ([2.0], [-1.0], 0),  # 1 + y = 0: the m = 1 chain hits a zero base
+    ],
+)
+def test_domain_errors(s, y, first_min):
+    with pytest.raises(DomainError):
+        chain_tails(s, y, [False] * (len(s) - 1), EvalConfig(), 10, first_min)
+
+
+def test_length_mismatch():
+    with pytest.raises(ValueError):
+        chain_tails([2.0, 2.0], [0.0], [False], EvalConfig(), 10, 1)

@@ -178,6 +178,8 @@ class TestRegistry:
             assert rec["cutoffs"]["series"] == 2000
             if rec["identity_id"].startswith("derivative_"):
                 assert "ell" in rec
+            if rec["identity_id"] == "dirichlet_series_expr":
+                assert rec["cutoffs"]["outer"] == 300
 
     def test_example_manifest_lists_every_registry_id(self):
         from pathlib import Path

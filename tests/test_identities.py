@@ -15,6 +15,7 @@ from shzeta.identities import (
     derivative_fd_check,
     derivative_identity,
     determinant,
+    IdentityReport,
     dirichlet_series_expr,
     extended_jacobi_trudi,
     frobenius_expansion,
@@ -27,7 +28,7 @@ from shzeta.identities import (
     skew_giambelli_entries,
     skew_giambelli_hash,
 )
-from shzeta.shapes import Partition, hook
+from shzeta.shapes import Partition, content, hook
 from shzeta.tableaux import ContentSpec, Tableau, constant_tableau, expand_content
 
 CFG = EvalConfig(cutoff=800)
@@ -190,6 +191,46 @@ class TestDirichletSeriesExpression:
         rep = dirichlet_series_expr(SPEC_Y, Partition(parts), CFG, outer_cutoff=200)
         assert rep.passes, (rep.discrepancy, rep.budget)
         assert rep.budget < 1e-3
+
+    # ``before``: budgets when each factor took one per-m chain call per
+    # diagonal entry m <= outer cutoff, frozen: the reverse pass may tighten
+    # them, never loosen them.  ``pinned``: the budgets of the reverse pass,
+    # frozen, so they also pin its error propagation.
+    # (shape, spec, outer cutoff, before, pinned); cutoff 2000 throughout
+    FROZEN_BUDGETS = [
+        # ``check --builtin dirichlet``
+        ((2, 1), "builtin", 300, 2.99725201093299e-07, 2.9971698731471235e-07),
+        ((3, 1, 1), "builtin", 300, 5.307456471792773e-09, 4.536049181846269e-09),
+        ((2, 2), "builtin", 300, 2.839326882329839e-06, 2.8393170477460126e-06),
+        # acceptance criterion 06
+        ((2, 1), "criterion", 400, 2.995811490034308e-07, 2.995735999140653e-07),
+        ((3, 1, 1), "criterion", 400, 2.369800351233917e-11, 1.8722732843036897e-11),
+        ((2, 2), "criterion", 400, 9.415905154373759e-07, 9.415814745868148e-07),
+    ]
+
+    @pytest.mark.parametrize("parts,spec,outer,before,pinned", FROZEN_BUDGETS)
+    def test_budget_no_larger_than_before(self, parts, spec, outer, before, pinned):
+        shape = Partition(parts)
+        if spec == "builtin":  # the ``check`` palette
+            spec = ContentSpec({-3: 3, -2: 2.5, -1: 2, 0: 3, 1: 2, 2: 2.5, 3: 3},
+                               {0: 0.3})
+        else:  # z = 3 on even contents, 2 on odd ones, y = 0.3 everywhere
+            ks = {content(c) for c in shape.cells()}
+            spec = ContentSpec({k: 3.0 if k % 2 == 0 else 2.0 for k in ks},
+                               {k: 0.3 for k in ks})
+        rep = dirichlet_series_expr(spec, shape, EvalConfig(cutoff=2000), outer)
+        assert rep.passes, (rep.discrepancy, rep.budget)
+        assert rep.budget <= before
+        assert rep.budget == pytest.approx(pinned, rel=1e-9)
+
+
+class TestSlack:
+    def test_slack_is_relative(self):
+        # 1e-9 absolute would exceed both sides here.
+        rep = IdentityReport("x", Approx(1e-12, 1e-20), Approx(0, 1e-20))
+        assert not rep.passes
+        big = IdentityReport("x", Approx(1e3, 0.0), Approx(1e3 + 1e-7, 0.0))
+        assert big.passes
 
 
 class TestDerivativeIdentities:

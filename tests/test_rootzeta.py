@@ -11,9 +11,10 @@ import math
 import pytest
 
 from shzeta.errors import DomainError, UsageError
-from shzeta.ezzeta import EvalConfig, ez_zeta, hurwitz
+from shzeta.ezzeta import Approx, EvalConfig, ez_zeta, hurwitz
 from shzeta.rootzeta import (
     MAX_DEPTH,
+    ReductionReport,
     RootExponents,
     check_reductions,
     zeta_Ar,
@@ -135,3 +136,8 @@ class TestReductions:
         assert rep.kind == "star_star"
         assert rep.discrepancy == abs(rep.lhs.value - rep.rhs.value)
         assert rep.budget == rep.lhs.err_bound + rep.rhs.err_bound
+
+    def test_slack_is_relative(self):
+        tiny = ReductionReport("strict", Approx(1e-12, 1e-20), Approx(0, 1e-20))
+        assert not tiny.passes()
+        assert tiny.passes(slack=2.0)
