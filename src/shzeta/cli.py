@@ -37,6 +37,7 @@ from .tableaux import (
     Tableau,
     content_spec_from_json,
     expand_content,
+    json_scalar,
     tableau_from_rows,
 )
 
@@ -82,6 +83,15 @@ def _parse_assignments(text: str, caster: Callable[[str], Any]) -> dict[int, Any
 # eval
 
 
+def _tableau_json(rows: Any, what: str) -> Tableau:
+    """A tableau from JSON rows of numbers (null for absent skew cells)."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError(f"{what} must be an array of rows")
+    for v in (v for row in rows for v in row if v is not None):
+        json_scalar(v, f"{what} entry")
+    return tableau_from_rows(rows)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = EvalConfig() if args.cutoff is None else EvalConfig(cutoff=args.cutoff)
     t0 = time.perf_counter()
@@ -90,9 +100,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             data = json.load(fh)
         if not isinstance(data, dict) or "s" not in data:
             raise UsageError(f"{args.tableau_file}: needs an \"s\" row array")
-        s = tableau_from_rows(data["s"])
+        s = _tableau_json(data["s"], f"{args.tableau_file}: s")
         x = (
-            tableau_from_rows(data["x"])
+            _tableau_json(data["x"], f"{args.tableau_file}: x")
             if "x" in data
             else Tableau(s.shape, {c: 0.0 for c in s.entries})
         )
@@ -176,13 +186,14 @@ def _skew_giambelli_hash(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dic
 
 
 def _derivative_identity(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
-    ell, order = int(entry.get("ell", 0)), int(entry.get("order", 1))
+    ell = int(json_scalar(entry.get("ell", 0), "ell"))
+    order = int(json_scalar(entry.get("order", 1), "order"))
     rep = identities.derivative_identity(spec, _partition(entry), ell, order, cfg)
     return {**rep.as_dict(), "ell": ell}
 
 
 def _derivative_fd_check(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
-    ell = int(entry.get("ell", 0))
+    ell = int(json_scalar(entry.get("ell", 0), "ell"))
     rep = identities.derivative_fd_check(spec, _partition(entry), ell, cfg)
     return {**rep.as_dict(), "ell": ell}
 
@@ -204,10 +215,11 @@ def _lgv_exact(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
 
 
 def _root_reductions(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
-    z = [complex(v) for v in entry.get("z", ())]
-    if not z:
+    z = entry.get("z")
+    if not isinstance(z, list) or not z:
         raise UsageError("root_reductions needs a nonempty exponent list z")
-    m = entry.get("m", 1)
+    z = [complex(json_scalar(v, "z entry")) for v in z]
+    m = json_scalar(entry.get("m", 1), "m")
     reports = check_reductions(z, z, float(m), cfg)
     return {
         "shape": f"depth={len(z)} m={m}",
@@ -312,7 +324,7 @@ def read_manifest(path: str) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise UsageError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             ident = entry.get("identity_id") if isinstance(entry, dict) else None
-            if ident not in IDENTITIES:
+            if not isinstance(ident, str) or ident not in IDENTITIES:
                 raise UsageError(f"{path}:{lineno}: unknown identity_id {ident!r}")
             entries.append(entry)
     return entries
@@ -325,8 +337,11 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     entry's ``cfg.cutoff`` applies, else the default.
     """
     spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
+    manifest_cfg = entry.get("cfg", {})
+    if not isinstance(manifest_cfg, dict):
+        raise UsageError(f"cfg must be an object, got {manifest_cfg!r}")
     if cutoff is None:
-        cutoff = entry.get("cfg", {}).get("cutoff", DEFAULT_CONFIG.cutoff)
+        cutoff = json_scalar(manifest_cfg.get("cutoff", DEFAULT_CONFIG.cutoff), "cfg.cutoff")
     cfg = EvalConfig(cutoff=int(cutoff))
     ident = entry["identity_id"]
     t0 = time.perf_counter()

@@ -35,24 +35,18 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Controls the truncation cutoff and tail-bound mode.
+    """The truncation cutoff M of every summation variable.
 
-    ``bound_only`` sums to the cutoff and certifies the remainder with a
-    majorant bound; ``integral_correction`` additionally adds an
-    Euler-Maclaurin correction on the outermost variable (used where the
-    error budget is tight), falling back to ``bound_only`` when an inner
-    exponent has real part <= 1.
+    The tail past M takes an Euler-Maclaurin correction on the outermost
+    variable (``eval_layers``); with an inner exponent of real part 1 it is
+    only bounded, by ``_boundary_tail``, and no correction is added.
     """
 
     cutoff: int = 2000
-    tail_mode: str = "integral_correction"
-    override_domain: bool = False
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.tail_mode not in ("bound_only", "integral_correction"):
-            raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -93,8 +87,8 @@ APPROX_ZERO = Approx(0.0 + 0.0j, 0.0)
 def _tail_integral(sigma: float, m: int, y: float) -> float:
     """Upper bound for sum_{k > m} (k + y)^(-sigma), sigma > 1.
 
-    For sigma <= 1 (reachable only with ``override_domain``) the tail
-    diverges, so the honest bound is infinite.
+    For sigma <= 1 (an inner cell with Re s = 1) the tail diverges, so the
+    honest bound is infinite; ``_boundary_tail`` bounds such cells instead.
     """
     if sigma <= 1.0:
         return math.inf
@@ -158,26 +152,29 @@ def eval_layers(
     cfg: EvalConfig = DEFAULT_CONFIG, first_min: int = 1,
 ) -> Approx:
     """Sum prod_c (m_c + y_c)^(-s_c) over the P-partitions m >= first_min of
-    a labelled poset, given as its state graph (``chain_layers`` for a chain).
+    a labelled poset, given as its state graph (``chain_layers`` for a chain);
+    Re s must be > 1 on the maximal cells and >= 1 elsewhere.
 
     Each state holds, summed over the linear extensions reaching it, the
-    array over the last entry's value n <= M, its |.| majorant and the
-    scalar Hbar below; every certificate term is linear in the states and
-    is summed per final corner d.  The tail (final, largest entry > M) is
-    certified through bounds on the full inner sums from the |.| sums,
+    array over the last entry's value n <= M; every certificate term is
+    linear in the states and is summed per final corner d.  The outer tail
+    (last entry > M) takes an Euler-Maclaurin correction on the inner sums
+    frozen at M; the fillings whose next-to-last entry also exceeds M are
+    bounded through the full inner sums,
 
         Hbar(empty) = 1,
         Hbar(state) = Habs(state)(M) + Hbar(preds) * int_M^inf (t+y_c)^(-sigma_c) dt,
 
-    which stay of the same magnitude as the actual nested sums (a loose
-    product of one-variable majorants would not).
+    Habs being the DP on |.|, run only through layer r - 3, the last one this
+    residual reads.  These stay of the same magnitude as the actual nested
+    sums (a loose product of one-variable majorants would not).  Cells with
+    Re s = 1 take ``_boundary_tail`` instead.
     """
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
     tails = [_tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
     idx = np.arange(0, m + 1, dtype=np.float64)
-    # Per final corner d, the number of other cells on the Re s = 1 boundary.
-    ks = [sum(sg <= 1.0 for sg in sigmas) - (sigmas[d] <= 1.0) for d, _ in layers[-1]]
+    n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
     # Powers are kept only where a cell ends several states (not in a chain).
     shared = sum(map(len, layers)) > len(s)
     cache: dict[tuple[int, bool], np.ndarray] = {}
@@ -193,12 +190,14 @@ def eval_layers(
                 cache[c, absolute] = a
         return a
 
-    arrs = {a: [] for a in ((False, True) if 0 in ks else (False,))}  # |.| feeds Hbar
-    hbar, carry = [1.0], [0.0]  # of the empty ideal; carry = Hbar(preds) * tail
+    # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
+    carry_layer = -1 if n_eps else r - 2
+    arrs: dict[bool, list[np.ndarray]] = {False: [], True: []}  # True: |.|
+    hbar, carry = [1.0], [0.0]  # of the empty ideal
     prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
     with np.errstate(over="ignore"):  # see powers()
         for i, layer in enumerate(layers):
-            for absolute in arrs:
+            for absolute in (False, True) if i < carry_layer else (False,):
                 cums = arrs[absolute]  # only two layers of arrays are alive
                 for k, a in enumerate(cums):
                     cums[k] = np.cumsum(a)
@@ -214,28 +213,24 @@ def eval_layers(
                         a = a * h if shared else np.multiply(a, h, out=a)
                     out.append(a)
                 arrs[absolute] = out
-            if True in arrs:
-                prev_carry = carry
+            if i <= carry_layer:
                 hbar_in = [sum(hbar[p] for p, _ in preds) for _, preds in layer]
                 carry = [h * tails[c] for h, (c, _) in zip(hbar_in, layer)]
+            if i < carry_layer:
                 hbar = [float(a.sum()) + t for a, t in zip(arrs[True], carry)]
 
     total, err = 0j, 0.0
     for k, (d, preds) in enumerate(layers[-1]):
         total += complex(arrs[False][k].sum())
-        if ks[k]:
-            err += _boundary_tail(layers, k, ks[k], sigmas, y, tails, idx, first_min)
-        elif cfg.tail_mode == "integral_correction" and sigmas[d] > 1.0:
-            # Freeze the inner prefix at the cutoff and treat the outer tail
-            # as C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
-            em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
-            # Residual from freezing the inner prefix: fillings whose
-            # next-to-last entry also exceeds the cutoff.
-            frozen_residual = sum(prev_carry[p] for p, _ in preds) * tails[d]
-            total += em_value
-            err += em_remainder + frozen_residual
-        else:
-            err += hbar_in[k] * tails[d]
+        if n_eps:
+            err += _boundary_tail(layers, k, n_eps, sigmas, y, tails, idx, first_min)
+            continue
+        # Freeze the inner prefix at the cutoff and treat the outer tail as
+        # C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
+        em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
+        frozen_residual = sum(carry[p] for p, _ in preds) * tails[d]
+        total += em_value
+        err += em_remainder + frozen_residual
     return Approx(total, err)
 
 
@@ -294,6 +289,27 @@ def _eps_outer(
     return inner * growth * cutoff ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
 
 
+def _check_chain(
+    s: Sequence[complex], y: Sequence[float], strict: Sequence[bool], least: int,
+) -> list[float]:
+    """Check a chain's arguments; return the real parts of its exponents.
+    Re s must be > 1 at the last slot and >= 1 before, and every base
+    positive: cell i's least base is ``least`` (the least first index) +
+    the strict steps before it + y_i."""
+    if len(y) != len(s) or len(strict) != len(s) - 1:
+        raise ValueError("length mismatch between s, y, strict")
+    sig = [complex(v).real for v in s]
+    if not (sig[-1] > 1.0 and min(sig) >= 1.0):
+        raise DomainError(
+            "exponents outside the absolute-convergence domain "
+            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
+        )
+    bases = [least + sum(strict[:i]) + v for i, v in enumerate(y)]
+    if min(bases) <= 0:
+        raise DomainError(f"every base must be positive; the least bases are {bases}")
+    return sig
+
+
 def eval_chain(
     s: Sequence[complex],
     y: Sequence[float],
@@ -307,19 +323,9 @@ def eval_chain(
     starts at m_1 >= first_min.  Depth 0 returns exactly 1.  ``eval_layers``
     does the work, one state per layer.
     """
-    r = len(s)
-    if r == 0:
+    if len(s) == 0:
         return APPROX_ONE
-    if len(y) != r or len(strict) != r - 1:
-        raise ValueError("length mismatch between s, y, strict")
-    if first_min == 0 and y[0] <= 0:
-        raise DomainError("a chain starting at 0 needs a positive first shift")
-    sig = [complex(v).real for v in s]
-    if not cfg.override_domain and not (sig[-1] > 1.0 and min(sig) >= 1.0):
-        raise DomainError(
-            "exponents outside the absolute-convergence domain "
-            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
-        )
+    _check_chain(s, y, strict, first_min)
     return eval_layers(chain_layers(tuple(strict)), s, y, cfg, first_min)
 
 
@@ -362,26 +368,18 @@ def chain_tails(
 
     Every k runs to K = cutoff + count, the largest k_r those per-m calls
     reach, so F(m) is the per-m ``eval_chain`` at cutoff K - m, with the same
-    certificate terms: the EM remainder |C(m)| r of the outer tail, C(m) the
-    inner sum; the frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K); in
-    ``bound_only`` mode Hbar_{r-1}(m) T_r(K); with inner Re s = 1 cells the
-    fallback of ``_boundary_tail``.  Each is S_1(lo(m)) of a ``_reverse_pass``;
-    Hbar_L = sum_l U_l prod_{t > l} T_t (U_l the |.| sum of the first l levels)
-    is the pass over |a| with c_i = prod_{t >= i} T_t.
+    certificate terms: the Euler-Maclaurin correction of the outer tail
+    and its remainder |C(m)| r, C(m) the inner sum, and the frozen residual
+    Hbar_{r-2}(m) T_{r-1}(K) T_r(K); with inner Re s = 1 cells, the
+    fallback of ``_boundary_tail`` instead.  Each is S_1(lo(m)) of a
+    ``_reverse_pass``; Hbar_L = sum_l U_l prod_{t > l} T_t (U_l the |.| sum of
+    the first l levels) is the pass over |a| with c_i = prod_{t >= i} T_t.
+    The chain must satisfy ``eval_chain``'s conditions at m = 1.
     """
     r = len(s)
     if r == 0:
         return np.ones(count, complex), np.zeros(count)
-    if len(y) != r or len(strict) != r - 1:
-        raise ValueError("length mismatch between s, y, strict")
-    if first_min == 0 and min(y) <= -1.0:
-        raise DomainError("the chain starts at 0, so every shift m + y must be positive")
-    sig = [complex(v).real for v in s]
-    if not cfg.override_domain and not (sig[-1] > 1.0 and min(sig) >= 1.0):
-        raise DomainError(
-            "exponents outside the absolute-convergence domain "
-            f"(need Re > 1 at the last slot, Re >= 1 before; got {sig})"
-        )
+    sig = _check_chain(s, y, strict, first_min + 1)  # lo(1) = 1 + first_min
     big = cfg.cutoff + count
     size = big + 1
     j = np.arange(size, dtype=np.float64)
@@ -409,17 +407,16 @@ def chain_tails(
                 inner *= np.cumsum(powers(i, sig[i])[::-1])[::-1][lo_i] + tails[i]
         return values, _eps_outer(inner, sig[-1], n_eps, eps, ms + max(y), big - ms)
 
-    def hbar(n: int) -> np.ndarray:
+    prefix = _reverse_pass(a[:-1], strict, size)[lo]
+    em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
+    if r > 1:
+        # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
+        n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
         absolute = [powers(i, sig[i]) for i in range(n)]
-        return _reverse_pass(absolute, strict, size, consts)[lo]
-
-    if cfg.tail_mode == "integral_correction" and sig[-1] > 1.0:
-        prefix = _reverse_pass(a[:-1], strict, size)[lo]
-        em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
-        frozen_residual = hbar(r - 2) * tails[-2] * tails[-1] if r > 1 else 0.0
-        return values + em_value, em_remainder + frozen_residual
-    return values, hbar(r - 1) * tails[-1]
+        hbar = _reverse_pass(absolute, strict, size, consts)[lo]
+        em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
+    return values + em_value, em_remainder
 
 
 def _chain_zeta(
@@ -434,10 +431,6 @@ def _chain_zeta(
     if len(sv) != depth:
         raise ValueError(f"need {depth} exponents, got {len(sv)}")
     yv = (0.0,) * depth if y is None else tuple(float(v) for v in y)
-    if len(yv) != depth:
-        raise ValueError(f"need {depth} shifts, got {len(yv)}")
-    if first_min == 0 and any(v <= 0 for v in yv):
-        raise DomainError("the chain starts at 0, so every shift must be positive")
     return eval_chain(sv, yv, (strict,) * (depth - 1), cfg, first_min)
 
 

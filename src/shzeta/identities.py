@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,15 +119,12 @@ def _zy(spec: ContentSpec, ks: Sequence[int]) -> tuple[list[complex], list[float
 # Jacobi-Trudi
 
 
-def jacobi_trudi_H(
-    spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
-) -> IdentityReport:
-    """Determinant of weak-chain zetas over row lengths vs. the direct sum.
-
-    Entry (i, j) has depth d = lambda_i - i + j on contents
-    -j+1, -j+2, ..., -j+d; depth 0 contributes 1 and negative depth 0.
-    """
-    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
+def _jacobi_trudi(
+    spec: ContentSpec, shape: Partition, sign: int, zeta: Callable[..., Approx],
+    cfg: EvalConfig,
+) -> Approx:
+    """det[zeta over contents sign * (-j+1, -j+2, ..., -j+d)], with depth
+    d = lambda_i - i + j in entry (i, j); depth 0 gives 1, negative depth 0."""
     r = shape.rows
     rows = []
     for i in range(1, r + 1):
@@ -137,35 +134,37 @@ def jacobi_trudi_H(
             if d < 0:
                 row.append(APPROX_ZERO)
                 continue
-            z, y = _zy(spec, range(-j + 1, -j + 1 + d))
-            row.append(ez_zeta_star(z, y, cfg))
+            z, y = _zy(spec, [sign * k for k in range(-j + 1, -j + 1 + d)])
+            row.append(zeta(z, y, cfg))
         rows.append(row)
-    return IdentityReport("jacobi_trudi_H", lhs, determinant(rows))
+    return determinant(rows)
+
+
+def jacobi_trudi_H(
+    spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
+) -> IdentityReport:
+    """Determinant of weak-chain zetas over row lengths vs. the direct sum.
+
+    Entry (i, j) has depth d = lambda_i - i + j on contents
+    -j+1, -j+2, ..., -j+d; depth 0 contributes 1 and negative depth 0.
+    """
+    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
+    rhs = _jacobi_trudi(spec, shape, 1, ez_zeta_star, cfg)
+    return IdentityReport("jacobi_trudi_H", lhs, rhs)
 
 
 def jacobi_trudi_E(
     spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
-    """Determinant of strict-chain zetas over column lengths.
+    """Determinant of strict-chain zetas over column lengths: the H
+    determinant on the conjugate shape with the contents negated.
 
     Entry (i, j) has depth d = lambda'_i - i + j on contents
     j-1, j-2, ..., j-d (descending).
     """
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
-    conj = shape.conjugate()
-    r = conj.rows
-    rows = []
-    for i in range(1, r + 1):
-        row = []
-        for j in range(1, r + 1):
-            d = conj.part(i) - i + j
-            if d < 0:
-                row.append(APPROX_ZERO)
-                continue
-            z, y = _zy(spec, range(j - 1, j - 1 - d, -1))
-            row.append(ez_zeta(z, y, cfg))
-        rows.append(row)
-    return IdentityReport("jacobi_trudi_E", lhs, determinant(rows))
+    rhs = _jacobi_trudi(spec, shape.conjugate(), -1, ez_zeta, cfg)
+    return IdentityReport("jacobi_trudi_E", lhs, rhs)
 
 
 def jacobi_trudi_H_general(
@@ -208,7 +207,7 @@ def extended_jacobi_trudi(
     bottom-to-top down to row 3.
     """
     m, n, big_x = _ext_shape_mn(shape)
-    if not cfg.override_domain and not in_W_lambda_H(s):
+    if not in_W_lambda_H(s):
         raise DomainError(
             "exponents outside the extended convergence domain "
             "(need Re >= 1 everywhere, > 1 on the arm-content diagonals)"
@@ -342,25 +341,13 @@ def skew_giambelli_hash(
 # Hook and Frobenius expansions
 
 
-def _hook_star_rhs(
-    spec: ContentSpec, p: int, q: int, cfg: EvalConfig
-) -> Approx:
-    """Alternating sum over the split point of the first column."""
-    total = APPROX_ZERO
-    for j in range(q + 1):
-        z1, y1 = _zy(spec, range(-j, p + 1))
-        z2, y2 = _zy(spec, range(-j - 1, -q - 1, -1))
-        term = ez_zeta_star(z1, y1, cfg) * ez_zeta(z2, y2, cfg)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def hook_expansion_star(
     spec: ContentSpec, p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
     """Hook value as an alternating sum of (weak zeta) x (strict zeta)."""
-    lhs = schur_eval(instance_from_spec(spec, hook(p, q)), cfg)
-    return IdentityReport("hook_expansion_star", lhs, _hook_star_rhs(spec, p, q, cfg))
+    shape = hook(p, q)
+    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
+    return IdentityReport("hook_expansion_star", lhs, _frobenius_rhs(spec, shape, cfg))
 
 
 def hook_expansion_zeta(
@@ -377,12 +364,10 @@ def hook_expansion_zeta(
     return IdentityReport("hook_expansion_zeta", lhs, total)
 
 
-def frobenius_expansion(
-    spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
-) -> IdentityReport:
-    """Signed multi-alternating sum of hook-split products over the
-    Frobenius coordinates."""
-    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
+def _frobenius_rhs(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Approx:
+    """Signed sum over the permutations of the Frobenius arms and the split
+    points js_k of each leg of weak zetas over contents -js_k..p_perm(k) times
+    strict ones over -js_k-1 down to -q_k; on a hook, ``hook_expansion_star``."""
     fr = shape.frobenius()
     n = fr.depth
     total = APPROX_ZERO
@@ -400,7 +385,16 @@ def frobenius_expansion(
                 total = total + term
             else:
                 total = total - term
-    return IdentityReport("frobenius_expansion", lhs, total)
+    return total
+
+
+def frobenius_expansion(
+    spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
+) -> IdentityReport:
+    """Signed multi-alternating sum of hook-split products over the
+    Frobenius coordinates."""
+    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
+    return IdentityReport("frobenius_expansion", lhs, _frobenius_rhs(spec, shape, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +519,7 @@ def derivative_identity(
             lhs = lhs + schur_eval(shift_exponent(inst, [c1, c2], 1), cfg).scale(2.0)
     z = dict(spec.z)
     z[ell] = z[ell] + order
-    rhs = _hook_star_rhs(ContentSpec(z, spec.y), p, q, cfg)
+    rhs = _frobenius_rhs(ContentSpec(z, spec.y), shape, cfg)
     return IdentityReport(f"derivative_identity_{order}", lhs, rhs)
 
 

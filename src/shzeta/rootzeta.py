@@ -100,10 +100,8 @@ class RootExponents:
         return cls(r, s)
 
 
-def _check_domain(e: RootExponents, cfg: EvalConfig) -> None:
+def _check_domain(e: RootExponents) -> None:
     """Conservative sufficient criterion for absolute convergence."""
-    if cfg.override_domain:
-        return
     bad = [(i, j) for (i, j), v in e.s.items() if v.real < 0]
     if bad:
         raise DomainError(f"negative real part at pairs {bad}")
@@ -143,7 +141,7 @@ def _eval_nested(
         raise UsageError(f"depth {r} exceeds the supported maximum {MAX_DEPTH}")
     if d > 0 and x <= 0 and not primed:
         raise DomainError("zero-started variables need x > 0 or the primed rule")
-    _check_domain(e, cfg)
+    _check_domain(e)
 
     m = cfg.cutoff
     starts = [0 if i <= d else 1 for i in range(1, r + 1)]

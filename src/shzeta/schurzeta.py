@@ -142,7 +142,7 @@ def dp_states(shape: Shape) -> int:
 
 def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     """Certified value of the tableau series for the instance."""
-    if not cfg.override_domain and not in_W_lambda(inst.exponents):
+    if not in_W_lambda(inst.exponents):
         raise DomainError(
             "exponent tableau violates the convergence domain "
             "(need Re >= 1 everywhere and Re > 1 on corners)"

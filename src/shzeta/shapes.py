@@ -152,18 +152,6 @@ class FrobeniusCoords:
         return f"({ps}|{qs})"
 
 
-def conjugate(p: Partition) -> Partition:
-    return p.conjugate()
-
-
-def frobenius(p: Partition) -> FrobeniusCoords:
-    return p.frobenius()
-
-
-def corners(p: "Partition | SkewShape") -> frozenset[Cell]:
-    return p.corners()
-
-
 def perm_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation given as a sequence of distinct values."""
     inversions = sum(

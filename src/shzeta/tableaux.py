@@ -399,12 +399,21 @@ def tableau_from_rows(rows: list[list[Any]]) -> Tableau:
     return Tableau(shape, entries)
 
 
+def json_scalar(value: Any, what: str) -> Any:
+    """A JSON number or string (such as "2+1j"), else malformed input."""
+    if isinstance(value, (int, float, str)):
+        return value
+    raise UsageError(f"{what} must be a number, got {value!r}")
+
+
 def content_spec_from_json(obj: "str | Mapping[str, Any]") -> ContentSpec:
     """Parse {"z": {"-1": 3, "0": 2.5}, "y": {"0": 0.3}}."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    if "z" not in obj:
-        raise UsageError("content spec requires a 'z' mapping")
-    z = {int(k): complex(v) for k, v in obj["z"].items()}
-    y = {int(k): float(v) for k, v in obj.get("y", {}).items()}
-    return ContentSpec(z, y)
+    y = obj.get("y", {}) if isinstance(obj, Mapping) else None
+    if not (isinstance(y, Mapping) and isinstance(obj.get("z"), Mapping)):
+        raise UsageError("content spec requires a 'z' mapping ('y' optional)")
+    return ContentSpec(
+        {int(k): complex(json_scalar(v, f"z[{k}]")) for k, v in obj["z"].items()},
+        {int(k): float(json_scalar(v, f"y[{k}]")) for k, v in y.items()},
+    )

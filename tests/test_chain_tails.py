@@ -28,13 +28,12 @@ def _per_m(s, y, first_min, cfg, count):
 
 @pytest.mark.parametrize("count", [1, 300])
 @pytest.mark.parametrize("cutoff", [50, 2000])
-@pytest.mark.parametrize("mode", ["bound_only", "integral_correction"])
 @pytest.mark.parametrize("imag", [False, True])
 @pytest.mark.parametrize("first_min", [0, 1])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_matches_per_m_calls(depth, first_min, imag, mode, cutoff, count):
+def test_matches_per_m_calls(depth, first_min, imag, cutoff, count):
     s, y = _chain(depth, imag)
-    cfg = EvalConfig(cutoff=cutoff, tail_mode=mode)
+    cfg = EvalConfig(cutoff=cutoff)
     strict = (ORACLES[first_min][1],) * max(depth - 1, 0)
     values, errs = chain_tails(s, y, strict, cfg, count, first_min)
     assert values.shape == errs.shape == (count,)
@@ -72,6 +71,7 @@ def test_depth_zero_is_one():
         ([2.0, 1.0], [0.0, 0.0], 1),  # last exponent on the boundary
         ([0.5, 2.0], [0.0, 0.0], 1),  # inner exponent below 1
         ([2.0], [-1.0], 0),  # 1 + y = 0: the m = 1 chain hits a zero base
+        ([2.0, 3.0], [0.0, -3.0], 1),  # strict: m = 1 puts k_2 >= 3, base 0
     ],
 )
 def test_domain_errors(s, y, first_min):

@@ -228,14 +228,34 @@ class TestRegistry:
         ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "0"],
         ["paths", "--shape", "2,1", "--n", "0"],
         ["check", "--manifest", "{missing}"],
+        ["check", "--manifest", "{spec_z_list}"],
+        ["check", "--manifest", "{spec_5}"],
+        ["check", "--manifest", "{cfg_5}"],
+        ["check", "--manifest", "{root_z_5}"],
+        ["eval", "--tableau-file", "{s_5}"],
+        ["eval", "--tableau-file", "{x_7}"],
     ],
     ids=["bad-part", "increasing-parts", "missing-tableau-file",
-         "tableau-without-s", "cutoff-0", "paths-n-0", "missing-manifest"],
+         "tableau-without-s", "cutoff-0", "paths-n-0", "missing-manifest",
+         "spec-z-list", "spec-number", "cfg-number", "root-z-number",
+         "tableau-s-number", "tableau-x-number"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
-    no_s = tmp_path / "no_s.json"
-    no_s.write_text(json.dumps({"x": [[0.3]]}))
-    paths = {"{missing}": str(tmp_path / "missing.json"), "{no_s}": str(no_s)}
+    jt = {"identity_id": "jacobi_trudi_H", "shape": "2,1"}
+    files = {
+        "no_s": {"x": [[0.3]]},
+        "spec_z_list": {**jt, "spec": {"z": [1, 2]}},
+        "spec_5": {**jt, "spec": 5},
+        "cfg_5": {**jt, "spec": {"z": {"-1": 2, "0": 3, "1": 2}}, "cfg": 5},
+        "root_z_5": {"identity_id": "root_reductions", "z": 5},
+        "s_5": {"s": 5},
+        "x_7": {"s": [[2, 3]], "x": 7},
+    }
+    paths = {"{missing}": str(tmp_path / "missing.json")}
+    for name, data in files.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(data) + "\n")
+        paths["{" + name + "}"] = str(f)
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == 2
     assert out == ""

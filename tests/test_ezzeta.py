@@ -128,10 +128,28 @@ class TestConventions:
         # Re = 1 before the last slot is allowed.
         ez_zeta([1, 2])
 
-    def test_override_domain(self):
-        cfg = EvalConfig(cutoff=200, override_domain=True)
-        a = ez_zeta([1], cfg=cfg)
-        assert a.value.real > 5  # divergent partial sum, no exception
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ez_zeta([2], [-1.0]),  # the m = 1 term is 0^-2
+            lambda: ez_zeta([2, 3], [0.0, -2.0]),  # m_2 = 2 gives base 0
+            lambda: eval_chain([2, 3], [0.3, 0.0], [False], first_min=0),
+            lambda: eval_chain([2, 3], [0.3, -1.0], [True], first_min=0),
+            lambda: ez_zeta_star([2, 2], [0.5, -1.5]),
+        ],
+        ids=["strict-1", "strict-2", "weak-from-0", "strict-from-0", "weak-2"],
+    )
+    def test_zero_or_negative_base_is_rejected(self, call):
+        # Cell i's least base, first_min + strict steps before it + y_i,
+        # must be positive: a base <= 0 has no power to sum.
+        with pytest.raises(DomainError):
+            call()
+
+    def test_negative_shift_with_positive_bases(self):
+        # sum_{m >= 1} (m - 1/2)^-2 = 4 sum (2m - 1)^-2 = pi^2 / 2
+        a = ez_zeta([2], [-0.5])
+        assert abs(a.value - math.pi**2 / 2) <= a.err_bound
+        assert a.err_bound < 1e-6
 
 
 class TestErrorAccounting:
@@ -205,5 +223,29 @@ def test_argument_validation():
         ez_zeta([2, 3], [0.1])  # mismatched shift length
     with pytest.raises(ValueError):
         EvalConfig(cutoff=0)
-    with pytest.raises(ValueError):
-        EvalConfig(tail_mode="magic")
+
+
+# eval_chain values and bounds at depths 3-6, frozen from the kernel as it
+# was when it ran the |.| DP (the Hbar majorants) on every layer; the frozen
+# residual reads Hbar on the layers up to r - 3.  Strict steps alternate
+# weak/strict: (depth, first_min, complex s, cutoff, value, err_bound).
+FROZEN_CHAINS = [
+    (3, 0, False, 50, 1168.839832068479 + 0j, 0.0005595575673816925),
+    (3, 1, True, 2000, 0.1239268701478939 + 0.052644834221066784j, 5.059261515533215e-10),
+    (4, 0, False, 50, 1372.6917809360377 + 0j, 0.07541566836040484),
+    (4, 1, True, 2000, 0.04024249444554676 - 0.022758681205058886j, 3.180333720882226e-09),
+    (5, 0, False, 50, 331.90592130433294 + 0j, 0.1399658558415236),
+    (5, 1, True, 2000, 0.0048407540890442954 + 0.002139995177295195j, 4.125946404034183e-09),
+    (6, 0, False, 50, 45.180990801709555 + 0j, 0.015401439936333352),
+    (6, 1, True, 2000, 0.0002077415111626142 - 0.00017086994096582883j, 2.352135934488825e-11),
+]
+
+
+@pytest.mark.parametrize("depth,first_min,imag,cutoff,value,bound", FROZEN_CHAINS)
+def test_frozen_deep_chains(depth, first_min, imag, cutoff, value, bound):
+    s = [complex(2 + 0.25 * (i % 3), (0.5 if i % 2 else -0.3) if imag else 0) for i in range(depth)]
+    y = [0.3 * ((i + 1) % 2) + 0.1 * (i % 3) for i in range(depth)]
+    strict = [i % 2 == 1 for i in range(depth - 1)]
+    a = eval_chain(s, y, strict, EvalConfig(cutoff=cutoff), first_min)
+    assert a.value == pytest.approx(value, rel=1e-12, abs=0)
+    assert a.err_bound == pytest.approx(bound, rel=1e-12)

@@ -66,17 +66,16 @@ class TestIdealDP:
         shape = parse_shape(text)
         for imag in (False, True):
             inst = instance_from_spec(_content_spec(shape, imag), shape)
-            for mode in ("bound_only", "integral_correction"):
-                for cutoff in (50, 2000):
-                    cfg = EvalConfig(cutoff=cutoff, tail_mode=mode)
-                    new = schur_eval(inst, cfg)
-                    old_value, old_err = _chain_sum(inst, cfg)
-                    assert abs(new.value - old_value) <= old_err
-                    assert new.err_bound <= old_err * (1 + 1e-12)
-                    if not imag:
-                        # Positive terms: summing the inner prefixes before
-                        # the EM bound gains nothing, so the bounds agree.
-                        assert new.err_bound == pytest.approx(old_err, rel=1e-12)
+            for cutoff in (50, 2000):
+                cfg = EvalConfig(cutoff=cutoff)
+                new = schur_eval(inst, cfg)
+                old_value, old_err = _chain_sum(inst, cfg)
+                assert abs(new.value - old_value) <= old_err
+                assert new.err_bound <= old_err * (1 + 1e-12)
+                if not imag:
+                    # Positive terms: summing the inner prefixes before the
+                    # EM bound gains nothing, so the bounds agree.
+                    assert new.err_bound == pytest.approx(old_err, rel=1e-12)
 
     def test_state_counts(self):
         # One state per (order ideal, last cell); the staircase 4,3,2,1 has
@@ -148,20 +147,16 @@ def test_jacobi_trudi_on_large_shapes(text):
 # the chain kernel's own per-chain bound formulas.  The chain-sum oracle
 # above runs the same kernel, so these frozen numbers also pin the formulas.
 PINNED_BOUNDS = [
-    ("2,1", "bound_only", 0.003888843633068741),
-    ("2,1", "integral_correction", 3.711194967514044e-05),
-    ("3,2", "bound_only", 0.00453089247694692),
-    ("3,2", "integral_correction", 5.117696079454375e-05),
-    ("2,2,1", "bound_only", 0.0014353379954085159),
-    ("2,2,1", "integral_correction", 6.898407858419189e-05),
-    ("3,3/1", "bound_only", 0.0021161937816659396),
-    ("3,3/1", "integral_correction", 8.005755828995918e-05),
+    ("2,1", 3.711194967514044e-05),
+    ("3,2", 5.117696079454375e-05),
+    ("2,2,1", 6.898407858419189e-05),
+    ("3,3/1", 8.005755828995918e-05),
 ]
 
 
-@pytest.mark.parametrize("text,mode,bound", PINNED_BOUNDS)
-def test_pinned_bounds(text, mode, bound):
+@pytest.mark.parametrize("text,bound", PINNED_BOUNDS)
+def test_pinned_bounds(text, bound):
     shape = parse_shape(text)
     inst = instance_from_spec(_content_spec(shape, False), shape)
-    a = schur_eval(inst, EvalConfig(cutoff=50, tail_mode=mode))
+    a = schur_eval(inst, EvalConfig(cutoff=50))
     assert a.err_bound == pytest.approx(bound, rel=1e-12)
