@@ -26,23 +26,46 @@ def _per_m(s, y, first_min, cfg, count):
     return [oracle(s, [m + v for v in y], cfg, depth=len(s)) for m in range(1, count + 1)]
 
 
+def _against_per_m_calls(s, y, strict, first_min, cfg, count, values, errs):
+    old = None
+    for m, old in enumerate(_per_m(s, y, first_min, cfg, count), start=1):
+        assert abs(values[m - 1] - old.value) <= old.err_bound
+        assert errs[m - 1] <= old.err_bound * (1 + 1e-12)
+    if count > 1 and len(s):
+        # At m = count both cover the same fillings.
+        assert errs[-1] == pytest.approx(old.err_bound, rel=1e-12)
+
+
+def _against_far_cutoff(s, y, strict, first_min, cfg, count, values, errs):
+    # The bound alone: chain_tails at 40 times the cutoff certifies values
+    # that differ from these by at most the sum of both bounds, with bounds
+    # no looser than these.
+    far, far_errs = chain_tails(s, y, strict, EvalConfig(cutoff=40 * cfg.cutoff), count, first_min)
+    assert (abs(values - far) <= errs + far_errs).all()
+    assert (far_errs <= errs).all()
+
+
+# The ids name the check as the tail certificates were once named: the
+# per-m calls pin the full certificate, the far cutoff its bound alone.
+CHECKS = [
+    pytest.param(_against_far_cutoff, id="bound_only"),
+    pytest.param(_against_per_m_calls, id="integral_correction"),
+]
+
+
 @pytest.mark.parametrize("count", [1, 300])
 @pytest.mark.parametrize("cutoff", [50, 2000])
+@pytest.mark.parametrize("check", CHECKS)
 @pytest.mark.parametrize("imag", [False, True])
 @pytest.mark.parametrize("first_min", [0, 1])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_matches_per_m_calls(depth, first_min, imag, cutoff, count):
+def test_matches_per_m_calls(depth, first_min, imag, check, cutoff, count):
     s, y = _chain(depth, imag)
     cfg = EvalConfig(cutoff=cutoff)
     strict = (ORACLES[first_min][1],) * max(depth - 1, 0)
     values, errs = chain_tails(s, y, strict, cfg, count, first_min)
     assert values.shape == errs.shape == (count,)
-    for m, old in enumerate(_per_m(s, y, first_min, cfg, count), start=1):
-        assert abs(values[m - 1] - old.value) <= old.err_bound
-        assert errs[m - 1] <= old.err_bound * (1 + 1e-12)
-    if count > 1 and depth:
-        # At m = count both cover the same fillings.
-        assert errs[-1] == pytest.approx(old.err_bound, rel=1e-12)
+    check(s, y, strict, first_min, cfg, count, values, errs)
 
 
 @pytest.mark.parametrize("first_min", [0, 1])

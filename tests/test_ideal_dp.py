@@ -154,7 +154,10 @@ PINNED_BOUNDS = [
 ]
 
 
-@pytest.mark.parametrize("text,bound", PINNED_BOUNDS)
+# The ids keep the name of the certificate the bounds were pinned under.
+@pytest.mark.parametrize(
+    "text,bound", [pytest.param(t, b, id=f"{t}-integral_correction-{b}") for t, b in PINNED_BOUNDS]
+)
 def test_pinned_bounds(text, bound):
     shape = parse_shape(text)
     inst = instance_from_spec(_content_spec(shape, False), shape)
