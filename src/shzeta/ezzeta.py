@@ -404,7 +404,9 @@ def chain_tails(
             if sig[i] <= 1.0:
                 inner *= 1.0 / np.maximum(lo_i + y[i], 1.0) + 1.0 / eps
             else:
-                inner *= np.cumsum(powers(i, sig[i])[::-1])[::-1][lo_i] + tails[i]
+                # Past K the partial sum is empty: 0 plus the tail.
+                partial = np.append(np.cumsum(powers(i, sig[i])[::-1])[::-1], 0.0)
+                inner *= partial[np.minimum(lo_i, size)] + tails[i]
         return values, _eps_outer(inner, sig[-1], n_eps, eps, ms + max(y), big - ms)
 
     prefix = _reverse_pass(a[:-1], strict, size)[lo]

@@ -111,6 +111,21 @@ class TestCheck:
         recs = json_lines(out)
         assert len(recs) == 2 and all(r["pass"] for r in recs)
 
+    @pytest.mark.parametrize("z", [
+        {"-2": 2, "-1": 1, "0": 3, "1": 2},  # Re z = 1 on a leg content
+        {"-1": 2, "0": 3, "1": 1, "2": 2},  # Re z = 1 on an arm content
+    ], ids=["leg", "arm"])
+    def test_dirichlet_domain_error_exits_3(self, capsys, tmp_path, z):
+        shape = "2,1,1" if "-2" in z else "3,1"
+        f = tmp_path / "re1.manifest"
+        f.write_text(json.dumps({"identity_id": "dirichlet_series_expr",
+                                 "shape": shape, "spec": {"z": z}}) + "\n")
+        code, out, err = run(capsys, "check", "--manifest", str(f))
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "content " in err and "Traceback" not in err
+
     def test_manifest_unknown_identity(self, capsys, tmp_path):
         f = tmp_path / "bad.manifest"
         f.write_text('{"identity_id": "nope", "shape": "2,1", "spec": {"z": {}}}\n')

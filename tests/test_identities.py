@@ -7,10 +7,13 @@ zetas, alternating expansions, factorized Dirichlet sums).  A check that
 passes therefore validates both routes at once.
 """
 
+import itertools
+import random
+
 import pytest
 
 from shzeta.errors import DomainError, UsageError
-from shzeta.ezzeta import Approx, EvalConfig
+from shzeta.ezzeta import APPROX_ONE, APPROX_ZERO, Approx, EvalConfig
 from shzeta.identities import (
     derivative_fd_check,
     derivative_identity,
@@ -28,7 +31,7 @@ from shzeta.identities import (
     skew_giambelli_entries,
     skew_giambelli_hash,
 )
-from shzeta.shapes import Partition, content, hook
+from shzeta.shapes import Partition, content, hook, perm_sign
 from shzeta.tableaux import ContentSpec, Tableau, constant_tableau, expand_content
 
 CFG = EvalConfig(cutoff=800)
@@ -58,6 +61,38 @@ class TestDeterminant:
         a = Approx(1.0, 0.1)
         out = determinant([[a, a], [a, a]])
         assert out.value == 0.0 and out.err_bound > 0
+
+    @staticmethod
+    def permutation_sum(entries, signed):
+        """The oracle: the expansion over all n! permutations, and the sum
+        of |term| over them."""
+        total, scale = APPROX_ZERO, 0.0
+        for perm in itertools.permutations(range(len(entries))):
+            term = APPROX_ONE
+            for i, j in enumerate(perm):
+                term = term * entries[i][j]
+            scale += abs(term.value)
+            total = total - term if signed and perm_sign(perm) < 0 else total + term
+        return total, scale
+
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_permutation_sum(self, n, signed):
+        # Random complex entries with error bounds, a fifth of them exact
+        # zeros as in the Jacobi-Trudi matrices.
+        rng = random.Random(10 * n + signed)
+        entries = [
+            [
+                Approx(complex(rng.gauss(0, 1), rng.gauss(0, 1)), rng.uniform(0, 1e-3))
+                if rng.random() > 0.2 else APPROX_ZERO
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        want, scale = self.permutation_sum(entries, signed)
+        got = determinant(entries, signed=signed)
+        assert abs(got.value - want.value) <= 1e-12 * scale
+        assert got.err_bound <= want.err_bound * (1 + 1e-12)
 
 
 class TestJacobiTrudi:
@@ -183,6 +218,33 @@ class TestFrobeniusExpansion:
         a = frobenius_expansion(SPEC, shape, CFG)
         b = hook_expansion_star(SPEC, 1, 1, CFG)
         assert abs(a.rhs.value - b.rhs.value) <= a.rhs.err_bound + b.rhs.err_bound + 1e-10
+
+
+class TestLargeShapes:
+    # z = 2 on even contents and 2.5 on odd ones, y_0 = 0.3, cutoff 2000.
+    # ``before``: the budgets of the full permutation expansions, frozen;
+    # expanding by minors may tighten them, never loosen them.
+    BUDGETS_BEFORE = [
+        ((4, 4, 4, 4), frobenius_expansion, 1.1081738100108418e-05),
+        ((4, 4, 4, 4), jacobi_trudi_H, 4.4722369112325134e-07),
+        ((4, 4, 4, 4), dirichlet_series_expr, 2.5245361709694676e-06),
+        ((5, 4, 3, 2, 1), frobenius_expansion, 1.649943203830973e-06),
+        ((5, 4, 3, 2, 1), jacobi_trudi_H, 1.2809116459980973e-06),
+        ((5, 4, 3, 2, 1), dirichlet_series_expr, 4.5307451843544937e-07),
+        ((5, 5, 5, 5, 5), frobenius_expansion, 0.00031161853845255945),
+    ]
+
+    @pytest.mark.parametrize(
+        "parts,check,before", BUDGETS_BEFORE,
+        ids=[f"{','.join(map(str, p))}-{f.__name__}" for p, f, _ in BUDGETS_BEFORE],
+    )
+    def test_budget_no_larger_than_before(self, parts, check, before):
+        shape = Partition(parts)
+        ks = {content(c) for c in shape.cells()}
+        spec = ContentSpec({k: 2.0 if k % 2 == 0 else 2.5 for k in ks}, {0: 0.3})
+        rep = check(spec, shape, EvalConfig(cutoff=2000))
+        assert rep.passes, (rep.discrepancy, rep.budget)
+        assert rep.budget <= before * (1 + 1e-12)
 
 
 class TestDirichletSeriesExpression:
