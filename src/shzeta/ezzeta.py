@@ -405,7 +405,7 @@ def chain_tails(
                 inner *= 1.0 / np.maximum(lo_i + y[i], 1.0) + 1.0 / eps
             else:
                 # Past K the partial sum is empty: 0 plus the tail.
-                partial = np.append(np.cumsum(powers(i, sig[i])[::-1])[::-1], 0.0)
+                partial = _reverse_pass([powers(i, sig[i])], (), size)
                 inner *= partial[np.minimum(lo_i, size)] + tails[i]
         return values, _eps_outer(inner, sig[-1], n_eps, eps, ms + max(y), big - ms)
 

@@ -97,11 +97,10 @@ class IdentityReport:
         }
 
 
-def determinant(entries: Sequence[Sequence[Approx]], signed: bool = True) -> Approx:
+def determinant(entries: Sequence[Sequence[Approx]]) -> Approx:
     """Expansion by minors, row by row over the sets of columns used: O(n 2^n)
     Approx operations, with an error bound no looser than the full signed
-    expansion's (|sum| <= sum |.| at each merge).  ``signed=False`` gives the
-    permanent."""
+    expansion's (|sum| <= sum |.| at each merge)."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise UsageError("determinant needs a square matrix")
@@ -114,7 +113,7 @@ def determinant(entries: Sequence[Sequence[Approx]], signed: bool = True) -> App
                 if used >> j & 1 or (a.value == 0 and a.err_bound == 0):
                     continue
                 term = acc * a
-                if signed and (used >> j).bit_count() & 1:  # used columns > j
+                if (used >> j).bit_count() & 1:  # used columns > j
                     term = -term
                 key = used | 1 << j
                 nxt[key] = nxt[key] + term if key in nxt else term
@@ -430,15 +429,15 @@ def dirichlet_series_expr(
     contents, both shifted by m, and ``chain_tails`` gives each factor at
     every m in one reverse pass.  The outer truncation tail takes monotone
     closed-form majorants t of the chain values, so it needs Re z > 1 on
-    the diagonal, arm and leg contents; the permanent of the entries
-    (|S| + err, t) carries them through the expansion.
+    the diagonal, arm and leg contents; each entry carries err + t, as the
+    true entry lies within err + t of S.
     """
-    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
     fr = shape.frobenius()
     for k in range(-max(fr.q, default=0), max(fr.p, default=0) + 1):
         if complex(spec.z_at(k)).real <= 1:
             raise DomainError(f"the Dirichlet sum needs Re z > 1; content {k} has "
                               f"z = {spec.z_at(k)}")
+    lhs = schur_eval(instance_from_spec(spec, shape), cfg)
     z0, y0, m_top = complex(spec.z_at(0)), spec.y_at(0), outer_cutoff
     w = neg_power(np.arange(1, m_top + 1) + y0, z0)
     outer_tail = (m_top + y0) ** (1.0 - z0.real) / (z0.real - 1.0)
@@ -453,22 +452,17 @@ def dirichlet_series_expr(
     star = {p: chain_tails(*arms[p], (False,) * (p - 1), cfg, m_top, 0) for p in arms}
     strict = {q: chain_tails(*legs[q], (True,) * (q - 1), cfg, m_top, 1) for q in legs}
 
-    def entry(p: int, q: int) -> tuple[Approx, Approx]:
-        # The outer sum over m <= m_top (Approx products elementwise), and
-        # (|sum| + err, the majorant of its tail past m_top).
+    def entry(p: int, q: int) -> Approx:
+        # The outer sum over m <= m_top (Approx products elementwise); its
+        # error adds the majorant of the tail past m_top.
         (a, ea), (b, eb) = star[p], strict[q]
         err = np.abs(w) * (np.abs(a) * eb + np.abs(b) * ea + ea * eb)
-        total = Approx(complex(np.sum(w * a * b)), float(np.sum(err)))
         # At m > m_top the arm chain starts at m, the strict leg chain at m + 1.
         tail = majorant(*arms[p], m_top + 1) * majorant(*legs[q], m_top + 2) * outer_tail
-        return total, Approx(abs(total.value) + total.err_bound, tail)
+        return Approx(complex(np.sum(w * a * b)), float(np.sum(err)) + tail)
 
-    # Rows are legs, columns arms.  Per permutation the permanent's error is
-    # prod(|S| + err + t) - prod(|S| + err): the tail of the product.
-    pairs = [[entry(p, q) for p in fr.p] for q in fr.q]
-    value = determinant([[total for total, _ in row] for row in pairs])
-    tail = determinant([[bound for _, bound in row] for row in pairs], signed=False)
-    rhs = Approx(value.value, value.err_bound + tail.err_bound)
+    # Rows are legs, columns arms.
+    rhs = determinant([[entry(p, q) for p in fr.p] for q in fr.q])
     return IdentityReport("dirichlet_series_expr", lhs, rhs)
 
 

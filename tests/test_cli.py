@@ -111,12 +111,11 @@ class TestCheck:
         recs = json_lines(out)
         assert len(recs) == 2 and all(r["pass"] for r in recs)
 
-    @pytest.mark.parametrize("z", [
-        {"-2": 2, "-1": 1, "0": 3, "1": 2},  # Re z = 1 on a leg content
-        {"-1": 2, "0": 3, "1": 1, "2": 2},  # Re z = 1 on an arm content
+    @pytest.mark.parametrize("shape,z", [
+        ("2,1,1", {"-2": 2, "-1": 1, "0": 3, "1": 2}),  # Re z = 1 on a leg content
+        ("3,1", {"-1": 2, "0": 3, "1": 1, "2": 2}),  # Re z = 1 on an arm content
     ], ids=["leg", "arm"])
-    def test_dirichlet_domain_error_exits_3(self, capsys, tmp_path, z):
-        shape = "2,1,1" if "-2" in z else "3,1"
+    def test_dirichlet_domain_error_exits_3(self, capsys, tmp_path, shape, z):
         f = tmp_path / "re1.manifest"
         f.write_text(json.dumps({"identity_id": "dirichlet_series_expr",
                                  "shape": shape, "spec": {"z": z}}) + "\n")
