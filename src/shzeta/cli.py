@@ -47,14 +47,16 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _env_cutoff() -> int | None:
-    raw = os.environ.get("SHZETA_CUTOFF")
-    if raw is None:
-        return None
+def _json_int(value: Any, what: str) -> int:
+    """An integer from a manifest or the environment: an int, an integral
+    float or an integer string."""
+    value = json_scalar(value, what)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
     try:
-        return int(raw)
+        return int(value)
     except ValueError as exc:
-        raise UsageError(f"SHZETA_CUTOFF must be an integer, got {raw!r}") from exc
+        raise UsageError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _emit(obj: dict) -> None:
@@ -186,14 +188,14 @@ def _skew_giambelli_hash(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dic
 
 
 def _derivative_identity(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
-    ell = int(json_scalar(entry.get("ell", 0), "ell"))
-    order = int(json_scalar(entry.get("order", 1), "order"))
+    ell = _json_int(entry.get("ell", 0), "ell")
+    order = _json_int(entry.get("order", 1), "order")
     rep = identities.derivative_identity(spec, _partition(entry), ell, order, cfg)
     return {**rep.as_dict(), "ell": ell}
 
 
 def _derivative_fd_check(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
-    ell = int(json_scalar(entry.get("ell", 0), "ell"))
+    ell = _json_int(entry.get("ell", 0), "ell")
     rep = identities.derivative_fd_check(spec, _partition(entry), ell, cfg)
     return {**rep.as_dict(), "ell": ell}
 
@@ -341,8 +343,8 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     if not isinstance(manifest_cfg, dict):
         raise UsageError(f"cfg must be an object, got {manifest_cfg!r}")
     if cutoff is None:
-        cutoff = json_scalar(manifest_cfg.get("cutoff", DEFAULT_CONFIG.cutoff), "cfg.cutoff")
-    cfg = EvalConfig(cutoff=int(cutoff))
+        cutoff = _json_int(manifest_cfg.get("cutoff", DEFAULT_CONFIG.cutoff), "cfg.cutoff")
+    cfg = EvalConfig(cutoff=cutoff)
     ident = entry["identity_id"]
     t0 = time.perf_counter()
     record = {
@@ -356,6 +358,8 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.manifest:
         entries = read_manifest(args.manifest)
     elif args.builtin:
@@ -493,7 +497,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_merge_value_flags(list(argv)))
         if "cutoff" in vars(args) and args.cutoff is None:
-            args.cutoff = _env_cutoff()
+            raw = os.environ.get("SHZETA_CUTOFF")
+            args.cutoff = None if raw is None else _json_int(raw, "SHZETA_CUTOFF")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ One kernel, ``eval_layers``, sums over the P-partitions of a labelled poset
 given as its graph of (order ideal, last cell) states.  ``eval_chain``, with
 any mixed strict/weak relations, is its chain case; the Schur-series module
 runs it on the cell poset of a shape.  ``chain_tails`` gives a chain's tails
-for every shift m = 1..N at once, from reverse cumulative sums.
+for every shift m = 1..N at once (Re s > 1 in every slot), from reverse
+cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class EvalConfig:
     """The truncation cutoff M of every summation variable.
 
     The tail past M takes an Euler-Maclaurin correction on the outermost
-    variable (``eval_layers``); with an inner exponent of real part 1 it is
-    only bounded, by ``_boundary_tail``, and no correction is added.
+    variable; in ``eval_layers`` an inner exponent of real part 1 leaves it
+    only bounded, by ``_boundary_tail``, with no correction.
     """
 
     cutoff: int = 2000
@@ -84,15 +85,22 @@ APPROX_ONE = Approx(1.0 + 0.0j, 0.0)
 APPROX_ZERO = Approx(0.0 + 0.0j, 0.0)
 
 
-def _tail_integral(sigma: float, m: int, y: float) -> float:
-    """Upper bound for sum_{k > m} (k + y)^(-sigma), sigma > 1.
+def tail_integral(sigma: float, m: int, y: float) -> float:
+    """Upper bound for sum_{k > m} (k + y)^(-sigma), sigma > 1, m + y > 0.
 
-    For sigma <= 1 (an inner cell with Re s = 1) the tail diverges, so the
-    honest bound is infinite; ``_boundary_tail`` bounds such cells instead.
+    For sigma <= 1 (an inner cell with Re s = 1, which only ``eval_layers``
+    accepts) the tail diverges; ``_boundary_tail`` bounds such cells instead.
     """
     if sigma <= 1.0:
         return math.inf
     return (m + y) ** (1.0 - sigma) / (sigma - 1.0)
+
+
+def majorant(sigma: float, lo: int, y: float, cutoff: int) -> float:
+    """Upper bound for sum_{k >= lo} (k + y)^(-sigma): terms to cutoff, then
+    ``tail_integral``."""
+    ks = np.arange(lo, cutoff + 1, dtype=np.float64)
+    return float(np.sum((ks + y) ** (-sigma))) + tail_integral(sigma, cutoff, y)
 
 
 def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
@@ -172,7 +180,7 @@ def eval_layers(
     """
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
-    tails = [_tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
+    tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
     idx = np.arange(0, m + 1, dtype=np.float64)
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
     # Powers are kept only where a cell ends several states (not in a chain).
@@ -223,7 +231,7 @@ def eval_layers(
     for k, (d, preds) in enumerate(layers[-1]):
         total += complex(arrs[False][k].sum())
         if n_eps:
-            err += _boundary_tail(layers, k, n_eps, sigmas, y, tails, idx, first_min)
+            err += _boundary_tail(layers, k, n_eps, sigmas, y, m, first_min)
             continue
         # Freeze the inner prefix at the cutoff and treat the outer tail as
         # C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
@@ -236,25 +244,26 @@ def eval_layers(
 
 def _boundary_tail(
     layers: Layers, k: int, n_eps: int, sigmas: list[float], y: Sequence[float],
-    tails: list[float], idx: np.ndarray, first_min: int,
+    m: int, first_min: int,
 ) -> float:
     """Tail bound for the fillings ending at final state ``k`` when ``n_eps``
     other cells sit on the Re s = 1 boundary.
 
     Such a cell's partial sums are bounded by sum_{j<=n} (j+y)^(-1) <= 1/(lo+y)
-    + ln(n+y) <= c_eps (n+Y)^eps, with eps keeping the outer exponent > 1;
-    every other inner cell by its full one-variable majorant.  Both depend
-    on the cell's least entry lo = first_min + the strict steps before it,
-    so a scalar DP over (state, lo) sums their product over the extensions.
+    + ln(n+y) <= c_eps (n+Y)^eps, where eps = (sigma_d - 1) / (2 n_eps) is > 0
+    because the final cell d is a corner; every other inner cell by its full
+    ``majorant``.  Both depend on the cell's least entry lo = first_min + the
+    strict steps before it, so a scalar DP over (state, lo) sums their
+    product over the extensions.
     """
     d, final_preds = layers[-1][k]
-    eps = _eps(sigmas[d], n_eps)
+    eps = (sigmas[d] - 1.0) / (2.0 * n_eps)
 
     @lru_cache(maxsize=None)
     def g(c: int, lo: int) -> float:
         if sigmas[c] <= 1.0:
             return 1.0 / max(lo + y[c], 1.0) + 1.0 / eps
-        return float(np.sum((idx[lo:] + y[c]) ** (-sigmas[c]))) + tails[c]
+        return majorant(sigmas[c], lo, y[c], m)
 
     weights = [{first_min: 1.0}]  # the empty ideal
     for layer in layers[:-1]:
@@ -267,26 +276,9 @@ def _boundary_tail(
             nxt.append(w)
         weights = nxt
     inner = sum(v for p, _ in final_preds for v in weights[p].values())
-    return _eps_outer(inner, sigmas[d], n_eps, eps, max(y), len(idx) - 1)
-
-
-def _eps(sigma: float, n_eps: int) -> float:
-    """The power moved from the outer exponent onto each boundary cell."""
-    eps = (sigma - 1.0) / (2.0 * n_eps)
-    if eps <= 0:
-        raise DomainError("outermost exponent must exceed 1 strictly")
-    return eps
-
-
-def _eps_outer(
-    inner: float | np.ndarray, sigma: float, n_eps: int, eps: float,
-    ymax: float | np.ndarray, cutoff: int | np.ndarray,
-) -> float | np.ndarray:
-    """``inner`` times the outer tail past ``cutoff`` with exponent ``sigma``
-    lowered by ``n_eps * eps``; works elementwise on arrays."""
-    sigma_eff = sigma - n_eps * eps
-    growth = (1.0 + ymax) ** (n_eps * eps)
-    return inner * growth * cutoff ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
+    sigma_eff = sigmas[d] - n_eps * eps
+    growth = (1.0 + max(y)) ** (n_eps * eps)
+    return inner * growth * m ** (1.0 - sigma_eff) / (sigma_eff - 1.0)
 
 
 def _check_chain(
@@ -370,22 +362,23 @@ def chain_tails(
     reach, so F(m) is the per-m ``eval_chain`` at cutoff K - m, with the same
     certificate terms: the Euler-Maclaurin correction of the outer tail
     and its remainder |C(m)| r, C(m) the inner sum, and the frozen residual
-    Hbar_{r-2}(m) T_{r-1}(K) T_r(K); with inner Re s = 1 cells, the
-    fallback of ``_boundary_tail`` instead.  Each is S_1(lo(m)) of a
+    Hbar_{r-2}(m) T_{r-1}(K) T_r(K).  Each is S_1(lo(m)) of a
     ``_reverse_pass``; Hbar_L = sum_l U_l prod_{t > l} T_t (U_l the |.| sum of
     the first l levels) is the pass over |a| with c_i = prod_{t >= i} T_t.
-    The chain must satisfy ``eval_chain``'s conditions at m = 1.
+    The chain must satisfy ``eval_chain``'s conditions at m = 1, with
+    Re s > 1 in every slot.
     """
     r = len(s)
     if r == 0:
         return np.ones(count, complex), np.zeros(count)
     sig = _check_chain(s, y, strict, first_min + 1)  # lo(1) = 1 + first_min
+    if min(sig) <= 1.0:
+        raise DomainError(f"chain_tails needs Re s > 1 in every slot; got {sig}")
     big = cfg.cutoff + count
     size = big + 1
     j = np.arange(size, dtype=np.float64)
-    ms = np.arange(1, count + 1)
-    lo = ms + first_min
-    tails = [_tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
+    lo = np.arange(1, count + 1) + first_min
+    tails = [tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
 
     def powers(i: int, sigma: complex) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -395,20 +388,6 @@ def chain_tails(
 
     a = [powers(i, complex(v)) for i, v in enumerate(s)]
     values = _reverse_pass(a, strict, size)[lo]
-    n_eps = sum(sg <= 1.0 for sg in sig[:-1])
-    if n_eps:
-        eps = _eps(sig[-1], n_eps)
-        inner = np.ones(count)
-        for i in range(r - 1):
-            lo_i = lo + sum(strict[:i])
-            if sig[i] <= 1.0:
-                inner *= 1.0 / np.maximum(lo_i + y[i], 1.0) + 1.0 / eps
-            else:
-                # Past K the partial sum is empty: 0 plus the tail.
-                partial = _reverse_pass([powers(i, sig[i])], (), size)
-                inner *= partial[np.minimum(lo_i, size)] + tails[i]
-        return values, _eps_outer(inner, sig[-1], n_eps, eps, ms + max(y), big - ms)
-
     prefix = _reverse_pass(a[:-1], strict, size)[lo]
     em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
     if r > 1:

@@ -29,6 +29,7 @@ from .ezzeta import (
     ez_zeta,
     ez_zeta_star,
     neg_power,
+    tail_integral,
 )
 from .schurzeta import (
     SchurInstance,
@@ -410,11 +411,6 @@ def frobenius_expansion(
 # Dirichlet-series expression
 
 
-def _decay_bound(sigma: float, a: float) -> float:
-    """Upper bound for sum_{u >= 0} (u + a)^(-sigma), sigma > 1, a > 0."""
-    return a ** (-sigma) + a ** (1.0 - sigma) / (sigma - 1.0)
-
-
 def dirichlet_series_expr(
     spec: ContentSpec,
     shape: Partition,
@@ -440,12 +436,12 @@ def dirichlet_series_expr(
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
     z0, y0, m_top = complex(spec.z_at(0)), spec.y_at(0), outer_cutoff
     w = neg_power(np.arange(1, m_top + 1) + y0, z0)
-    outer_tail = (m_top + y0) ** (1.0 - z0.real) / (z0.real - 1.0)
+    outer_tail = tail_integral(z0.real, m_top, y0)
 
-    def majorant(z: list[complex], y: list[float], base: float) -> float:
-        return math.prod(
-            _decay_bound(complex(zv).real, base + yv) for zv, yv in zip(z, y)
-        )
+    def bound(z: list[complex], y: list[float], b: int) -> float:
+        # Per cell sum_{k >= b} (k + y)^(-sigma): its first term and the rest.
+        return math.prod((b + yv) ** -sg + tail_integral(sg, b, yv)
+                         for sg, yv in zip((complex(zv).real for zv in z), y))
 
     arms = {p: _zy(spec, range(1, p + 1)) for p in fr.p}
     legs = {q: _zy(spec, range(-1, -q - 1, -1)) for q in fr.q}
@@ -458,7 +454,7 @@ def dirichlet_series_expr(
         (a, ea), (b, eb) = star[p], strict[q]
         err = np.abs(w) * (np.abs(a) * eb + np.abs(b) * ea + ea * eb)
         # At m > m_top the arm chain starts at m, the strict leg chain at m + 1.
-        tail = majorant(*arms[p], m_top + 1) * majorant(*legs[q], m_top + 2) * outer_tail
+        tail = bound(*arms[p], m_top + 1) * bound(*legs[q], m_top + 2) * outer_tail
         return Approx(complex(np.sum(w * a * b)), float(np.sum(err)) + tail)
 
     # Rows are legs, columns arms.
@@ -478,6 +474,21 @@ def hook_pq(shape: Partition) -> tuple[int, int]:
     return parts[0] - 1, len(parts) - 1
 
 
+def _raised_cells(spec: ContentSpec, shape: Partition, ell: int, by: int,
+                  cfg: EvalConfig) -> tuple[SchurInstance, list[Cell], Approx]:
+    """The hook's instance, its content-ell cells, and the sum over them of
+    the value with that cell's exponent raised by ``by``."""
+    p, _ = hook_pq(shape)
+    if not 0 <= ell <= p:
+        raise UsageError(f"ell must be in 0..{p}")
+    inst = instance_from_spec(spec, shape)
+    cells = [c for c in shape.cells() if content(c) == ell]
+    total = APPROX_ZERO
+    for c in cells:
+        total = total + schur_eval(shift_exponent(inst, [c], by), cfg)
+    return inst, cells, total
+
+
 def derivative_identity(
     spec: ContentSpec,
     shape: Partition,
@@ -491,16 +502,9 @@ def derivative_identity(
     Order 2 adds twice the sum over unordered distinct same-content pairs
     with both exponents + 1 (empty on hooks, where contents are distinct).
     """
-    p, q = hook_pq(shape)
-    if not 0 <= ell <= p:
-        raise UsageError(f"ell must be in 0..{p}")
     if order not in (1, 2):
         raise UsageError("order must be 1 or 2")
-    inst = instance_from_spec(spec, shape)
-    cells = [c for c in shape.cells() if content(c) == ell]
-    lhs = APPROX_ZERO
-    for c in cells:
-        lhs = lhs + schur_eval(shift_exponent(inst, [c], order), cfg)
+    inst, cells, lhs = _raised_cells(spec, shape, ell, order, cfg)
     if order == 2:
         for c1, c2 in itertools.combinations(cells, 2):
             lhs = lhs + schur_eval(shift_exponent(inst, [c1, c2], 1), cfg).scale(2.0)
@@ -519,14 +523,7 @@ def derivative_fd_check(
 ) -> IdentityReport:
     """Cross-validate the order-1 identity against finite differences:
     the shift derivative should equal -z_ell times the shifted sum."""
-    p, _ = hook_pq(shape)
-    if not 0 <= ell <= p:
-        raise UsageError(f"ell must be in 0..{p}")
-    inst = instance_from_spec(spec, shape)
-    cells = [c for c in shape.cells() if content(c) == ell]
-    shifted = APPROX_ZERO
-    for c in cells:
-        shifted = shifted + schur_eval(shift_exponent(inst, [c], 1), cfg)
+    _, _, shifted = _raised_cells(spec, shape, ell, 1, cfg)
     est = d_dy(spec, shape, ell, cfg, h)
     lhs = Approx(est.value, est.trunc_err + est.disc_err)
     rhs = shifted.scale(-complex(spec.z_at(ell)))

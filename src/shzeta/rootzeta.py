@@ -37,6 +37,7 @@ from .ezzeta import (
     em_tail,
     ez_zeta,
     ez_zeta_star_star,
+    majorant,
     neg_power,
 )
 
@@ -264,8 +265,8 @@ def _truncation_bound(
     domain criterion) drive the decay.  Inner levels are integral-bounded
     with exponents accumulated outward:
 
-        E_r = w_r - 1,   E_l = w_l + E_{l+1} - 1,
-        A_r = 1/min_base + 1/(w_r - 1),   A_l = A_{l+1} / E_l,
+        E_{r+1} = 0,   E_l = w_l + E_{l+1} - 1,
+        A_{r+1} = 1,   A_l = A_{l+1} (1/min_base + 1/E_l),
 
     so the tail at level l is A_{l+1} (x + M)^(-E_l) / E_l times the full
     majorant sums of the levels outside it.
@@ -282,30 +283,23 @@ def _truncation_bound(
     # over variables l..r as a multiple of (x + S_{l-1} + lowest)^(-E[l]).
     E = [0.0] * (r + 2)
     A = [1.0] * (r + 2)
-    E[r] = w[r - 1] - 1.0
-    A[r] = 1.0 / max(min_base, 1e-12) + 1.0 / (w[r - 1] - 1.0)
-    for ell in range(r - 1, 0, -1):
+    for ell in range(r, 0, -1):
         E[ell] = w[ell - 1] + E[ell + 1] - 1.0
-        A[ell] = A[ell + 1] * (
-            1.0 / max(min_base, 1e-12) + 1.0 / E[ell]
-        )
+        A[ell] = A[ell + 1] * (1.0 / max(min_base, 1e-12) + 1.0 / E[ell])
 
     # Full one-variable majorant sums for levels outside a truncated level.
-    def majorant(ell: int) -> float:
-        lo = max(starts[ell - 1], 1)
+    def level_majorant(ell: int) -> float:
         sig = w[ell - 1]
-        ks = np.arange(lo, m + 1, dtype=np.float64)
-        partial = float(np.sum((ks + x) ** (-sig)))
+        total = majorant(sig, max(starts[ell - 1], 1), x, m)
         if starts[ell - 1] == 0:
-            partial += 1.0 if x <= 0 else x ** (-sig)  # primed or shifted
-        return partial + (m + x) ** (1.0 - sig) / (sig - 1.0)
+            total += 1.0 if x <= 0 else x ** (-sig)  # primed or shifted
+        return total
 
     truncated = range(1, r) if analytic_last else range(1, r + 1)
     err = 0.0
     for ell in truncated:
-        outer = math.prod(majorant(k) for k in range(1, ell))
-        inner = A[ell + 1] if ell < r else 1.0
-        err += outer * inner * (m + x) ** (-E[ell]) / max(E[ell], 1e-12)
+        outer = math.prod(level_majorant(k) for k in range(1, ell))
+        err += outer * A[ell + 1] * (m + x) ** (-E[ell]) / max(E[ell], 1e-12)
     return c_other * err
 
 

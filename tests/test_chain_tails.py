@@ -68,37 +68,6 @@ def test_matches_per_m_calls(depth, first_min, imag, check, cutoff, count):
     check(s, y, strict, first_min, cfg, count, values, errs)
 
 
-BOUNDARY_CHAINS = [[1.0, 2.5], [2.0, 1.0, 3.0], [1.0, 1.0, 2.5]]
-
-
-@pytest.mark.parametrize("first_min", [0, 1])
-@pytest.mark.parametrize("s", BOUNDARY_CHAINS)
-def test_inner_boundary_cells(s, first_min):
-    # Re s = 1 on inner cells: the logarithmic fallback bound.
-    _boundary_against_per_m(s, first_min, 2000)
-
-
-@pytest.mark.parametrize("cutoff", [1, 2])
-@pytest.mark.parametrize("first_min", [0, 1])
-@pytest.mark.parametrize("s", [*BOUNDARY_CHAINS, [1.0, 2.0, 2.5]])
-def test_inner_boundary_cells_small_cutoffs(s, first_min, cutoff):
-    # A later inner cell's least index can pass K = cutoff + count; its
-    # partial sum is then empty and only the tail is left.
-    _boundary_against_per_m(s, first_min, cutoff)
-
-
-def _boundary_against_per_m(s, first_min, cutoff):
-    y = [0.3, 0.0, 0.5][: len(s)]
-    cfg = EvalConfig(cutoff=cutoff)
-    strict = (ORACLES[first_min][1],) * (len(s) - 1)
-    values, errs = chain_tails(s, y, strict, cfg, 300, first_min)
-    for m, old in enumerate(_per_m(s, y, first_min, cfg, 300), start=1):
-        assert 0 < errs[m - 1] <= old.err_bound * (1 + 1e-12)
-        assert abs(values[m - 1] - old.value) <= errs[m - 1] + old.err_bound
-    # At m = count both cover the same fillings, so the formulas agree.
-    assert errs[-1] == pytest.approx(old.err_bound, rel=1e-12)
-
-
 def test_depth_zero_is_one():
     values, errs = chain_tails([], [], [], EvalConfig(), 5, 0)
     assert list(values) == [1] * 5 and list(errs) == [0] * 5
@@ -111,6 +80,11 @@ def test_depth_zero_is_one():
         ([0.5, 2.0], [0.0, 0.0], 1),  # inner exponent below 1
         ([2.0], [-1.0], 0),  # 1 + y = 0: the m = 1 chain hits a zero base
         ([2.0, 3.0], [0.0, -3.0], 1),  # strict: m = 1 puts k_2 >= 3, base 0
+        # Re s = 1 on an inner slot: only eval_layers bounds such chains.
+        ([1.0, 2.5], [0.3, 0.0], 0),
+        ([2.0, 1.0, 3.0], [0.3, 0.0, 0.5], 1),
+        ([1.0, 1.0, 2.5], [0.3, 0.0, 0.5], 0),
+        ([1.0, 2.0, 2.5], [0.3, 0.0, 0.5], 1),
     ],
 )
 def test_domain_errors(s, y, first_min):

@@ -277,6 +277,44 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+_DERIVATIVE = {"identity_id": "derivative_identity", "shape": "2,1",
+               "spec": {"z": {"-1": 2, "0": 3, "1": 2}, "y": {"1": 0.3}}}
+
+
+@pytest.mark.parametrize(
+    "extra,flags,code,ran",
+    [
+        ({"ell": 0.9}, [], 2, None),
+        ({"order": 1.7}, [], 2, None),
+        ({"ell": True}, [], 2, None),
+        ({"cfg": {"cutoff": 600.9}}, [], 2, None),
+        ({"cfg": {"cutoff": True}}, [], 2, None),
+        ({"cfg": {"cutoff": "6e2"}}, [], 2, None),
+        ({}, ["--jobs", "0"], 2, None),
+        ({}, ["--jobs", "-3"], 2, None),
+        ({"ell": 1, "order": 1, "cfg": {"cutoff": 600}}, [], 0, (1, 600)),
+        ({"ell": "1", "order": "1", "cfg": {"cutoff": "600"}}, [], 0, (1, 600)),
+        ({"ell": 1.0, "cfg": {"cutoff": 600.0}}, ["--jobs", "2"], 0, (1, 600)),
+    ],
+    ids=["ell-float", "order-float", "ell-bool", "cutoff-float", "cutoff-bool",
+         "cutoff-float-string", "jobs-0", "jobs-negative", "ints",
+         "integer-strings", "integral-floats"],
+)
+def test_integer_inputs(capsys, tmp_path, extra, flags, code, ran):
+    # Manifest integers are ints, integral floats or integer strings; a
+    # fraction or a bool, like --jobs < 1, is malformed input (exit 2).
+    f = tmp_path / "ints.manifest"
+    f.write_text(json.dumps({**_DERIVATIVE, **extra}) + "\n")
+    got, out, err = run(capsys, "check", "--manifest", str(f), *flags)
+    assert got == code
+    if code == 2:
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+    else:
+        (rec,) = json_lines(out)
+        assert (rec["ell"], rec["cutoffs"]["series"]) == ran and rec["pass"]
+
+
 class TestEvalRecord:
     def test_record_schema_with_work_counters(self, capsys):
         code, out, _ = run(

@@ -77,6 +77,33 @@ class TestValues:
         assert abs(b.value - h.value) <= b.err_bound + h.err_bound + 1e-12
 
 
+# Bounds of _truncation_bound's one-variable majorants, pinned at rel 1e-12
+# (depth 2 at cutoff 200, depth 3 at cutoff 60).
+DEPTH2 = RootExponents.from_flat(2, [2.5, 2, 3])
+DEPTH3 = RootExponents.from_flat(3, [2, 2.5, 3, 2, 2, 3])
+PINNED_ROOT_BOUNDS = [
+    ("Ar-2", lambda c: zeta_Ar(DEPTH2, c), 200, 0.14602734659913627, 1.6772389813204347e-05),
+    ("Ar-3", lambda c: zeta_Ar(DEPTH3, c), 60, 0.0025467415582302137, 0.00037971640814728484),
+    ("bullet-2", lambda c: zeta_bullet(DEPTH2, 1, c), 200, 1.1829551015878137, 2.927238981320435e-05),
+    ("bullet-3", lambda c: zeta_bullet(DEPTH3, 2, c), 60, 1.167445952662392, 0.0009778846074551654),
+    ("H-2", lambda c: zeta_H(DEPTH2, 0.5, c), 200, 0.01393711652893707, 7.344383216091268e-06),
+    ("H-3", lambda c: zeta_H(DEPTH3, 0.5, c), 60, 3.485681040448898e-05, 0.00012106931684445245),
+    ("bullet_H-2", lambda c: zeta_bullet_H(DEPTH2, 1, 0.5, c), 200, 0.8328256529867253,
+     0.00031082466896422827),
+    ("bullet_H-3", lambda c: zeta_bullet_H(DEPTH3, 2, 0.5, c), 60, 3.6079438746694636,
+     0.605590949496758),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,cutoff,value,bound", [pytest.param(*row[1:], id=row[0]) for row in PINNED_ROOT_BOUNDS]
+)
+def test_pinned_bounds(fn, cutoff, value, bound):
+    a = fn(EvalConfig(cutoff=cutoff))
+    assert a.value == pytest.approx(value, rel=1e-12)
+    assert a.err_bound == pytest.approx(bound, rel=1e-12)
+
+
 class TestPrimedVariant:
     def test_degree_zero_prime_is_the_plain_value(self):
         e = RootExponents.from_flat(1, [2])
