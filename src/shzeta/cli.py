@@ -51,7 +51,7 @@ def _json_int(value: Any, what: str) -> int:
     """An integer from a manifest or the environment: an int, an integral
     float or an integer string."""
     value = json_scalar(value, what)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, float) and not value.is_integer():
         raise UsageError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -73,7 +73,7 @@ def _parse_assignments(text: str, caster: Callable[[str], Any]) -> dict[int, Any
             raise UsageError(f"expected k=value, got {piece!r}")
         k, v = piece.split("=", 1)
         try:
-            out[int(k)] = caster(v)
+            out[int(k)] = caster(json_scalar(v, piece))
         except ValueError as exc:
             raise UsageError(f"bad assignment {piece!r}") from exc
     if not out:

@@ -7,7 +7,8 @@ on row N+1.  The permutation sigma realized by the endpoints is the pattern's
 type.  Path weights are assigned through the rim decomposition whose type
 matches: the k-th horizontal (resp. northeast) edge of path i, sitting on
 row j, contributes 1/(j + x_pq)^(s_pq) where (p, q) is the k-th cell of
-ribbon theta_i walked from its anchor.
+ribbon theta_i walked from its anchor.  So a pattern's weight is the
+product of its path weights, and one call weighs each (walk, path) pair once.
 
 Everything here is exact (``fractions.Fraction``) for integer exponents and
 rational shifts, so the cancellation lemma and the truncated-series identity
@@ -17,11 +18,11 @@ can be asserted with zero tolerance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import UsageError
 from .shapes import (
@@ -41,13 +42,16 @@ Point = tuple[int, int]
 class LatticePath:
     """A monotone path given by its start point and step letters.
 
-    Steps are "R" (right), "U" (up), or "NE" (diagonal up-right).
+    Steps are "R" (right), "U" (up), or "NE" (diagonal up-right).  The
+    vertices are computed once, as a tuple in step order and as a set.
     """
 
     start: Point
     steps: tuple[str, ...]
+    _points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+    _vertex_set: frozenset[Point] = field(init=False, repr=False, compare=False)
 
-    def points(self) -> tuple[Point, ...]:
+    def __post_init__(self) -> None:
         x, y = self.start
         pts = [(x, y)]
         for s in self.steps:
@@ -61,22 +65,11 @@ class LatticePath:
             else:
                 raise UsageError(f"unknown step {s!r}")
             pts.append((x, y))
-        return tuple(pts)
+        object.__setattr__(self, "_points", tuple(pts))
+        object.__setattr__(self, "_vertex_set", frozenset(pts))
 
-    @property
-    def end(self) -> Point:
-        return self.points()[-1]
-
-    def moving_edge_rows(self, letter: str) -> tuple[int, ...]:
-        """Rows (y before the step) of each edge with the given letter."""
-        rows = []
-        _, y = self.start
-        for s in self.steps:
-            if s == letter:
-                rows.append(y)
-            if s in ("U", "NE"):
-                y += 1
-        return tuple(rows)
+    def points(self) -> tuple[Point, ...]:
+        return self._points
 
 
 @dataclass(frozen=True)
@@ -96,10 +89,9 @@ class Pattern:
     def is_nonintersecting(self) -> bool:
         seen: set[Point] = set()
         for p in self.paths:
-            pts = set(p.points())
-            if seen & pts:
+            if not seen.isdisjoint(p._vertex_set):
                 return False
-            seen |= pts
+            seen |= p._vertex_set
         return True
 
 
@@ -174,10 +166,9 @@ def enumerate_patterns(
         ]
         if any(not c for c in choices):
             continue
+        sigma = tuple(s + 1 for s in sigma)
         for combo in itertools.product(*choices):
-            yield Pattern(
-                shape, n, kind, tuple(combo), tuple(s + 1 for s in sigma)
-            )
+            yield Pattern(shape, n, kind, combo, sigma)
 
 
 def nonintersecting_patterns(
@@ -261,38 +252,65 @@ def ribbon_walk(cells: frozenset[Cell], kind: str) -> tuple[Cell, ...]:
     return tuple(walk)
 
 
+@lru_cache(maxsize=None)
+def _ribbon_walks(shape: Partition, sigma: tuple[int, ...], kind: str) -> tuple:
+    """The ribbon walks of ``rim_for_type(shape, sigma, kind)`` in path order;
+    one entry per type of the shape, as in ``_decomps_by_type``."""
+    d = rim_for_type(shape, sigma, kind)
+    return tuple(ribbon_walk(d.ribbon(i), kind) for i in range(1, d.slots + 1))
+
+
 # ---------------------------------------------------------------------------
 # Weights
 
 
-def _as_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _pattern_weigher(s: Tableau, x: Tableau) -> Callable[[Pattern], Fraction]:
+    """Exact pattern weights for one set of exponents and shifts, weighing
+    each (ribbon walk, path) pair once; the memo dies with the weigher."""
+    memo: dict[tuple[tuple[Cell, ...], LatticePath], Fraction] = {}
+
+    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> Fraction:
+        letter = "R" if kind == "H" else "NE"
+        # The row of an edge is the y of the vertex it leaves.
+        rows = [y for (_, y), step in zip(path.points(), path.steps) if step == letter]
+        if len(rows) != len(walk):
+            raise UsageError(
+                f"path {i} has {len(rows)} weighted edges but ribbon has "
+                f"{len(walk)} cells"
+            )
+        w = Fraction(1)
+        for j, cell in zip(rows, walk):
+            w /= (j + Fraction(x[cell])) ** int_exponent(s[cell])
+        return w
+
+    def weigh(pat: Pattern) -> Fraction:
+        walks = _ribbon_walks(pat.shape, pat.type, pat.kind)
+        weight = None
+        for i, key in enumerate(zip(walks, pat.paths), start=1):
+            w = memo.get(key)
+            if w is None:
+                w = memo[key] = path_weight(i, *key, pat.kind)
+            weight = w if weight is None else weight * w
+        return Fraction(1) if weight is None else weight
+
+    return weigh
 
 
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
-    """Exact weight of a pattern for integer exponents and rational shifts."""
-    decomp = rim_for_type(pat.shape, pat.type, pat.kind)
-    letter = "R" if pat.kind == "H" else "NE"
-    weight = Fraction(1)
-    for i, path in enumerate(pat.paths, start=1):
-        ribbon = ribbon_walk(decomp.ribbon(i), pat.kind)
-        rows = path.moving_edge_rows(letter)
-        if len(rows) != len(ribbon):
-            raise UsageError(
-                f"path {i} has {len(rows)} weighted edges but ribbon has "
-                f"{len(ribbon)} cells"
-            )
-        for j, cell in zip(rows, ribbon):
-            weight /= (j + _as_fraction(x[cell])) ** int_exponent(s[cell])
-    return weight
+    """Exact weight of a pattern for integer exponents and rational shifts:
+    the product of its path weights.  ``verify_cancellation`` and
+    ``truncated_schur_via_paths`` share one weigher over all their patterns
+    instead of calling this per pattern."""
+    return _pattern_weigher(s, x)(pat)
 
 
 def truncated_schur_via_paths(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> Fraction:
     """Height-``n`` truncation of the tableau series, via nonintersecting paths."""
+    weigh = _pattern_weigher(s, x)
     return sum(
-        (pattern_weight(p, s, x) for p in nonintersecting_patterns(shape, n, kind)),
+        (weigh(p) for p in nonintersecting_patterns(shape, n, kind)),
         Fraction(0),
     )
 
@@ -305,21 +323,23 @@ def tail_swap(pat: Pattern) -> Pattern:
     """The standard sign-reversing involution on intersecting patterns.
 
     Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex.
+    lexicographically smallest shared vertex.  One pass over the paths in
+    index order finds all three: the first path met at a vertex is its
+    smallest-indexed owner, and the next one met there is the second.
     """
-    pts = [p.points() for p in pat.paths]
-    shared: dict[Point, list[int]] = {}
-    for i, ps in enumerate(pts):
-        for v in set(ps):
-            shared.setdefault(v, []).append(i)
-    meet = sorted(v for v, owners in shared.items() if len(owners) >= 2)
-    if not meet:
+    owner: dict[Point, int] = {}
+    meet = None  # (vertex, i, j)
+    for k, path in enumerate(pat.paths):
+        for v in path.points():
+            first = owner.setdefault(v, k)
+            if first != k and (meet is None or v < meet[0]):
+                meet = (v, first, k)
+    if meet is None:
         raise UsageError("pattern is nonintersecting")
-    v = meet[0]
-    i, j = sorted(shared[v])[:2]
+    v, i, j = meet
 
     def split(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        idx = pts[k].index(v)
+        idx = pat.paths[k].points().index(v)
         return pat.paths[k].steps[:idx], pat.paths[k].steps[idx:]
 
     head_i, tail_i = split(i)
@@ -362,6 +382,7 @@ def verify_cancellation(
             "the cancellation involution needs diagonal-constant exponents "
             "and shifts"
         )
+    weigh = _pattern_weigher(s, x)
     signed = Fraction(0)
     crossing_signed = Fraction(0)
     free_total = Fraction(0)
@@ -370,19 +391,19 @@ def verify_cancellation(
     involution_ok = True
     for pat in enumerate_patterns(shape, n, kind):
         count += 1
-        w = pattern_weight(pat, s, x)
+        w = weigh(pat)
         sgn = pat.sign
-        signed += sgn * w
+        signed = signed + w if sgn > 0 else signed - w
         if pat.is_nonintersecting():
             free_count += 1
             free_total += w
             continue
-        crossing_signed += sgn * w
+        crossing_signed = crossing_signed + w if sgn > 0 else crossing_signed - w
         mate = tail_swap(pat)
         if (
             tail_swap(mate).paths != pat.paths
             or mate.sign != -sgn
-            or pattern_weight(mate, s, x) != w
+            or weigh(mate) != w
         ):
             involution_ok = False
     return CancellationReport(

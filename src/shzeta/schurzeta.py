@@ -155,6 +155,15 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     return eval_layers(layers, s, y, cfg, first_min=1)
 
 
+def _inverse_powers(s: Tableau, x: Tableau, max_entry: int) -> dict[Cell, list]:
+    """Per cell c, 1/(m + x_c)^s_c at index m = 1..max_entry (index 0 unused)."""
+    table = {}
+    for c, y in x.entries.items():
+        e, y = int_exponent(s[c]), Fraction(y)
+        table[c] = [0] + [(m + y) ** -e for m in range(1, max_entry + 1)]
+    return table
+
+
 def schur_truncated_exact(
     shape: Shape,
     exponents: Tableau,
@@ -164,15 +173,15 @@ def schur_truncated_exact(
     """Exact rational value of the tableau sum truncated at ``max_entry``.
 
     Requires integer exponents and rational shifts; used as an oracle for
-    both the chain decomposition and the lattice-path model.
+    both the chain decomposition and the lattice-path model.  The factors
+    1/(m + x)^s come from one table per call (``_inverse_powers``).
     """
+    table = _inverse_powers(exponents, shifts, max_entry)
     total = Fraction(0)
     for t in ssyt_iter(shape, max_entry):
         term = Fraction(1)
         for c, m in t.entries.items():
-            term /= (Fraction(m) + Fraction(shifts[c])) ** int_exponent(
-                exponents[c]
-            )
+            term *= table[c][m]
         total += term
     return total
 
@@ -186,8 +195,9 @@ def chain_truncated_exact(
     """The chain decomposition summed exactly to ``max_entry`` per variable.
 
     Equals ``schur_truncated_exact`` filling-for-filling; kept separate so
-    the equality is testable.
+    the equality is testable.  Factors come from ``_inverse_powers``.
     """
+    table = _inverse_powers(exponents, shifts, max_entry)
     total = Fraction(0)
     for cells, strict in chain_decomposition(shape):
         stack = [(0, 0, Fraction(1))]  # (position, previous value, weight)
@@ -197,12 +207,9 @@ def chain_truncated_exact(
                 total += w
                 continue
             lo = prev + 1 if (k > 0 and strict[k - 1]) else max(prev, 1)
-            c = cells[k]
-            e = int_exponent(exponents[c])
+            row = table[cells[k]]
             for m in range(lo, max_entry + 1):
-                stack.append(
-                    (k + 1, m, w / (Fraction(m) + Fraction(shifts[c])) ** e)
-                )
+                stack.append((k + 1, m, w * row[m]))
     return total
 
 

@@ -9,6 +9,7 @@ corner-entry condition for integer exponent tableaux.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass
@@ -400,10 +401,16 @@ def tableau_from_rows(rows: list[list[Any]]) -> Tableau:
 
 
 def json_scalar(value: Any, what: str) -> Any:
-    """A JSON number or string (such as "2+1j"), else malformed input."""
-    if isinstance(value, (int, float, str)):
-        return value
-    raise UsageError(f"{what} must be a number, got {value!r}")
+    """A finite JSON number or number text (such as "2+1j"), returned as
+    given; booleans, NaN, infinities and other text are malformed input."""
+    try:
+        if not isinstance(value, bool) and (
+            isinstance(value, int) or cmath.isfinite(complex(value))
+        ):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"{what} must be a finite number, got {value!r}")
 
 
 def content_spec_from_json(obj: "str | Mapping[str, Any]") -> ContentSpec:

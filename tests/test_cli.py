@@ -335,3 +335,38 @@ class TestEvalRecord:
         assert json_lines(out)[0]["value_im"] < 0
         assert "+ -" not in err
         assert f"- {abs(json_lines(out)[0]['value_im']):.12g}i" in err
+
+
+_JT = {"identity_id": "jacobi_trudi_H", "shape": "2,1"}
+_ROOT = {"identity_id": "root_reductions", "z": [2, 3]}
+
+
+@pytest.mark.parametrize(
+    "manifest,argv",
+    [
+        ({**_ROOT, "m": True}, []),
+        ({**_JT, "spec": {"z": {"-1": 2, "0": 3, "1": 2}, "y": {"0": True}}}, []),
+        ({**_ROOT, "m": math.nan}, []),
+        ({**_JT, "spec": {"z": {"-1": 2, "0": 3, "1": 2}, "y": {"0": math.nan}}}, []),
+        ({**_JT, "spec": {"z": {"-1": 2, "0": math.inf, "1": 2}}}, []),
+        ({**_ROOT, "m": "nan"}, []),
+        (None, ["eval", "--shape", "2,1", "--z", "-1=2,0=inf,1=2"]),
+        (None, ["eval", "--shape", "2,1", "--z", "-1=2,0=3,1=2", "--y", "0=nan"]),
+        ('{"s": [[2, NaN]]}', ["eval", "--tableau-file", "{file}"]),
+    ],
+    ids=["m-bool", "y-bool", "m-nan", "y-nan", "z-infinity", "m-nan-string",
+         "flag-z-inf", "flag-y-nan", "tableau-nan"],
+)
+def test_non_finite_and_bool_numbers_exit_2(capsys, tmp_path, manifest, argv):
+    # JSON booleans are not numbers, and NaN or an infinity is no input a
+    # series can take, whether it comes from a manifest, a flag or a file.
+    f = tmp_path / "input.json"
+    if isinstance(manifest, dict):
+        f.write_text(json.dumps(manifest) + "\n")
+        argv = ["check", "--manifest", str(f), "--cutoff", "300"]
+    elif manifest is not None:
+        f.write_text(manifest + "\n")
+    code, out, err = run(capsys, *(str(f) if a == "{file}" else a for a in argv))
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err

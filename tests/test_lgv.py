@@ -2,11 +2,15 @@
 agreement with the tableau truncation (all in exact rational arithmetic)."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from shzeta.errors import UsageError
 from shzeta.lgv import (
+    LatticePath,
+    Pattern,
+    _pattern_weigher,
     count_patterns,
     enumerate_patterns,
     nonintersecting_patterns,
@@ -19,7 +23,7 @@ from shzeta.lgv import (
     truncated_schur_via_paths,
     verify_cancellation,
 )
-from shzeta.schurzeta import schur_truncated_exact
+from shzeta.schurzeta import chain_truncated_exact, schur_truncated_exact
 from shzeta.shapes import (
     Partition,
     e_rim_decompositions,
@@ -32,6 +36,52 @@ def diag_tableaux(shape, z_by_content, y_by_content):
     s = Tableau(shape, {c: z_by_content[c[1] - c[0]] for c in shape.cells()})
     x = Tableau(shape, {c: y_by_content[c[1] - c[0]] for c in shape.cells()})
     return s, x
+
+
+def diag_data(shape):
+    """Exponents 1-3 and shifts k/5, constant along the diagonals."""
+    contents = {j - i for i, j in shape.cells()}
+    return diag_tableaux(
+        shape,
+        {k: 1 + k % 3 for k in contents},
+        {k: Fraction(k % 4 + 1, 5) for k in contents},
+    )
+
+
+def edge_weight_oracle(pat, s, x):
+    """The module docstring's weight, edge by edge: the k-th horizontal
+    (H) or northeast (E) edge of path i, on row j, gives 1/(j + x_c)^s_c
+    for the k-th cell c of ribbon i walked from its anchor."""
+    decomp = rim_for_type(pat.shape, pat.type, pat.kind)
+    letter = "R" if pat.kind == "H" else "NE"
+    weight = Fraction(1)
+    for i, path in enumerate(pat.paths, start=1):
+        walk = ribbon_walk(decomp.ribbon(i), pat.kind)
+        rows, row = [], path.start[1]
+        for step in path.steps:
+            if step == letter:
+                rows.append(row)
+            if step != "R":
+                row += 1
+        assert len(rows) == len(walk)
+        for j, cell in zip(rows, walk):
+            weight /= (j + Fraction(x[cell])) ** s[cell]
+    return weight
+
+
+def tail_swap_oracle(pat):
+    """Swap tails at the least shared vertex, between its first two owners."""
+    pts = [p.points() for p in pat.paths]
+    v = sorted({v for a, b in combinations(pts, 2) for v in set(a) & set(b)})[0]
+    i, j = [k for k, ps in enumerate(pts) if v in ps][:2]
+    paths = list(pat.paths)
+    cut_i, cut_j = pts[i].index(v), pts[j].index(v)
+    steps_i, steps_j = paths[i].steps, paths[j].steps
+    paths[i] = LatticePath(paths[i].start, steps_i[:cut_i] + steps_j[cut_j:])
+    paths[j] = LatticePath(paths[j].start, steps_j[:cut_j] + steps_i[cut_i:])
+    sigma = list(pat.type)
+    sigma[i], sigma[j] = sigma[j], sigma[i]
+    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
 
 
 class TestPatternCounts:
@@ -132,11 +182,81 @@ class TestTailSwap:
             assert q.sign == -p.sign
             assert pattern_weight(q, s, x) == pattern_weight(p, s, x)
 
+    @pytest.mark.parametrize("parts,n,kind", [
+        ((3, 2, 1), 3, "H"),
+        ((2, 2, 2), 3, "H"),
+        ((3, 2), 4, "E"),
+    ])
+    def test_matches_its_definition(self, parts, n, kind):
+        # Involution and sign are not enough: swapping at the largest
+        # shared vertex, or between its last two owners, has both.
+        pats = self.intersecting(Partition(parts), n, kind)
+        assert pats
+        for p in pats:
+            assert tail_swap(p) == tail_swap_oracle(p)
+
     def test_rejects_nonintersecting(self):
         shape = Partition((2, 1))
         free = next(nonintersecting_patterns(shape, 2, "H"))
         with pytest.raises(UsageError):
             tail_swap(free)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("parts,n,kind", [
+        ((2, 2), 3, "H"),
+        ((3, 2), 3, "E"),
+        ((3, 2, 1), 3, "H"),
+    ])
+    def test_pattern_weight_matches_edge_by_edge(self, parts, n, kind):
+        # Cell-wise (not diagonal-constant) exponents 1-3 and shifts, on
+        # every pattern of every type.  With such data a path's weight
+        # depends on its ribbon walk, so one weigher shared by all types
+        # (as within one call) must tell the walks apart.
+        shape = Partition(parts)
+        cells = shape.cells()
+        s = Tableau(shape, {(i, j): 1 + (i + 2 * j) % 3 for i, j in cells})
+        x = Tableau(shape, {(i, j): Fraction((3 * i + j) % 5, 7) for i, j in cells})
+        shared = _pattern_weigher(s, x)
+        free = Fraction(0)
+        types = set()
+        for p in enumerate_patterns(shape, n, kind):
+            w = edge_weight_oracle(p, s, x)
+            assert pattern_weight(p, s, x) == shared(p) == w
+            types.add(p.type)
+            if p.is_nonintersecting():
+                free += w
+        assert len(types) > 1
+        assert truncated_schur_via_paths(shape, n, s, x, kind) == free
+
+
+class TestPinnedValues:
+    # Recorded before path weights were shared within a call; exact.
+    @pytest.mark.parametrize("parts,n,kind,total,free,value", [
+        ((2, 2, 2), 3, "H", 901, 1, "244140625/19721045526336"),
+        ((3, 2, 1), 4, "E", 128, 64,
+         "84256985143157708520488037109375/90965412146300443191554793700589568"),
+    ])
+    def test_cancellation_report(self, parts, n, kind, total, free, value):
+        shape = Partition(parts)
+        rep = verify_cancellation(shape, n, *diag_data(shape), kind)
+        assert (rep.total_patterns, rep.nonintersecting) == (total, free)
+        assert rep.signed_total == rep.nonintersecting_total == Fraction(value)
+        assert rep.passes
+
+    @pytest.mark.parametrize("parts,n,value", [
+        ((3, 2, 1), 4,
+         "84256985143157708520488037109375/90965412146300443191554793700589568"),
+        ((2, 2, 2), 4, "1320203857421875/40019049523559006208"),
+    ])
+    def test_exact_truncations(self, parts, n, value):
+        shape = Partition(parts)
+        s, x = diag_data(shape)
+        assert (
+            schur_truncated_exact(shape, s, x, n),
+            chain_truncated_exact(shape, s, x, n),
+            truncated_schur_via_paths(shape, n, s, x, "H"),
+        ) == (Fraction(value),) * 3
 
 
 class TestRimTypes:
