@@ -24,6 +24,7 @@ cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -112,6 +113,15 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
+def cpow(base: float, s: complex) -> complex:
+    """base ** s for base > 0.  For an integer-valued s CPython multiplies
+    repeatedly, so an intermediate power can overflow and turn a result that
+    fits in a float into NaN; such a result is recomputed as exp(s log base).
+    """
+    p = base**s
+    return p if cmath.isfinite(p) else cmath.exp(s * math.log(base))
+
+
 def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
     """Euler-Maclaurin value of c * sum_{k >= 0} (base + k)^(-s), Re s > 1,
     with a bound on its error:
@@ -120,7 +130,7 @@ def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
         |R| <= (1/12) int_a^inf |f''|.
     """
     sigma = s.real
-    value = c * (base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s))
+    value = c * (cpow(base, 1.0 - s) / (s - 1.0) + 0.5 * cpow(base, -s))
     err = (
         abs(c) * abs(s * (s + 1.0)) * base ** (-sigma - 1.0) / (12.0 * (sigma + 1.0))
     )

@@ -9,13 +9,15 @@ Variants: ``zeta_bullet`` starts the first d variables at 0 and omits each
 factor whose index block is entirely zero (the primed-sum rule, applied to
 factors, as literally stated); ``zeta_H`` adds a positive shift x inside
 every factor; ``zeta_bullet_H`` combines both but keeps all factors (x > 0
-prevents singular terms).
+prevents singular terms).  So the primed rule holds exactly when x == 0.
 
 Evaluation is a direct nested sum (no reindexing to Euler-Zagier chains, so
 the reduction identities remain genuine cross-checks against the chain
-evaluator).  The innermost variable is summed analytically via a
-precomputed reverse-cumulative tail table whenever it appears in exactly
-one factor with nonzero exponent — in particular for all reduced (6.5)/(6.6)
+evaluator).  The innermost summed level is one numpy vector that reads each
+of its factors from one power table per root factor, built once per call.
+The last variable is summed analytically, from the reverse cumulative sum
+of its factor's table, whenever it appears in exactly one factor with
+nonzero exponent — in particular for all reduced (6.5)/(6.6)
 configurations — and the remaining truncation tails are certified with
 integral bounds that accumulate the decay of inner levels.
 """
@@ -34,6 +36,7 @@ from .ezzeta import (
     Approx,
     DEFAULT_CONFIG,
     EvalConfig,
+    cpow,
     em_tail,
     ez_zeta,
     ez_zeta_star_star,
@@ -113,137 +116,84 @@ def _check_domain(e: RootExponents) -> None:
         )
 
 
-def _tail_table(
-    s: complex, x: float, top: int, first: int
-) -> tuple[np.ndarray, float]:
-    """T[v] = sum_{u >= v} (x + u)^(-s) for first <= v <= top, via a reverse
-    cumulative sum capped with an Euler-Maclaurin tail; returns (table,
-    per-entry error bound).  Entries below ``first`` are unused (zero)."""
-    a = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, complex(s))
-    a[:first] = 0.0
-    # Analytic remainder beyond the table.
-    em, em_err = em_tail(1.0, complex(s), top + 1 + x)
-    table = np.cumsum(a[::-1])[::-1] + em
-    return table, float(em_err)
+def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
+    """Shared core: the first d variables start at 0, the rest at 1.
 
+    With x == 0 the primed rule applies: a factor whose base is 0 (possible
+    only on a block of zero-started variables) is omitted, i.e. counts as 1.
 
-def _eval_nested(
-    e: RootExponents,
-    x: float,
-    d: int,
-    primed: bool,
-    cfg: EvalConfig,
-) -> Approx:
-    """Shared core: first d variables start at 0, the rest at 1."""
+    The variables 1..v-1 run as Python loops carrying the partial sums
+    m_i + ... + m_{l-1}, and variable v runs as one numpy vector that
+    multiplies slices of a table (x + k)^(-s(i, v+1)), k = 0..(v+1-i)*M,
+    built once per factor.  When the last variable r appears only in the
+    factor (1, r+1), v = r - 1 and the sum over it is read from the reverse
+    cumulative sum of the (1, r+1) table capped with ``em_tail``.
+    """
     r = e.r
     if r == 0:
         return APPROX_ONE
     if r > MAX_DEPTH:
         raise UsageError(f"depth {r} exceeds the supported maximum {MAX_DEPTH}")
-    if d > 0 and x <= 0 and not primed:
-        raise DomainError("zero-started variables need x > 0 or the primed rule")
     _check_domain(e)
 
     m = cfg.cutoff
     starts = [0 if i <= d else 1 for i in range(1, r + 1)]
-    # The innermost variable can be summed in closed (tabulated) form when
-    # it appears in exactly one factor with a nonzero exponent.
     analytic_last = all(e.s[(i, r + 1)] == 0 for i in range(2, r + 1))
-    s_last = e.s[(1, r + 1)]
+    vec = r - 1 if analytic_last else r
 
-    def factor_array(
-        i: int, j: int, offsets: np.ndarray, int_offsets: np.ndarray
-    ) -> np.ndarray:
-        """(x + offset)^(-s(i,j)) with the primed replacement where the
-        integer part of the offset vanishes."""
-        s_ij = e.s[(i, j)]
-        if s_ij == 0:
-            return np.ones_like(offsets, dtype=np.complex128)
-        # Zero bases come out as 0; outside the primed rule they are always
-        # masked by a zero weight (genuine unshifted zero terms are rejected
-        # up front).
-        out = neg_power(offsets + x, s_ij)
-        if primed and j <= d + 1:
-            out[int_offsets == 0] = 1.0
-        return out
+    def power_table(i: int, j: int, top: int) -> np.ndarray:
+        table = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, e.s[(i, j)])
+        if x == 0 and j <= d + 1:
+            table[0] = 1.0  # primed: the zero-base factor is omitted
+        return table
 
-    if analytic_last and r >= 1:
-        top = (r - 1) * m + m + 1
-        table, em_err = _tail_table(s_last, x, top, first=1)
-        # Entry for a query index 0 (possible only when the last variable
-        # starts at 0): with the primed rule the zero term contributes an
-        # omitted factor (i.e. 1); with x > 0 it is a genuine term.
+    em_err = 0.0
+    if analytic_last:
+        s_last = e.s[(1, r + 1)]
+        top = r * m + 1
+        tail = np.cumsum(power_table(1, r + 1, top)[::-1])[::-1]
+        em, em_err = em_tail(1.0, s_last, top + 1 + x)
+        tail += em
+        # A zero-started last variable reads index 0 only when every
+        # variable is 0: the omitted factor (primed) or x^(-s) (shifted).
         if starts[-1] == 0:
-            if primed:
-                zero_entry = 1.0 + table[1]
-            else:
-                zero_entry = (x ** (-complex(s_last))) + table[1]
-            table = table.copy()
-            table[0] = zero_entry
-    else:
-        table, em_err = None, 0.0
-
-    if analytic_last and r == 1:
-        return Approx(complex(table[starts[0]]), em_err)
+            tail[0] = (1.0 if x == 0 else cpow(x, -s_last)) + tail[1]
+        if r == 1:
+            return Approx(complex(tail[starts[0]]), em_err)
+    tables = {
+        i: power_table(i, vec + 1, (vec + 1 - i) * m)
+        for i in range(1, vec + 1)
+        if e.s[(i, vec + 1)] != 0
+    }
 
     total = 0.0 + 0.0j
-    em_weight = 0.0  # accumulated |weights| multiplying table entries
+    em_weight = 0.0  # sum of |weights| multiplying tail entries
 
-    # Python loops over variables 1..r-2, numpy vector over variable r-1
-    # (or r when there is no analytic last variable).
-    vec_level = r - 1 if (analytic_last and r >= 2) else r
-    loop_levels = list(range(1, vec_level))
-
-    vec_vals = np.arange(0, m + 1, dtype=np.float64)
-    vec_lo = starts[vec_level - 1]
-
-    def vec_contrib(prefix: list[int], weight: complex) -> None:
+    def rec(level: int, sums: list[int], weight: complex) -> None:
+        # sums[i - 1] = m_i + ... + m_{level-1}, the base offset of factor
+        # (i, level + 1) before m_level is added.
         nonlocal total, em_weight
-        # offsets for factors (i, vec_level+1): partial sums m_i..m_vec.
-        pre = [0]
-        for v in prefix:
-            pre.append(pre[-1] + v)
-        w = np.full(m + 1, weight, dtype=np.complex128)
-        w[:vec_lo] = 0.0
-        ints = np.arange(0, m + 1, dtype=np.int64)
-        for i in range(1, vec_level + 1):
-            off_int = ints + (pre[vec_level - 1] - pre[i - 1])
-            w = w * factor_array(
-                i, vec_level + 1, off_int.astype(np.float64), off_int
-            )
-        if vec_level == r:
-            total += complex(w.sum())
+        if level == vec:
+            w = np.full(m + 1, weight, dtype=np.complex128)
+            w[: starts[vec - 1]] = 0.0
+            for i, table in tables.items():
+                w = w * table[sums[i - 1] : sums[i - 1] + m + 1]
+            if analytic_last:
+                q = sums[0] + starts[-1]
+                total += complex(np.sum(w * tail[q : q + m + 1]))
+                em_weight += float(np.sum(np.abs(w)))
+            else:
+                total += complex(w.sum())
             return
-        # analytic last variable: query the tail table at the accumulated
-        # index plus the last variable's start.
-        q = ints + pre[vec_level - 1] + starts[-1]
-        total += complex(np.sum(w * table[q]))
-        em_weight += float(np.sum(np.abs(w)))
-
-    def rec(level: int, prefix: list[int], weight: complex) -> None:
-        if level == vec_level:
-            vec_contrib(prefix, weight)
-            return
-        lo = starts[level - 1]
-        pre = [0]
-        for v in prefix:
-            pre.append(pre[-1] + v)
-        for m_l in range(lo, m + 1):
+        for m_l in range(starts[level - 1], m + 1):
             wl = weight
-            for i in range(1, level + 1):
-                off = pre[level - 1] - pre[i - 1] + m_l
-                s_ij = e.s[(i, level + 1)]
-                if s_ij == 0:
-                    continue
-                if off == 0:
-                    if primed and level + 1 <= d + 1:
-                        continue
-                    if x <= 0:
-                        raise DomainError("singular term: zero base")
-                wl = wl * (off + x) ** (-s_ij)
-            rec(level + 1, prefix + [m_l], wl)
+            for i, c in enumerate(sums, start=1):
+                off, s_ij = c + m_l, e.s[(i, level + 1)]
+                if s_ij != 0 and (off != 0 or x != 0):
+                    wl = wl * cpow(off + x, -s_ij)
+            rec(level + 1, [c + m_l for c in sums] + [0], wl)
 
-    rec(1, [], 1.0 + 0.0j)
+    rec(1, [0], 1.0 + 0.0j)
 
     err = _truncation_bound(e, x, starts, analytic_last, m)
     err += em_weight * em_err
@@ -305,7 +255,7 @@ def _truncation_bound(
 
 def zeta_Ar(e: RootExponents, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     """The type-A_r series with all variables starting at 1."""
-    return _eval_nested(e, 0.0, d=0, primed=True, cfg=cfg)
+    return _eval_nested(e, 0.0, d=0, cfg=cfg)
 
 
 def zeta_bullet(
@@ -314,7 +264,7 @@ def zeta_bullet(
     """First d variables start at 0; zero-block factors are omitted."""
     if not 0 <= d <= e.r:
         raise UsageError(f"d must be in 0..{e.r}")
-    return _eval_nested(e, 0.0, d=d, primed=True, cfg=cfg)
+    return _eval_nested(e, 0.0, d=d, cfg=cfg)
 
 
 def zeta_H(
@@ -323,7 +273,7 @@ def zeta_H(
     """Shifted series: every factor becomes (x + m_i + ... + m_{j-1})^(-s)."""
     if x <= 0:
         raise DomainError("shift x must be positive")
-    return _eval_nested(e, x, d=0, primed=False, cfg=cfg)
+    return _eval_nested(e, x, d=0, cfg=cfg)
 
 
 def zeta_bullet_H(
@@ -335,7 +285,7 @@ def zeta_bullet_H(
         raise DomainError("shift x must be positive")
     if not 0 <= d <= e.r:
         raise UsageError(f"d must be in 0..{e.r}")
-    return _eval_nested(e, x, d=d, primed=False, cfg=cfg)
+    return _eval_nested(e, x, d=d, cfg=cfg)
 
 
 @dataclass(frozen=True)

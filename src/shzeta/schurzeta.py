@@ -33,7 +33,7 @@ from .tableaux import (
     expand_content,
     in_W_lambda,
     int_exponent,
-    ssyt_iter,
+    ssyt_fillings,
 )
 
 
@@ -178,9 +178,9 @@ def schur_truncated_exact(
     """
     table = _inverse_powers(exponents, shifts, max_entry)
     total = Fraction(0)
-    for t in ssyt_iter(shape, max_entry):
+    for filling in ssyt_fillings(shape, max_entry):
         term = Fraction(1)
-        for c, m in t.entries.items():
+        for c, m in filling.items():
             term *= table[c][m]
         total += term
     return total

@@ -82,24 +82,27 @@ def constant_tableau(shape: Shape, value: Any) -> Tableau:
 
 
 def ssyt_iter(shape: Shape, max_entry: int) -> Iterator[Tableau]:
+    """The fillings of ``ssyt_fillings``, each as a validated ``Tableau``."""
+    for filling in ssyt_fillings(shape, max_entry):
+        yield Tableau(shape, filling)
+
+
+def ssyt_fillings(shape: Shape, max_entry: int) -> Iterator[dict[Cell, int]]:
     """All fillings with entries in 1..max_entry, rows weakly increasing
-    left-to-right and columns strictly increasing top-to-bottom.
+    left-to-right and columns strictly increasing top-to-bottom, each as a
+    new dict from cell to entry.
 
     Skew shapes use the same rules on the cells that are present.  Output is
     ordered lexicographically by the row-major reading word.
     """
     if max_entry < 1:
         raise UsageError("max_entry must be >= 1")
-    skew = as_skew(shape)
-    cells = skew.cells()
-    if not cells:
-        yield Tableau(shape, {})
-        return
+    cells = as_skew(shape).cells()
     filled: dict[Cell, int] = {}
 
-    def rec(k: int) -> Iterator[Tableau]:
+    def rec(k: int) -> Iterator[dict[Cell, int]]:
         if k == len(cells):
-            yield Tableau(shape, dict(filled))
+            yield dict(filled)
             return
         i, j = cells[k]
         lo = 1

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from shzeta.cli import BUILTIN_SUITES, main
+from shzeta.ezzeta import hurwitz
 
 
 def run(capsys, *argv):
@@ -370,3 +371,31 @@ def test_non_finite_and_bool_numbers_exit_2(capsys, tmp_path, manifest, argv):
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["hurwitz", "eval", "manifest-depth1", "manifest-depth3"])
+def test_huge_shift_gives_finite_value_within_bound(capsys, tmp_path, case):
+    # For an integer exponent Python's complex ** multiplies repeatedly, so
+    # (1e160)^-2 once overflowed to NaN in an intermediate power although it
+    # fits in a float.  Rounding is not yet in the bounds: 1e-12 relative.
+    mpmath = pytest.importorskip("mpmath")
+    if case.startswith("manifest"):
+        z = [2] if case == "manifest-depth1" else [2, 2, 3]
+        f = tmp_path / "m.jsonl"
+        f.write_text(json.dumps({"identity_id": "root_reductions", "z": z, "m": 1e160}) + "\n")
+        code, out, err = run(capsys, "check", "--manifest", str(f))
+        (rec,) = json_lines(out)
+        assert code == 0 and rec["pass"], err
+        assert rec["discrepancy"] <= rec["budget"]
+        return
+    if case == "hurwitz":
+        a = hurwitz(2, 1e160)
+        value, bound, ref = a.value, a.err_bound, mpmath.zeta(2, 1e160)
+    else:
+        code, out, _ = run(capsys, "eval", "--shape", "1", "--z", "0=4", "--y", "0=1e80")
+        assert code == 0
+        (rec,) = json_lines(out)
+        value, bound = complex(rec["value_re"], rec["value_im"]), rec["err_bound"]
+        # sum_{m >= 1} (m + 1e80)^-4; the m = 0 term is 1e-320 of it.
+        ref = mpmath.zeta(4, 1e80)
+    assert abs(value - complex(ref)) <= bound + 1e-12 * abs(ref)

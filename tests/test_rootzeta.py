@@ -78,9 +78,12 @@ class TestValues:
 
 
 # Bounds of _truncation_bound's one-variable majorants, pinned at rel 1e-12
-# (depth 2 at cutoff 200, depth 3 at cutoff 60).
+# (depth 2 at cutoff 200, depth 3 at cutoff 60, depth 4 at cutoff 20).
 DEPTH2 = RootExponents.from_flat(2, [2.5, 2, 3])
 DEPTH3 = RootExponents.from_flat(3, [2, 2.5, 3, 2, 2, 3])
+# A last variable in four factors, so it is summed under three loop levels.
+DEPTH4 = RootExponents.from_flat(4, [2.5, 2, 3, 2, 2, 3, 2, 2.5, 3, 2])
+COMPLEX_CHAIN = RootExponents.chain([2 + 0.5j, 3 - 1j, 2.5])
 PINNED_ROOT_BOUNDS = [
     ("Ar-2", lambda c: zeta_Ar(DEPTH2, c), 200, 0.14602734659913627, 1.6772389813204347e-05),
     ("Ar-3", lambda c: zeta_Ar(DEPTH3, c), 60, 0.0025467415582302137, 0.00037971640814728484),
@@ -92,6 +95,15 @@ PINNED_ROOT_BOUNDS = [
      0.00031082466896422827),
     ("bullet_H-3", lambda c: zeta_bullet_H(DEPTH3, 2, 0.5, c), 60, 3.6079438746694636,
      0.605590949496758),
+    # Every variable zero-started: the primed rule omits the zero-base factors.
+    ("bullet-2-all", lambda c: zeta_bullet(DEPTH2, 2, c), 200, 3.208159681532789,
+     2.927238981320435e-05),
+    ("bullet_H-3-all", lambda c: zeta_bullet_H(DEPTH3, 3, 0.5, c), 60, 23185.700622636785,
+     0.6055909494967578),
+    ("Ar-4", lambda c: zeta_Ar(DEPTH4, c), 20, 1.2393576850876606e-06, 0.14919924528077994),
+    ("H-4", lambda c: zeta_H(DEPTH4, 0.5, c), 20, 2.012724393597508e-09, 0.01612239939188147),
+    ("H-3-complex", lambda c: zeta_H(COMPLEX_CHAIN, 0.7, c), 200,
+     0.0020403172089389124 + 0.0025314970850703698j, 2.4956518604458683e-09),
 ]
 
 
