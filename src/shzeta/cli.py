@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import identities
 from .errors import DomainError, UsageError
@@ -396,6 +396,8 @@ def cmd_paths(args: argparse.Namespace) -> int:
     shape = parse_partition(args.shape)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.max_render < 0:
+        raise UsageError(f"--max-render must be >= 0, got {args.max_render}")
     total = count_patterns(shape, args.n, args.kind)
     by_type: dict[str, int] = {}
     nonintersecting = 0
@@ -441,8 +443,17 @@ def cmd_paths(args: argparse.Namespace) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad invocation in one line, exit 2, like other malformed
+    input; subparsers are built with the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"usage error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shzeta",
         description="Evaluate Schur-Hurwitz multiple zeta series and "
         "verify their determinant/expansion identities.",

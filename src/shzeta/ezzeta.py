@@ -117,9 +117,13 @@ def cpow(base: float, s: complex) -> complex:
     """base ** s for base > 0.  For an integer-valued s CPython multiplies
     repeatedly, so an intermediate power can overflow and turn a result that
     fits in a float into NaN; such a result is recomputed as exp(s log base).
+    A power that does not fit in a float raises DomainError.
     """
-    p = base**s
-    return p if cmath.isfinite(p) else cmath.exp(s * math.log(base))
+    try:
+        p = base**s
+        return p if cmath.isfinite(p) else cmath.exp(s * math.log(base))
+    except (OverflowError, ZeroDivisionError):  # 1 / base^-s underflowed to 0
+        raise DomainError(f"{base!r} ** {s!r} overflows the double range") from None
 
 
 def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
@@ -213,7 +217,8 @@ def eval_layers(
     arrs: dict[bool, list[np.ndarray]] = {False: [], True: []}  # True: |.|
     hbar, carry = [1.0], [0.0]  # of the empty ideal
     prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
-    with np.errstate(over="ignore"):  # see powers()
+    # See powers(); any other overflow leaves the total non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(layers):
             for absolute in (False, True) if i < carry_layer else (False,):
                 cums = arrs[absolute]  # only two layers of arrays are alive
@@ -237,18 +242,20 @@ def eval_layers(
             if i < carry_layer:
                 hbar = [float(a.sum()) + t for a, t in zip(arrs[True], carry)]
 
-    total, err = 0j, 0.0
-    for k, (d, preds) in enumerate(layers[-1]):
-        total += complex(arrs[False][k].sum())
-        if n_eps:
-            err += _boundary_tail(layers, k, n_eps, sigmas, y, m, first_min)
-            continue
-        # Freeze the inner prefix at the cutoff and treat the outer tail as
-        # C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
-        em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
-        frozen_residual = sum(carry[p] for p, _ in preds) * tails[d]
-        total += em_value
-        err += em_remainder + frozen_residual
+        total, err = 0j, 0.0
+        for k, (d, preds) in enumerate(layers[-1]):
+            total += complex(arrs[False][k].sum())
+            if n_eps:
+                err += _boundary_tail(layers, k, n_eps, sigmas, y, m, first_min)
+                continue
+            # Freeze the inner prefix at the cutoff and treat the outer tail as
+            # C * sum_{n > M} (n + y_d)^(-s_d), corrected by Euler-Maclaurin.
+            em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
+            frozen_residual = sum(carry[p] for p, _ in preds) * tails[d]
+            total += em_value
+            err += em_remainder + frozen_residual
+    if not cmath.isfinite(total):
+        raise DomainError(f"the sum overflows the double range (least shift {min(y)})")
     return Approx(total, err)
 
 

@@ -5,10 +5,11 @@ H-patterns are tuples of right/up paths, one per row of the shape, from
 E-patterns use northeast/up steps, one path per column of the shape, ending
 on row N+1.  The permutation sigma realized by the endpoints is the pattern's
 type.  Path weights are assigned through the rim decomposition whose type
-matches: the k-th horizontal (resp. northeast) edge of path i, sitting on
-row j, contributes 1/(j + x_pq)^(s_pq) where (p, q) is the k-th cell of
-ribbon theta_i walked from its anchor.  So a pattern's weight is the
-product of its path weights, and one call weighs each (walk, path) pair once.
+matches (``rim_for_type``): the k-th horizontal (resp. northeast) edge of
+path i, sitting on row j, contributes 1/(j + x_pq)^(s_pq) where (p, q) is
+the k-th cell of that decomposition's walk i, ribbon i in the order its
+builder added the cells.  So a pattern's weight is the product of its path
+weights, and one call weighs each (walk, path) pair once.
 
 Everything here is exact (``fractions.Fraction``) for integer exponents and
 rational shifts, so the cancellation lemma and the truncated-series identity
@@ -110,44 +111,42 @@ def _endpoints(shape: Partition, n: int, kind: str) -> tuple[list[Point], list[P
     return starts, ends
 
 
-def _paths_between(start: Point, end: Point, kind: str) -> Iterator[LatticePath]:
+def _steps(start: Point, end: Point, kind: str) -> tuple[int, int] | None:
+    """(steps, weighted steps) of every path from start to end, or None if
+    there is none.  An H path takes dx right steps among dx + dy; an E path
+    rises one row per step, dx of its dy steps northeast."""
     dx = end[0] - start[0]
     dy = end[1] - start[1]
     if kind == "H":
-        if dx < 0 or dy < 0:
-            return
-        for positions in itertools.combinations(range(dx + dy), dx):
-            steps = ["U"] * (dx + dy)
-            for p in positions:
-                steps[p] = "R"
-            yield LatticePath(start, tuple(steps))
-    else:
-        # NE steps each rise one row; dx of them among dy total rises.
-        if dx < 0 or dy < dx:
-            return
-        for positions in itertools.combinations(range(dy), dx):
-            steps = ["U"] * dy
-            for p in positions:
-                steps[p] = "NE"
-            yield LatticePath(start, tuple(steps))
+        return (dx + dy, dx) if dx >= 0 and dy >= 0 else None
+    return (dy, dx) if 0 <= dx <= dy else None
+
+
+def _paths_between(start: Point, end: Point, kind: str) -> Iterator[LatticePath]:
+    counts = _steps(start, end, kind)
+    if counts is None:
+        return
+    total, weighted = counts
+    letter = "R" if kind == "H" else "NE"
+    for positions in itertools.combinations(range(total), weighted):
+        steps = ["U"] * total
+        for p in positions:
+            steps[p] = letter
+        yield LatticePath(start, tuple(steps))
 
 
 def count_patterns(shape: Partition, n: int, kind: str) -> int:
     starts, ends = _endpoints(shape, n, kind)
-    t = len(starts)
     total = 0
-    for sigma in itertools.permutations(range(t)):
-        prod = 1
-        for i in range(t):
-            dx = ends[sigma[i]][0] - starts[i][0]
-            dy = ends[sigma[i]][1] - starts[i][1]
-            if kind == "H":
-                prod *= comb(dx + dy, dx) if dx >= 0 else 0
-            else:
-                prod *= comb(dy, dx) if 0 <= dx <= dy else 0
-            if prod == 0:
+    for perm in itertools.permutations(ends):
+        ways = 1
+        for a, b in zip(starts, perm):
+            counts = _steps(a, b, kind)
+            if counts is None:
                 break
-        total += prod
+            ways *= comb(*counts)
+        else:
+            total += ways
     return total
 
 
@@ -183,81 +182,22 @@ def nonintersecting_patterns(
 # Rim decompositions <-> types
 
 
-def rim_type(decomp: RimDecomposition) -> tuple[int, ...]:
-    """The permutation tau(Theta): sigma(i) is the row (H) or column (E)
-    whose staircase offset matches ribbon i's size."""
-    shape = decomp.shape
-    ref = shape if decomp.kind == "H" else shape.conjugate()
-    t = decomp.slots
-    sigma = []
-    for i in range(1, t + 1):
-        size = len(decomp.ribbon(i))
-        matches = [
-            j for j in range(1, t + 1) if ref.part(j) - j == size - i
-        ]
-        if len(matches) != 1:
-            raise UsageError("rim decomposition has no well-defined type")
-        sigma.append(matches[0])
-    return tuple(sigma)
-
-
 @lru_cache(maxsize=None)
 def _decomps_by_type(
     shape: Partition, kind: str
-) -> dict[tuple[int, ...], list[RimDecomposition]]:
-    decomps = (
-        h_rim_decompositions(shape) if kind == "H" else e_rim_decompositions(shape)
-    )
-    by_type: dict[tuple[int, ...], list[RimDecomposition]] = {}
-    for d in decomps:
-        by_type.setdefault(rim_type(d), []).append(d)
-    return by_type
+) -> dict[tuple[int, ...], RimDecomposition]:
+    build = h_rim_decompositions if kind == "H" else e_rim_decompositions
+    return {d.type: d for d in build(shape)}
 
 
 def rim_for_type(
     shape: Partition, sigma: tuple[int, ...], kind: str
 ) -> RimDecomposition:
-    """The unique rim decomposition of the given kind whose type is sigma."""
-    found = _decomps_by_type(shape, kind).get(tuple(sigma), [])
-    if len(found) != 1:
-        raise UsageError(
-            f"expected exactly one {kind}-rim decomposition of type {sigma}, "
-            f"found {len(found)}"
-        )
-    return found[0]
-
-
-def ribbon_walk(cells: frozenset[Cell], kind: str) -> tuple[Cell, ...]:
-    """Order a ribbon's cells from its anchor.
-
-    H-ribbons are walked with up/right steps from their lowest-leftmost end;
-    E-ribbons with down/left steps from their highest-rightmost end.
-    """
-    if not cells:
-        return ()
-    if kind == "H":
-        start = max(cells, key=lambda c: (c[0], -c[1]))
-        moves = lambda p, q: ((p - 1, q), (p, q + 1))
-    else:
-        start = min(cells, key=lambda c: (c[0], -c[1]))
-        moves = lambda p, q: ((p + 1, q), (p, q - 1))
-    walk = [start]
-    seen = {start}
-    while len(walk) < len(cells):
-        nxt = [c for c in moves(*walk[-1]) if c in cells and c not in seen]
-        if len(nxt) != 1:
-            raise UsageError("cell set is not a ribbon")
-        walk.append(nxt[0])
-        seen.add(nxt[0])
-    return tuple(walk)
-
-
-@lru_cache(maxsize=None)
-def _ribbon_walks(shape: Partition, sigma: tuple[int, ...], kind: str) -> tuple:
-    """The ribbon walks of ``rim_for_type(shape, sigma, kind)`` in path order;
-    one entry per type of the shape, as in ``_decomps_by_type``."""
-    d = rim_for_type(shape, sigma, kind)
-    return tuple(ribbon_walk(d.ribbon(i), kind) for i in range(1, d.slots + 1))
+    """The rim decomposition of the given kind whose type is sigma."""
+    found = _decomps_by_type(shape, kind).get(tuple(sigma))
+    if found is None:
+        raise UsageError(f"{sigma} is not the type of a {kind}-rim decomposition")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +224,7 @@ def _pattern_weigher(s: Tableau, x: Tableau) -> Callable[[Pattern], Fraction]:
         return w
 
     def weigh(pat: Pattern) -> Fraction:
-        walks = _ribbon_walks(pat.shape, pat.type, pat.kind)
+        walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
         weight = None
         for i, key in enumerate(zip(walks, pat.paths), start=1):
             w = memo.get(key)

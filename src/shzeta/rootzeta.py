@@ -24,6 +24,7 @@ integral bounds that accumulate the decay of inner levels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -142,8 +143,11 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
     vec = r - 1 if analytic_last else r
 
     def power_table(i: int, j: int, top: int) -> np.ndarray:
-        table = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, e.s[(i, j)])
-        if x == 0 and j <= d + 1:
+        with np.errstate(over="ignore"):  # x^(-s) at k = 0 for a tiny x
+            table = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, e.s[(i, j)])
+        if j > d + 1:
+            table[0] = 0.0  # only meets a masked 0: variable j - 1 starts at 1
+        elif x == 0:
             table[0] = 1.0  # primed: the zero-base factor is omitted
         return table
 
@@ -193,7 +197,11 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
                     wl = wl * cpow(off + x, -s_ij)
             rec(level + 1, [c + m_l for c in sums] + [0], wl)
 
-    rec(1, [0], 1.0 + 0.0j)
+    # An overflow (a tiny x on a zero-started block) leaves total non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec(1, [0], 1.0 + 0.0j)
+    if not cmath.isfinite(total):
+        raise DomainError(f"the sum overflows the double range (shift {x})")
 
     err = _truncation_bound(e, x, starts, analytic_last, m)
     err += em_weight * em_err

@@ -172,10 +172,9 @@ def hook(p: int, q: int) -> Partition:
 class SkewShape:
     """Set difference ``outer / inner`` of two nested Young diagrams.
 
-    Normalized so two representations of the same cell set compare equal:
-    trailing zero rows are trimmed and empty leading rows dropped is NOT
-    done (leading rows where inner == outer are kept as empty rows only if
-    a later row is nonempty; fully empty shapes normalize to ``0/0``).
+    The only normalization is that ``Partition`` drops zero parts and a
+    shape with no cells becomes ``0/0``.  So equal cell sets may compare
+    unequal: ``3,2/3`` and ``4,2/4`` both hold the two cells of row 2.
     """
 
     outer: Partition
@@ -190,8 +189,6 @@ class SkewShape:
         for i in range(1, inner.rows + 1):
             if inner.part(i) > outer.part(i):
                 raise ValueError(f"inner {inner} not contained in outer {outer}")
-        # Normalize: drop rows (from the bottom) where outer == inner == 0 is
-        # automatic; additionally a fully-empty shape becomes 0/0.
         if outer.size == inner.size:
             outer, inner = Partition(), Partition()
         object.__setattr__(self, "outer", outer)
@@ -302,40 +299,24 @@ def hash_transpose(s: "SkewShape | Partition") -> HashTranspose:
 class RimDecomposition:
     """An ordered peeling of a partition into ribbons (some possibly empty).
 
-    ``assignment`` maps each cell to a ribbon index in 1..t; H-kind ribbons
-    start on column 1 of their own row, E-kind on row 1 of their own column.
+    ``walks[k-1]`` lists ribbon k's cells in the order they were added: an
+    H ribbon runs from its anchor (k, 1) with up/right steps, an E ribbon
+    from (1, k) with down/left steps.  ``type`` is the permutation sigma with
+    ribbon k of ref_sigma(k) - sigma(k) + k cells, ref being the shape (H)
+    or its conjugate (E).
     """
 
     shape: Partition
-    assignment: Mapping[Cell, int]
     kind: str  # "H" or "E"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("H", "E"):
-            raise ValueError("kind must be 'H' or 'E'")
-        object.__setattr__(self, "assignment", dict(self.assignment))
+    type: tuple[int, ...]
+    walks: tuple[tuple[Cell, ...], ...]
 
     @property
     def slots(self) -> int:
-        return self.shape.rows if self.kind == "H" else self.shape.part(1)
-
-    def ribbon(self, k: int) -> frozenset[Cell]:
-        return frozenset(c for c, v in self.assignment.items() if v == k)
+        return len(self.walks)
 
     def ribbons(self) -> list[frozenset[Cell]]:
-        return [self.ribbon(k) for k in range(1, self.slots + 1)]
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.kind, tuple(sorted(self.assignment.items()))))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RimDecomposition):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.kind == other.kind
-            and self.assignment == other.assignment
-        )
+        return [frozenset(walk) for walk in self.walks]
 
 
 def _rim_decompositions(shape: Partition, kind: str) -> list[RimDecomposition]:
@@ -349,13 +330,14 @@ def _rim_decompositions(shape: Partition, kind: str) -> list[RimDecomposition]:
     lambda_r - r + k cells, r = sigma(k).  That ribbon is forced: walking
     from its anchor, it must go up while the cell above is free (otherwise
     mu^(k) would not be a partition) and go right otherwise.  So each type
-    yields at most one decomposition, built directly.  E-decompositions are
-    the transposes of the H-decompositions of the conjugate.
+    yields at most one decomposition, built directly, and the walk is kept
+    in that order.  E-decompositions are the transposes of the
+    H-decompositions of the conjugate.
     """
     if kind == "E":
         return [
             RimDecomposition(
-                shape, {(j, i): v for (i, j), v in d.assignment.items()}, "E"
+                shape, "E", d.type, tuple(tuple((j, i) for i, j in w) for w in d.walks)
             )
             for d in _rim_decompositions(shape.conjugate(), "H")
         ]
@@ -363,14 +345,14 @@ def _rim_decompositions(shape: Partition, kind: str) -> list[RimDecomposition]:
     results: list[RimDecomposition] = []
 
     def extend(
-        k: int, used: set[int], current: set[Cell], assignment: dict[Cell, int]
+        k: int, sigma: tuple[int, ...], current: set[Cell], walks: tuple
     ) -> None:
         if k > t:
-            results.append(RimDecomposition(shape, assignment, kind))
+            results.append(RimDecomposition(shape, kind, sigma, walks))
             return
         for r in range(1, t + 1):
             size = shape.part(r) - r + k
-            if r in used or size < 0:
+            if r in sigma or size < 0:
                 continue
             ribbon: list[Cell] = []
             cell = (k, 1)
@@ -387,11 +369,9 @@ def _rim_decompositions(shape: Partition, kind: str) -> list[RimDecomposition]:
                 (i == 1 or (i - 1, j) in union) and (j == 1 or (i, j - 1) in union)
                 for (i, j) in ribbon
             ):
-                extend(
-                    k + 1, used | {r}, union, {**assignment, **dict.fromkeys(ribbon, k)}
-                )
+                extend(k + 1, sigma + (r,), union, walks + (tuple(ribbon),))
 
-    extend(1, set(), set(), {})
+    extend(1, (), set(), ())
     return results
 
 

@@ -167,16 +167,28 @@ class TestPaths:
 
 class TestUsage:
     # argparse reports bad invocations through SystemExit(2), which the
-    # console entry point passes through unchanged.
-    def test_no_subcommand(self, capsys):
+    # console entry point passes through unchanged, in one stderr line.
+    def exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([])
+            main(argv)
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("usage error: ")
+
+    def test_no_subcommand(self, capsys):
+        self.exits_2(capsys, [])
 
     def test_unknown_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--bogus"])
-        assert exc.value.code == 2
+        self.exits_2(capsys, ["eval", "--bogus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--shape", "2,1", "--n", "x"],
+        ["eval", "--cutoff", "x"],
+    ], ids=["paths-n-x", "eval-cutoff-x"])
+    def test_bad_flag_value(self, capsys, argv):
+        self.exits_2(capsys, argv)
 
 
 class TestRegistry:
@@ -242,6 +254,7 @@ class TestRegistry:
         ["eval", "--tableau-file", "{no_s}"],
         ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "0"],
         ["paths", "--shape", "2,1", "--n", "0"],
+        ["paths", "--shape", "2,1", "--n", "2", "--max-render", "-1", "--render"],
         ["check", "--manifest", "{missing}"],
         ["check", "--manifest", "{spec_z_list}"],
         ["check", "--manifest", "{spec_5}"],
@@ -251,7 +264,8 @@ class TestRegistry:
         ["eval", "--tableau-file", "{x_7}"],
     ],
     ids=["bad-part", "increasing-parts", "missing-tableau-file",
-         "tableau-without-s", "cutoff-0", "paths-n-0", "missing-manifest",
+         "tableau-without-s", "cutoff-0", "paths-n-0", "paths-max-render-negative",
+         "missing-manifest",
          "spec-z-list", "spec-number", "cfg-number", "root-z-number",
          "tableau-s-number", "tableau-x-number"],
 )
@@ -371,6 +385,17 @@ def test_non_finite_and_bool_numbers_exit_2(capsys, tmp_path, manifest, argv):
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_tiny_shift_overflow_exits_3(capsys, tmp_path):
+    # With every variable 0 the term is (1e-200)^-2 (1e-200)^-3, beyond the
+    # double range; the complex power once raised ZeroDivisionError.
+    f = tmp_path / "m.jsonl"
+    f.write_text(json.dumps({"identity_id": "root_reductions", "z": [2, 3], "m": 1e-200}) + "\n")
+    code, out, err = run(capsys, "check", "--manifest", str(f))
+    assert code == 3
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "overflows" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", ["hurwitz", "eval", "manifest-depth1", "manifest-depth3"])

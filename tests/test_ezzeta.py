@@ -218,6 +218,17 @@ def test_depth_one_bound_honest_random(s, cutoff):
     assert _m.isfinite(a.err_bound)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hurwitz(2, 1e-160),
+    lambda: ez_zeta_star_star([2, 3], [1e-200, 0.5]),
+], ids=["hurwitz", "star-star"])
+def test_tiny_zero_started_shift_is_a_domain_error(call):
+    # The m = 0 term (1e-160)^-2 or (1e-200)^-2 exceeds the double range;
+    # the sums once came back as inf and inf+nanj.
+    with pytest.raises(DomainError, match="overflows"):
+        call()
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         ez_zeta([2, 3], [0.1])  # mismatched shift length

@@ -16,9 +16,7 @@ from shzeta.lgv import (
     nonintersecting_patterns,
     pattern_weight,
     render_pattern,
-    ribbon_walk,
     rim_for_type,
-    rim_type,
     tail_swap,
     truncated_schur_via_paths,
     verify_cancellation,
@@ -51,12 +49,11 @@ def diag_data(shape):
 def edge_weight_oracle(pat, s, x):
     """The module docstring's weight, edge by edge: the k-th horizontal
     (H) or northeast (E) edge of path i, on row j, gives 1/(j + x_c)^s_c
-    for the k-th cell c of ribbon i walked from its anchor."""
+    for the k-th cell c of walk i of the decomposition of the pattern's type."""
     decomp = rim_for_type(pat.shape, pat.type, pat.kind)
     letter = "R" if pat.kind == "H" else "NE"
     weight = Fraction(1)
-    for i, path in enumerate(pat.paths, start=1):
-        walk = ribbon_walk(decomp.ribbon(i), pat.kind)
+    for path, walk in zip(pat.paths, decomp.walks, strict=True):
         rows, row = [], path.start[1]
         for step in path.steps:
             if step == letter:
@@ -262,7 +259,7 @@ class TestPinnedValues:
 class TestRimTypes:
     def test_h_types_distinct_for_4332(self):
         decomps = h_rim_decompositions(Partition((4, 3, 3, 2)))
-        types = [rim_type(d) for d in decomps]
+        types = [d.type for d in decomps]
         assert len(types) == len(set(types)) == 18
 
     def test_round_trip_through_type(self):
@@ -272,14 +269,19 @@ class TestRimTypes:
             ("E", e_rim_decompositions(shape)),
         ):
             for d in decomps:
-                assert rim_for_type(shape, rim_type(d), kind) == d
+                assert rim_for_type(shape, d.type, kind) == d
+
+    def test_unknown_type_is_a_usage_error(self):
+        # 3,2 has conjugate 2,2,1: sigma(1) = 3 would give ribbon 1 of
+        # 1 - 3 + 1 < 0 cells.
+        with pytest.raises(UsageError):
+            rim_for_type(Partition((3, 2)), (3, 2, 1), "E")
 
     def test_ribbon_walk_visits_every_cell_once(self):
-        for d in h_rim_decompositions(Partition((3, 2))):
-            for ribbon in d.ribbons():
-                walk = ribbon_walk(ribbon, "H")
-                assert len(walk) == len(ribbon)
-                assert set(walk) == set(ribbon)
+        shape = Partition((3, 2))
+        for d in h_rim_decompositions(shape) + e_rim_decompositions(shape):
+            cells = [c for walk in d.walks for c in walk]
+            assert sorted(cells) == sorted(shape.cells())
 
 
 class TestRendering:

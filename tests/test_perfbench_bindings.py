@@ -1,0 +1,55 @@
+"""The names the benchmark harness binds in the package still exist.
+
+``perfbench/spans.py`` replaces package functions by module and attribute
+name, and its counters read some of their parameters by position or name;
+``perfbench/workloads.py`` imports package functions.  Both files are loaded
+here as they are, so a rename fails this test instead of a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+from shzeta import ezzeta, identities, rootzeta
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    for modname, attr, is_gen, _ in load("spans").TARGETS:
+        fn = getattr(importlib.import_module(f"shzeta.{modname}"), attr)
+        assert inspect.isgeneratorfunction(fn) == is_gen, (modname, attr)
+
+
+def test_counted_parameters_exist():
+    # _count_eval_chain reads s = args[0] and cfg = args[3] or by name,
+    # _count_determinant entries = args[0] or by name, and
+    # _count_eval_nested binds e, d and cfg by name.
+    chain = list(inspect.signature(ezzeta.eval_chain).parameters)
+    assert chain[0] == "s" and chain[3] == "cfg"
+    assert list(inspect.signature(identities.determinant).parameters)[0] == "entries"
+    assert {"e", "d", "cfg"} <= set(inspect.signature(rootzeta._eval_nested).parameters)
+
+    spans = load("spans")
+    counts = defaultdict(float)
+    cfg = ezzeta.EvalConfig(cutoff=10)
+    spans._count_eval_chain(ezzeta.eval_chain)(counts, ((2, 3), (0, 0), (True,), cfg), {}, None)
+    e = rootzeta.RootExponents.from_flat(3, [2] * 6)
+    spans._count_eval_nested(rootzeta._eval_nested)(counts, (e, 0.0, 0, cfg), {}, None)
+    assert counts["ezzeta.dp_cells"] == 2 * 11
+    assert counts["rootzeta.loop_iters"] == 10 * 10
+
+
+def test_workloads_import_and_warm_up():
+    load("workloads").exact_warm_up()

@@ -147,6 +147,12 @@ class TestDomain:
         with pytest.raises(DomainError):
             zeta_Ar(e)
 
+    def test_tiny_shift_on_one_started_variables(self):
+        # Every base is at least 1 + 1e-200, which rounds to 1, so the value
+        # is zeta_Ar's; a never-read (1e-200)^-s table entry once made it NaN.
+        e, cfg = RootExponents.chain([2, 3]), EvalConfig(cutoff=200)
+        assert zeta_H(e, 1e-200, cfg) == zeta_Ar(e, cfg)
+
     def test_shift_must_be_positive_for_zero_start(self):
         e = RootExponents.from_flat(1, [2])
         with pytest.raises(DomainError):

@@ -178,7 +178,7 @@ def _partition_of(cells):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rim_decomposition_properties(n):
-    from shzeta.lgv import rim_type
+    from shzeta.lgv import rim_for_type
 
     for parts in _all_partitions(n):
         shape = Partition(parts)
@@ -186,23 +186,31 @@ def test_rim_decomposition_properties(n):
             ("H", h_rim_decompositions(shape)),
             ("E", e_rim_decompositions(shape)),
         ):
-            types = [rim_type(d) for d in decomps]
+            # Ribbon k of type sigma has ref_sigma(k) - sigma(k) + k cells and
+            # is walked from its anchor, (k, 1) up/right for H and (1, k)
+            # down/left for E.
+            ref = shape if kind == "H" else shape.conjugate()
+            steps = {(-1, 0), (0, 1)} if kind == "H" else {(1, 0), (0, -1)}
+            types = [d.type for d in decomps]
             assert len(set(types)) == len(types) >= 1
             for d in decomps:
+                assert rim_for_type(shape, d.type, kind) == d
+                assert d.slots == len(d.type) == ref.rows
+                assert sorted(d.type) == list(range(1, ref.rows + 1))
                 done = set()
-                for k, ribbon in enumerate(d.ribbons(), start=1):
-                    if not ribbon:
+                for k, (r, walk) in enumerate(zip(d.type, d.walks), start=1):
+                    assert len(walk) == ref.part(r) - r + k
+                    if not walk:
                         continue
+                    assert walk[0] == ((k, 1) if kind == "H" else (1, k))
+                    assert {
+                        (b[0] - a[0], b[1] - a[1]) for a, b in zip(walk, walk[1:])
+                    } <= steps
+                    assert done.isdisjoint(walk)
                     before = _partition_of(done)
-                    done |= ribbon
+                    done |= set(walk)
                     after = _partition_of(done)
                     assert SkewShape(after, before).is_ribbon()
-                    # The anchor is the ribbon's initial end: bottom-left
-                    # for H, top-right for E.
-                    if kind == "H":
-                        assert max(ribbon, key=lambda c: (c[0], -c[1])) == (k, 1)
-                    else:
-                        assert min(ribbon, key=lambda c: (c[0], -c[1])) == (1, k)
                 assert done == set(shape.cells())
 
 
