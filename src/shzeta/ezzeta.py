@@ -154,6 +154,17 @@ def chain_layers(strict: tuple[bool, ...]) -> Layers:
     return tuple(((i, ((0, st),)),) for i, st in enumerate((False, *strict)))
 
 
+@lru_cache(maxsize=256)
+def _strict_steps(layers: Layers) -> tuple[int, ...]:
+    """Per cell, the fewest strict steps on a path to a state it ends."""
+    steps, least = [0], {}  # per state of the layer; per cell
+    for layer in layers:
+        steps = [min(steps[p] + st for p, st in preds) for _, preds in layer]
+        for (c, _), n in zip(layer, steps):
+            least[c] = min(n, least.get(c, n))
+    return tuple(least[c] for c in range(len(least)))
+
+
 def _inflow(cums: list[np.ndarray], preds: Sequence[tuple[int, bool]]) -> np.ndarray:
     # h[n] = sum over preds of their partial sums through n (strict: n - 1).
     if len(preds) == 1:
@@ -200,14 +211,15 @@ def eval_layers(
     # Powers are kept only where a cell ends several states (not in a chain).
     shared = sum(map(len, layers)) > len(s)
     cache: dict[tuple[int, bool], np.ndarray] = {}
+    steps = _strict_steps(layers)
 
     def powers(c: int, absolute: bool) -> np.ndarray:
         a = cache.get((c, absolute))
         if a is None:
             a = neg_power(idx + y[c], sigmas[c] if absolute else complex(s[c]))
-            # Entries below first_min may overflow (tiny base) and are zeroed;
-            # below a cell's own minimum its inflow is 0.
-            a[:first_min] = 0.0
+            # Below its least entry a cell's inflow is 0, but a power there may
+            # overflow (tiny base), and 0 * inf is NaN: those entries are zeroed.
+            a[:first_min + steps[c]] = 0.0
             if shared:
                 cache[c, absolute] = a
         return a

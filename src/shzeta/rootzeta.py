@@ -218,10 +218,11 @@ def _truncation_bound(
     """Certified bound on the sum over index tuples with some truncated
     variable exceeding the cutoff.
 
-    Factors with i >= 2 are bounded by their value at the smallest possible
-    base; the chain factors s(1, l+1) (all with real part > 1 under the
-    domain criterion) drive the decay.  Inner levels are integral-bounded
-    with exponents accumulated outward:
+    Factors with i >= 2 are bounded by their value at their own least base,
+    x plus the one-started variables in their block (at x = 0 a zero block is
+    omitted, primed); the chain factors s(1, l+1) (Re > 1 under the domain
+    criterion) drive the decay.  Inner levels are integral-bounded with
+    exponents accumulated outward:
 
         E_{r+1} = 0,   E_l = w_l + E_{l+1} - 1,
         A_{r+1} = 1,   A_l = A_{l+1} (1/min_base + 1/E_l),
@@ -234,8 +235,9 @@ def _truncation_bound(
     min_base = x + min(starts) if x > 0 else max(x + min(starts), 1.0)
     c_other = 1.0
     for (i, j), v in e.s.items():
-        if i >= 2 and v.real > 0:
-            c_other *= max(1.0, min_base ** (-v.real))
+        base = x + sum(starts[i - 1 : j - 1])
+        if i >= 2 and v.real > 0 and base > 0:
+            c_other *= max(1.0, base ** (-v.real))
 
     # Accumulate inward->outward coefficients.  A[l] bounds the full sum
     # over variables l..r as a multiple of (x + S_{l-1} + lowest)^(-E[l]).

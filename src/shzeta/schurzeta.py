@@ -7,8 +7,8 @@ strictly increasing downward).  ``schur_eval`` sums them with one DP over
 the lattice of order ideals (Stanley, *Enumerative Combinatorics* I, §4.7),
 run by ``ezzeta.eval_layers``: a state is an order ideal with the cell added
 last, at a cost of (number of states) * cutoff.  No determinant or expansion
-identity is used, keeping this module independent of the identities it is
-checked against.
+identity is used and no derivative taken, keeping this module independent of
+the identities it is checked against.
 
 Oracles only: ``linear_extensions`` and ``chain_decomposition`` (one chain
 per linear extension, Stanley's fundamental lemma, §3.15) and the exact
@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from .errors import DomainError, UsageError
 from .ezzeta import APPROX_ONE, Approx, DEFAULT_CONFIG, EvalConfig, Layers, eval_layers
-from .shapes import Cell, SkewShape, content
+from .shapes import Cell, SkewShape
 from .tableaux import (
     ContentSpec,
     Shape,
@@ -223,49 +223,3 @@ def shift_exponent(
             raise UsageError(f"cell {c} not in shape {inst.shape}")
         updates[c] = updates.get(c, inst.exponents[c]) + a
     return replace(inst, exponents=inst.exponents.with_entries(updates))
-
-
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    """Finite-difference derivative with separated error accounts."""
-
-    value: complex
-    trunc_err: float  # propagated series-truncation bounds
-    disc_err: float  # discretization heuristic (post-Richardson)
-
-
-def d_dy(
-    spec: ContentSpec,
-    shape: Shape,
-    ell: int,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    h: float = 1e-4,
-) -> DerivativeEstimate:
-    """Central-difference d/dy_ell of the content-parametrized series.
-
-    Uses one Richardson extrapolation step: D = (4 D(h/2) - D(h)) / 3, with
-    |D(h/2) - D(h)| / 3 reported as the discretization heuristic.
-    """
-    cells = [c for c in as_skew(shape).cells() if content(c) == ell]
-    if not cells:
-        return DerivativeEstimate(0.0 + 0.0j, 0.0, 0.0)
-    y0 = spec.y_at(ell)
-    if y0 - h < 0:
-        raise DomainError(f"step {h} would push shift y_{ell} negative")
-
-    def value_at(delta: float) -> Approx:
-        y = dict(spec.y)
-        y[ell] = y0 + delta
-        return schur_eval(instance_from_spec(ContentSpec(spec.z, y), shape), cfg)
-
-    def central(step: float) -> tuple[complex, float]:
-        hi = value_at(step)
-        lo = value_at(-step)
-        return (hi.value - lo.value) / (2 * step), (
-            hi.err_bound + lo.err_bound
-        ) / (2 * step)
-
-    d1, e1 = central(h)
-    d2, e2 = central(h / 2)
-    value = (4 * d2 - d1) / 3
-    return DerivativeEstimate(value, (4 * e2 + e1) / 3, abs(d2 - d1) / 3)

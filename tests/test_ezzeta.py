@@ -229,6 +229,24 @@ def test_tiny_zero_started_shift_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("s,y2,first_min", [
+    ((2, 3), 1e-200, 0),
+    ((2, 30), -(1 - 1e-15), 1),
+], ids=["tiny", "negative"])
+def test_tiny_base_after_a_strict_step_is_finite(s, y2, first_min):
+    # The second cell follows a strict step, so it never takes the value
+    # first_min, where its base is tiny; that power (1e-200^-3, 1e-15^-30)
+    # once overflowed, and the sum raised DomainError.
+    mpmath = pytest.importorskip("mpmath")
+    a = eval_chain(s, [0.5, y2], [True], EvalConfig(2000), first_min)
+    with mpmath.workdps(30):
+        ref = mpmath.nsum(lambda m: (m + 0.5) ** -s[0] * mpmath.zeta(s[1], m + 1 + mpmath.mpf(y2)),
+                          [first_min, mpmath.inf])
+    # The bound does not count rounding (ROADMAP item 1): the base
+    # 2 - (1 - 1e-15) is rounded before its 30th power.
+    assert abs(a.value - complex(ref)) <= a.err_bound + 1e-14 * abs(ref)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         ez_zeta([2, 3], [0.1])  # mismatched shift length

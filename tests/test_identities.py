@@ -13,7 +13,7 @@ import random
 import pytest
 
 from shzeta.errors import DomainError, UsageError
-from shzeta.ezzeta import APPROX_ONE, APPROX_ZERO, Approx, EvalConfig
+from shzeta.ezzeta import APPROX_ONE, APPROX_ZERO, Approx, EvalConfig, ez_zeta
 from shzeta.identities import (
     derivative_fd_check,
     derivative_identity,
@@ -312,6 +312,10 @@ class TestDerivativeIdentities:
     def test_slot_out_of_range(self):
         with pytest.raises(UsageError):
             derivative_identity(SPEC_Y, hook(1, 1), 2, 1, CFG)
+        with pytest.raises(UsageError):
+            derivative_fd_check(SPEC_Y, hook(1, 1), 2, CFG)
+        with pytest.raises(UsageError):  # content 5 is not on the shape
+            derivative_fd_check(ContentSpec({0: 2}, {0: 0.5}), Partition((1,)), 5, CFG)
 
     def test_order_out_of_range(self):
         with pytest.raises(UsageError):
@@ -329,6 +333,33 @@ class TestDerivativeIdentities:
     def test_fd_needs_room_for_the_step(self):
         with pytest.raises(DomainError):
             derivative_fd_check(SPEC, hook(1, 1), 1, CFG)  # y_1 = 0 there
+
+    def test_fd_rejects_step_past_zero(self):
+        # y - h < 0 on the single cell
+        with pytest.raises(DomainError):
+            derivative_fd_check(ContentSpec({0: 2}, {0: 0.0}), Partition((1,)), 0)
+
+    def test_fd_matches_analytic_single_cell(self):
+        # d/dy sum (m+y)^(-s) = -s sum (m+y)^(-s-1)
+        rep = derivative_fd_check(ContentSpec({0: 3}, {0: 0.5}), Partition((1,)), 0, CFG)
+        ref = ez_zeta([4], [0.5], CFG).scale(-3.0)
+        assert abs(rep.lhs.value - ref.value) <= rep.lhs.err_bound + ref.err_bound
+
+    @pytest.mark.parametrize("s", [2, 2.5, 3 + 1j, 1.5 - 0.7j, 4])
+    def test_fd_bound_holds_at_depth_one(self, s):
+        # On the shape 1 the series is the Hurwitz zeta(s, 1 + y), whose
+        # shift derivative is -s zeta(s + 1, 1 + y).  At h = 1e-4 and the
+        # largest cutoff the error is almost all the O(h^2) Taylor term and
+        # nearly fills the bound, so that term cannot be dropped.
+        mpmath = pytest.importorskip("mpmath")
+        for y, h, cutoff in itertools.product((0.2, 0.5, 1, 3), (1e-4, 1e-2, 0.1, 0.19),
+                                              (20, 200, 2000)):
+            rep = derivative_fd_check(ContentSpec({0: s}, {0: y}), Partition((1,)), 0,
+                                      EvalConfig(cutoff), h)
+            with mpmath.workdps(30):
+                ref = complex(-s * mpmath.zeta(s + 1, 1 + mpmath.mpf(y)))
+            assert abs(rep.lhs.value - ref) <= rep.lhs.err_bound, (y, h, cutoff)
+            assert rep.passes, (y, h, cutoff)
 
 
 class TestReportShape:

@@ -35,9 +35,13 @@ def test_traced_functions_exist():
 def test_counted_parameters_exist():
     # _count_eval_chain reads s = args[0] and cfg = args[3] or by name,
     # _count_determinant entries = args[0] or by name, and
-    # _count_eval_nested binds e, d and cfg by name.
+    # _count_eval_nested binds e, d and cfg by name.  The traced
+    # derivative_fd_check is called with these parameters by the CLI and
+    # the acceptance tests.
     chain = list(inspect.signature(ezzeta.eval_chain).parameters)
     assert chain[0] == "s" and chain[3] == "cfg"
+    fd = list(inspect.signature(identities.derivative_fd_check).parameters)
+    assert fd == ["spec", "shape", "ell", "cfg", "h"]
     assert list(inspect.signature(identities.determinant).parameters)[0] == "entries"
     assert {"e", "d", "cfg"} <= set(inspect.signature(rootzeta._eval_nested).parameters)
 

@@ -92,9 +92,9 @@ PINNED_ROOT_BOUNDS = [
     ("H-2", lambda c: zeta_H(DEPTH2, 0.5, c), 200, 0.01393711652893707, 7.344383216091268e-06),
     ("H-3", lambda c: zeta_H(DEPTH3, 0.5, c), 60, 3.485681040448898e-05, 0.00012106931684445245),
     ("bullet_H-2", lambda c: zeta_bullet_H(DEPTH2, 1, 0.5, c), 200, 0.8328256529867253,
-     0.00031082466896422827),
+     7.770616724105707e-05),
     ("bullet_H-3", lambda c: zeta_bullet_H(DEPTH3, 2, 0.5, c), 60, 3.6079438746694636,
-     0.605590949496758),
+     0.018924717171773683),
     # Every variable zero-started: the primed rule omits the zero-base factors.
     ("bullet-2-all", lambda c: zeta_bullet(DEPTH2, 2, c), 200, 3.208159681532789,
      2.927238981320435e-05),
@@ -114,6 +114,16 @@ def test_pinned_bounds(fn, cutoff, value, bound):
     a = fn(EvalConfig(cutoff=cutoff))
     assert a.value == pytest.approx(value, rel=1e-12)
     assert a.err_bound == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1e-50, 1e-110])
+def test_each_factor_bounded_at_its_own_least_base(x):
+    # The factor (2, 3) has the one-started variable 2 in its block, so its
+    # base is at least 1 + x; bounding it by x^-3 gave 2e8, 2e196 and inf.
+    e = RootExponents.from_flat(2, [2, 2, 3])
+    a = zeta_bullet_H(e, 1, x, EvalConfig(50))
+    ref = zeta_bullet_H(e, 1, x, EvalConfig(3000))
+    assert abs(a.value - ref.value) + ref.err_bound <= a.err_bound <= 1e-3 * abs(a.value)
 
 
 class TestPrimedVariant:

@@ -17,7 +17,6 @@ from shzeta.schurzeta import (
     SchurInstance,
     chain_decomposition,
     chain_truncated_exact,
-    d_dy,
     instance_from_spec,
     linear_extensions,
     schur_eval,
@@ -144,23 +143,6 @@ class TestShiftExponent:
         inst = instance_from_spec(SPEC_21, Partition((2, 1)))
         with pytest.raises(UsageError):
             shift_exponent(inst, [(5, 5)], 1)
-
-
-class TestDerivative:
-    def test_matches_analytic_single_cell(self):
-        # d/dy sum (m+y)^(-s) = -s sum (m+y)^(-s-1)
-        spec = ContentSpec({0: 3}, {0: 0.5})
-        est = d_dy(spec, Partition((1,)), 0)
-        ref = ez_zeta([4], [0.5]).scale(-3.0)
-        assert abs(est.value - ref.value) <= est.trunc_err + est.disc_err + ref.err_bound + 1e-8
-
-    def test_zero_when_content_absent(self):
-        est = d_dy(ContentSpec({0: 2}, {}), Partition((1,)), 5)
-        assert est.value == 0 and est.trunc_err == 0
-
-    def test_rejects_step_past_zero(self):
-        with pytest.raises(DomainError):
-            d_dy(ContentSpec({0: 2}, {0: 0.0}), Partition((1,)), 0)
 
 
 @settings(max_examples=25, deadline=None)
