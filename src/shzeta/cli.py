@@ -154,7 +154,10 @@ _NO_SPEC = ContentSpec({}, {})
 
 
 def _partition(entry: dict) -> Partition:
-    return parse_partition(str(entry.get("shape", "")))
+    shape = entry.get("shape")
+    if not isinstance(shape, str):
+        raise UsageError(f'shape must be a string such as "2,1", got {shape!r}')
+    return parse_partition(shape)
 
 
 def _on_shape(name: str) -> Runner:

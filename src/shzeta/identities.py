@@ -28,6 +28,7 @@ from .ezzeta import (
     chain_tails,
     ez_zeta,
     ez_zeta_star,
+    majorant,
     neg_power,
     tail_integral,
 )
@@ -438,8 +439,7 @@ def dirichlet_series_expr(
 
     def bound(z: list[complex], y: list[float], b: int) -> float:
         # Per cell sum_{k >= b} (k + y)^(-sigma): its first term and the rest.
-        return math.prod((b + yv) ** -sg + tail_integral(sg, b, yv)
-                         for sg, yv in zip((complex(zv).real for zv in z), y))
+        return math.prod(majorant(complex(zv).real, b, yv, b) for zv, yv in zip(z, y))
 
     arms = {p: _zy(spec, range(1, p + 1)) for p in fr.p}
     legs = {q: _zy(spec, range(-1, -q - 1, -1)) for q in fr.q}

@@ -13,13 +13,13 @@ prevents singular terms).  So the primed rule holds exactly when x == 0.
 
 Evaluation is a direct nested sum (no reindexing to Euler-Zagier chains, so
 the reduction identities remain genuine cross-checks against the chain
-evaluator).  The innermost summed level is one numpy vector that reads each
-of its factors from one power table per root factor, built once per call.
-The last variable is summed analytically, from the reverse cumulative sum
-of its factor's table, whenever it appears in exactly one factor with
-nonzero exponent — in particular for all reduced (6.5)/(6.6)
-configurations — and the remaining truncation tails are certified with
-integral bounds that accumulate the decay of inner levels.
+evaluator).  Every summed level builds one numpy vector of its factors from
+one power table per root factor, built once per call; outer levels iterate
+over its entries.  The last variable is summed analytically, from the
+reverse cumulative sum of its factor's table, whenever it appears in
+exactly one factor with nonzero exponent — in particular for all reduced
+(6.5)/(6.6) configurations — and the remaining truncation tails are
+certified with integral bounds that accumulate the decay of inner levels.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .ezzeta import (
     Approx,
     DEFAULT_CONFIG,
     EvalConfig,
-    cpow,
     em_tail,
     ez_zeta,
     ez_zeta_star_star,
@@ -123,12 +122,14 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
     With x == 0 the primed rule applies: a factor whose base is 0 (possible
     only on a block of zero-started variables) is omitted, i.e. counts as 1.
 
-    The variables 1..v-1 run as Python loops carrying the partial sums
-    m_i + ... + m_{l-1}, and variable v runs as one numpy vector that
-    multiplies slices of a table (x + k)^(-s(i, v+1)), k = 0..(v+1-i)*M,
-    built once per factor.  When the last variable r appears only in the
-    factor (1, r+1), v = r - 1 and the sum over it is read from the reverse
-    cumulative sum of the (1, r+1) table capped with ``em_tail``.
+    Each factor (i, j) reads a table (x + k)^(-s(i, j)), k = 0..(j-i)*M,
+    built once per call.  Level l, carrying the partial sums
+    m_i + ... + m_{l-1}, builds one numpy vector over m_l = 0..M: its weight
+    times the table slices of the factors (i, l+1), zeroed below the start.
+    An outer level recurses on each entry; the innermost summed level v adds
+    its vector up.  When the last variable r appears only in the factor
+    (1, r+1), v = r - 1 and the vector is dotted with the reverse cumulative
+    sum of the (1, r+1) table capped with ``em_tail``.
     """
     r = e.r
     if r == 0:
@@ -153,21 +154,15 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
 
     em_err = 0.0
     if analytic_last:
-        s_last = e.s[(1, r + 1)]
         top = r * m + 1
-        tail = np.cumsum(power_table(1, r + 1, top)[::-1])[::-1]
-        em, em_err = em_tail(1.0, s_last, top + 1 + x)
-        tail += em
-        # A zero-started last variable reads index 0 only when every
-        # variable is 0: the omitted factor (primed) or x^(-s) (shifted).
-        if starts[-1] == 0:
-            tail[0] = (1.0 if x == 0 else cpow(x, -s_last)) + tail[1]
-        if r == 1:
-            return Approx(complex(tail[starts[0]]), em_err)
+        em, em_err = em_tail(1.0, e.s[(1, r + 1)], top + 1 + x)
+        # Summed from the far end: the Euler-Maclaurin cap first.
+        tail = np.cumsum(np.append(power_table(1, r + 1, top), em)[::-1])[::-1]
     tables = {
-        i: power_table(i, vec + 1, (vec + 1 - i) * m)
-        for i in range(1, vec + 1)
-        if e.s[(i, vec + 1)] != 0
+        (i, j): power_table(i, j, (j - i) * m)
+        for j in range(2, vec + 2)
+        for i in range(1, j)
+        if e.s[(i, j)] != 0
     }
 
     total = 0.0 + 0.0j
@@ -177,29 +172,27 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
         # sums[i - 1] = m_i + ... + m_{level-1}, the base offset of factor
         # (i, level + 1) before m_level is added.
         nonlocal total, em_weight
-        if level == vec:
-            w = np.full(m + 1, weight, dtype=np.complex128)
-            w[: starts[vec - 1]] = 0.0
-            for i, table in tables.items():
-                w = w * table[sums[i - 1] : sums[i - 1] + m + 1]
-            if analytic_last:
-                q = sums[0] + starts[-1]
-                total += complex(np.sum(w * tail[q : q + m + 1]))
-                em_weight += float(np.sum(np.abs(w)))
-            else:
-                total += complex(w.sum())
-            return
-        for m_l in range(starts[level - 1], m + 1):
-            wl = weight
-            for i, c in enumerate(sums, start=1):
-                off, s_ij = c + m_l, e.s[(i, level + 1)]
-                if s_ij != 0 and (off != 0 or x != 0):
-                    wl = wl * cpow(off + x, -s_ij)
-            rec(level + 1, [c + m_l for c in sums] + [0], wl)
+        w = np.full(m + 1, weight, dtype=np.complex128)
+        w[: starts[level - 1]] = 0.0
+        for i, c in enumerate(sums, start=1):
+            if (i, level + 1) in tables:
+                w = w * tables[(i, level + 1)][c : c + m + 1]
+        if level < vec:
+            for m_l in range(starts[level - 1], m + 1):
+                rec(level + 1, [c + m_l for c in sums] + [0], w[m_l])
+        elif analytic_last:
+            q = sums[0] + starts[-1]
+            total += complex(np.sum(w * tail[q : q + m + 1]))
+            em_weight += float(np.sum(np.abs(w)))
+        else:
+            total += complex(w.sum())
 
     # An overflow (a tiny x on a zero-started block) leaves total non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        rec(1, [0], 1.0 + 0.0j)
+        if vec:
+            rec(1, [0], 1.0 + 0.0j)
+        else:  # depth 1: the tail is the whole sum
+            total, em_weight = complex(tail[starts[0]]), 1.0
     if not cmath.isfinite(total):
         raise DomainError(f"the sum overflows the double range (shift {x})")
 

@@ -262,12 +262,14 @@ class TestRegistry:
         ["check", "--manifest", "{root_z_5}"],
         ["eval", "--tableau-file", "{s_5}"],
         ["eval", "--tableau-file", "{x_7}"],
+        ["check", "--manifest", "{no_shape}"],
+        ["check", "--manifest", "{shape_2}"],
     ],
     ids=["bad-part", "increasing-parts", "missing-tableau-file",
          "tableau-without-s", "cutoff-0", "paths-n-0", "paths-max-render-negative",
          "missing-manifest",
          "spec-z-list", "spec-number", "cfg-number", "root-z-number",
-         "tableau-s-number", "tableau-x-number"],
+         "tableau-s-number", "tableau-x-number", "shape-missing", "shape-number"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     jt = {"identity_id": "jacobi_trudi_H", "shape": "2,1"}
@@ -279,6 +281,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
         "root_z_5": {"identity_id": "root_reductions", "z": 5},
         "s_5": {"s": 5},
         "x_7": {"s": [[2, 3]], "x": 7},
+        "no_shape": {"identity_id": "jacobi_trudi_H", "spec": {"z": {"0": 2}}},
+        "shape_2": {"identity_id": "hook_expansion_star", "shape": 2,
+                    "spec": {"z": {"0": 2, "1": 3}}},
     }
     paths = {"{missing}": str(tmp_path / "missing.json")}
     for name, data in files.items():

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from shzeta.errors import DomainError, UsageError
-from shzeta.ezzeta import Approx, EvalConfig, ez_zeta, hurwitz
+from shzeta.ezzeta import Approx, EvalConfig, ez_zeta, ez_zeta_star, hurwitz
 from shzeta.rootzeta import (
     MAX_DEPTH,
     ReductionReport,
@@ -139,6 +139,17 @@ class TestPrimedVariant:
         a = zeta_bullet(e, 1)
         assert abs(a.value - (1.0 + ZETA2)) <= a.err_bound + 1e-10
 
+    @pytest.mark.parametrize("z", [[2, 3], [3, 2, 2], [2 + 0.5j, 3], [2.5, 2, 3]])
+    def test_full_prime_chain_splits_at_its_zero_prefix(self, z):
+        # The partial sums m_1 + ... + m_l form a weak chain from 0, and each
+        # zero base drops its factor: a chain zero on its first k places
+        # leaves zeta*(z[k:]), and the all-zero one the empty product 1.
+        cfg = EvalConfig(cutoff=300)
+        a = zeta_bullet(RootExponents.chain(z), len(z), cfg)
+        parts = [ez_zeta_star(z[k:], cfg=cfg) for k in range(len(z))]
+        value = 1.0 + sum(p.value for p in parts)
+        assert abs(a.value - value) <= a.err_bound + sum(p.err_bound for p in parts)
+
     def test_prime_degree_bounds(self):
         e = RootExponents.from_flat(1, [2])
         with pytest.raises(UsageError):
@@ -162,6 +173,12 @@ class TestDomain:
         # is zeta_Ar's; a never-read (1e-200)^-s table entry once made it NaN.
         e, cfg = RootExponents.chain([2, 3]), EvalConfig(cutoff=200)
         assert zeta_H(e, 1e-200, cfg) == zeta_Ar(e, cfg)
+
+    def test_tiny_shift_on_a_zero_started_variable_overflows(self):
+        # The m = 0 term (1e-200)^-2 is beyond the double range; at depth 1
+        # it is the whole sum, read from the tail's index 0.
+        with pytest.raises(DomainError, match="overflows"):
+            zeta_bullet_H(RootExponents.chain([2]), 1, 1e-200)
 
     def test_shift_must_be_positive_for_zero_start(self):
         e = RootExponents.from_flat(1, [2])
