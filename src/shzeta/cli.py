@@ -30,7 +30,13 @@ from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig
 from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
-from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
+from .schurzeta import (
+    SchurInstance,
+    dp_states,
+    instance_from_spec,
+    power_tables,
+    schur_eval,
+)
 from .shapes import Partition, parse_partition, parse_shape
 from .tableaux import (
     ContentSpec,
@@ -126,7 +132,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "err_bound": approx.err_bound,
             "cutoff": cfg.cutoff,
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
-            "work": {"dp_states": dp_states(inst.shape), "array_len": cfg.cutoff + 1},
+            "work": {
+                "dp_states": dp_states(inst.shape),
+                "power_tables": power_tables(inst),
+                "array_len": cfg.cutoff + 1,
+            },
         }
     )
     im = approx.value.imag
@@ -521,6 +531,13 @@ def main(argv: list[str] | None = None) -> int:
         # UsageError, and every other malformed-input error (bad shapes,
         # cutoffs or JSON, unreadable files): DomainError is caught above.
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # numpy's allocation error is one; only the cutoff sizes an array.
+        print(
+            "usage error: the cutoff needs more memory than is available",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
 

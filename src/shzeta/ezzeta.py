@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,6 +111,25 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
     out = np.exp(-s * logs)
     out[base <= 0] = 0.0
     return out
+
+
+def _power_tables(
+    idx: np.ndarray, least: int,
+) -> Callable[[complex, float, bool], np.ndarray]:
+    """Per call, one read-only table (idx + y)^(-e) per (exponent, shift, pass),
+    zeroed below ``least`` (a tiny base may overflow).  The pass (value or |.|)
+    is in the key: 2.5 == 2.5+0j, but the two tables differ in the last bit."""
+    tables: dict[tuple[complex, float, bool], np.ndarray] = {}
+
+    def table(e: complex, y: float, absolute: bool) -> np.ndarray:
+        a = tables.get((e, y, absolute))
+        if a is None:
+            with np.errstate(over="ignore"):
+                a = tables[e, y, absolute] = neg_power(idx + y, e)
+            a[:least] = 0.0
+        return a
+
+    return table
 
 
 def cpow(base: float, s: complex) -> complex:
@@ -202,34 +221,26 @@ def eval_layers(
     residual reads.  These stay of the same magnitude as the actual nested
     sums (a loose product of one-variable majorants would not).  Cells with
     Re s = 1 take ``_boundary_tail`` instead.
+
+    Cells with one (exponent, shift) pair (a diagonal's cells when s and y
+    are constant along diagonals, a constant chain's slots) share one power
+    table per pass; each state multiplies it by its inflow into a new array.
     """
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
     tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
     idx = np.arange(0, m + 1, dtype=np.float64)
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
-    # Powers are kept only where a cell ends several states (not in a chain).
-    shared = sum(map(len, layers)) > len(s)
-    cache: dict[tuple[int, bool], np.ndarray] = {}
+    exps = {False: [complex(v) for v in s], True: sigmas}  # per pass
+    table = _power_tables(idx, first_min)  # no cell's least entry is lower
     steps = _strict_steps(layers)
-
-    def powers(c: int, absolute: bool) -> np.ndarray:
-        a = cache.get((c, absolute))
-        if a is None:
-            a = neg_power(idx + y[c], sigmas[c] if absolute else complex(s[c]))
-            # Below its least entry a cell's inflow is 0, but a power there may
-            # overflow (tiny base), and 0 * inf is NaN: those entries are zeroed.
-            a[:first_min + steps[c]] = 0.0
-            if shared:
-                cache[c, absolute] = a
-        return a
 
     # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
     carry_layer = -1 if n_eps else r - 2
     arrs: dict[bool, list[np.ndarray]] = {False: [], True: []}  # True: |.|
     hbar, carry = [1.0], [0.0]  # of the empty ideal
     prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
-    # See powers(); any other overflow leaves the total non-finite.
+    # Overflow below a least entry is zeroed; any other leaves the total non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(layers):
             for absolute in (False, True) if i < carry_layer else (False,):
@@ -240,12 +251,15 @@ def eval_layers(
                     prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
                 out = []
                 for c, preds in layer:
-                    a = powers(c, absolute)
+                    a = table(exps[absolute][c], y[c], absolute)
                     if i:
                         # Keep the operand order: with fused multiply-adds,
-                        # complex products do not commute bitwise.
-                        h = _inflow(cums, preds)
-                        a = a * h if shared else np.multiply(a, h, out=a)
+                        # complex products do not commute bitwise, and numpy
+                        # would evaluate ``a * temporary`` as ``temporary *= a``.
+                        a = np.multiply(a, _inflow(cums, preds))
+                        # Below its least entry a cell's inflow is 0, but a
+                        # power there may overflow (tiny base): 0 * inf is NaN.
+                        a[:first_min + steps[c]] = 0.0
                     out.append(a)
                 arrs[absolute] = out
             if i <= carry_layer:
@@ -408,14 +422,8 @@ def chain_tails(
     j = np.arange(size, dtype=np.float64)
     lo = np.arange(1, count + 1) + first_min
     tails = [tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
-
-    def powers(i: int, sigma: complex) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            a = neg_power(j + y[i], sigma)
-        a[:lo[0]] = 0.0  # below every lo(m); tiny bases may overflow
-        return a
-
-    a = [powers(i, complex(v)) for i, v in enumerate(s)]
+    table = _power_tables(j, lo[0])  # below every lo(m)
+    a = [table(complex(v), yc, False) for v, yc in zip(s, y)]
     values = _reverse_pass(a, strict, size)[lo]
     prefix = _reverse_pass(a[:-1], strict, size)[lo]
     em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
@@ -423,7 +431,7 @@ def chain_tails(
         # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
         n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
-        absolute = [powers(i, sig[i]) for i in range(n)]
+        absolute = [table(sig[i], y[i], True) for i in range(n)]
         hbar = _reverse_pass(absolute, strict, size, consts)[lo]
         em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
     return values + em_value, em_remainder

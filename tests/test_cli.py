@@ -264,12 +264,17 @@ class TestRegistry:
         ["eval", "--tableau-file", "{x_7}"],
         ["check", "--manifest", "{no_shape}"],
         ["check", "--manifest", "{shape_2}"],
+        # 10^15 entries (7.11 PiB) lie beyond the 128 TiB x86-64 address
+        # space, so the allocation is refused before any memory is touched.
+        ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "1000000000000000"],
+        ["check", "--builtin", "hook", "--cutoff", "1000000000000000"],
     ],
     ids=["bad-part", "increasing-parts", "missing-tableau-file",
          "tableau-without-s", "cutoff-0", "paths-n-0", "paths-max-render-negative",
          "missing-manifest",
          "spec-z-list", "spec-number", "cfg-number", "root-z-number",
-         "tableau-s-number", "tableau-x-number", "shape-missing", "shape-number"],
+         "tableau-s-number", "tableau-x-number", "shape-missing", "shape-number",
+         "eval-cutoff-beyond-memory", "check-cutoff-beyond-memory"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     jt = {"identity_id": "jacobi_trudi_H", "shape": "2,1"}
@@ -346,8 +351,9 @@ class TestEvalRecord:
         assert set(rec) == {
             "value_re", "value_im", "err_bound", "cutoff", "runtime_ms", "work",
         }
-        # One DP state per (order ideal, last cell) of the 3,2,1 cell poset.
-        assert rec["work"] == {"dp_states": 21, "array_len": 301}
+        # One DP state per (order ideal, last cell) of the 3,2,1 cell poset;
+        # its five contents carry only the pairs (3, 0) and (2, 0).
+        assert rec["work"] == {"dp_states": 21, "power_tables": 2, "array_len": 301}
 
     def test_negative_imaginary_part_prints_a_minus(self, capsys):
         code, out, err = run(capsys, "eval", "--shape", "1", "--z", "0=2+1j")

@@ -12,18 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shzeta import ezzeta
 from shzeta.errors import DomainError
 from shzeta.ezzeta import (
     APPROX_ONE,
     APPROX_ZERO,
     Approx,
     EvalConfig,
+    chain_tails,
     eval_chain,
     ez_zeta,
     ez_zeta_star,
     ez_zeta_star_star,
     hurwitz,
 )
+from shzeta.schurzeta import instance_from_spec, power_tables, schur_eval
+from shzeta.shapes import parse_shape
+from shzeta.tableaux import ContentSpec
 
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
@@ -278,3 +283,135 @@ def test_frozen_deep_chains(depth, first_min, imag, cutoff, value, bound):
     a = eval_chain(s, y, strict, EvalConfig(cutoff=cutoff), first_min)
     assert a.value == pytest.approx(value, rel=1e-12, abs=0)
     assert a.err_bound == pytest.approx(bound, rel=1e-12)
+
+
+# The bits of value and bound, as float.hex, recorded before cells with one
+# (exponent, shift) pair shared a power table: sharing must not move a bit.
+# Constant chains, shift 0.3 in every slot: (kind, s, depth, cutoff, bits).
+# At depth >= 3 the |.| pass runs; with a real s its table's key would equal
+# the value pass's (2.25 == 2.25+0j) but for the pass in the key.
+_KINDS = {"strict": ez_zeta, "weak": ez_zeta_star, "zero": ez_zeta_star_star}
+_CONSTANT_S = {"real": 2.25, "complex": complex(1.75, 0.5)}
+CONSTANT_CHAIN_BITS = [
+    ("strict", "real", 1, 2000, ("0x1.d9cafc6ddab22p-1", "0x0.0p+0", "0x1.ec34997ef7d9ep-39")),
+    ("strict", "real", 1, 20000, ("0x1.d9cafc6de261dp-1", "0x0.0p+0", "0x1.1bf835758b49dp-49")),
+    ("strict", "real", 3, 2000, ("0x1.14fcba8dc64e6p-5", "0x0.0p+0", "0x1.c6fa21f8fe942p-29")),
+    ("strict", "real", 3, 20000, ("0x1.14fcbb7067489p-5", "0x0.0p+0", "0x1.705d6d021cc0ep-37")),
+    ("strict", "real", 6, 2000, ("0x1.ff69df2c0ddd4p-19", "0x0.0p+0", "0x1.3ac5e66bb8d95p-37")),
+    ("strict", "real", 6, 20000, ("0x1.ff6a06576e7b2p-19", "0x0.0p+0", "0x1.fdcc165e16c82p-46")),
+    ("strict", "complex", 1, 2000, ("0x1.10f9da74fe254p+0", "-0x1.4430b5dc118e2p-1", "0x1.1add9f299ffe6p-33")),
+    ("strict", "complex", 1, 20000, ("0x1.10f9da747cf9cp+0", "-0x1.4430b5dbaa981p-1", "0x1.01f5333b9ca01p-42")),
+    ("strict", "complex", 3, 2000, ("-0x1.b1b57886a0ceep-4", "-0x1.0823aa5c40432p-3", "0x1.ec3e1c2e49ee3p-16")),
+    ("strict", "complex", 3, 20000, ("-0x1.b1be88f2f7e00p-4", "-0x1.082445dfc23d8p-3", "0x1.f236bdc849b4dp-21")),
+    ("strict", "complex", 6, 2000, ("0x1.3afa4ef5c7741p-12", "0x1.6983558d5b9e8p-13", "0x1.26135226fafcap-20")),
+    ("strict", "complex", 6, 20000, ("0x1.3b2c66eb2c4bfp-12", "0x1.69b76782a2279p-13", "0x1.29991b2fb6e29p-25")),
+    ("weak", "real", 1, 2000, ("0x1.d9cafc6ddab22p-1", "0x0.0p+0", "0x1.ec34997ef7d9ep-39")),
+    ("weak", "real", 1, 20000, ("0x1.d9cafc6de261dp-1", "0x0.0p+0", "0x1.1bf835758b49dp-49")),
+    ("weak", "real", 3, 2000, ("0x1.62c29221c64d2p-2", "0x0.0p+0", "0x1.c723b47651529p-29")),
+    ("weak", "real", 3, 20000, ("0x1.62c2923e22dcbp-2", "0x0.0p+0", "0x1.70636c0250ddfp-37")),
+    ("weak", "real", 6, 2000, ("0x1.ebf37460caf13p-5", "0x0.0p+0", "0x1.7ecd6495f0cdep-31")),
+    ("weak", "real", 6, 20000, ("0x1.ebf374907ec12p-5", "0x0.0p+0", "0x1.35dc6d3eb3f4cp-39")),
+    ("weak", "complex", 1, 2000, ("0x1.10f9da74fe254p+0", "-0x1.4430b5dc118e2p-1", "0x1.1add9f299ffe6p-33")),
+    ("weak", "complex", 1, 20000, ("0x1.10f9da747cf9cp+0", "-0x1.4430b5dbaa981p-1", "0x1.01f5333b9ca01p-42")),
+    ("weak", "complex", 3, 2000, ("0x1.eb3faab54e475p-3", "-0x1.2926fa399527ap-1", "0x1.ec3e4d189c865p-16")),
+    ("weak", "complex", 3, 20000, ("0x1.eb3b22474c84bp-3", "-0x1.2927212b96e8dp-1", "0x1.f236c093ad4dbp-21")),
+    ("weak", "complex", 6, 2000, ("-0x1.8f1d31d9be027p-7", "-0x1.3cb3437f3ba85p-3", "0x1.b9b3d44c91da1p-17")),
+    ("weak", "complex", 6, 20000, ("-0x1.8f2f0ea9140c0p-7", "-0x1.3cb25479ba798p-3", "0x1.bf0d3ea5c2327p-22")),
+    ("zero", "real", 1, 2000, ("0x1.fe09ed692709bp+3", "0x0.0p+0", "0x1.ec34997ef7d9ep-39")),
+    ("zero", "real", 1, 20000, ("0x1.fe09ed692784cp+3", "0x0.0p+0", "0x1.1bf835758b49dp-49")),
+    ("zero", "real", 3, 2000, ("0x1.c23ccc7ec90a0p+11", "0x0.0p+0", "0x1.f0db2977e87c1p-25")),
+    ("zero", "real", 3, 20000, ("0x1.c23ccc7ed8bc9p+11", "0x0.0p+0", "0x1.8d90c5b790caap-33")),
+    ("zero", "real", 6, 2000, ("0x1.73f9d8114a928p+23", "0x0.0p+0", "0x1.9b8a449bd8bd9p-13")),
+    ("zero", "real", 6, 20000, ("0x1.73f9d8115792cp+23", "0x0.0p+0", "0x1.494f01dfb0a7ep-21")),
+    ("zero", "complex", 1, 2000, ("0x1.f602eb1c9aae3p+2", "0x1.017fc551b79d4p+2", "0x1.1add9f299ffe6p-33")),
+    ("zero", "complex", 1, 20000, ("0x1.f602eb1c7a634p+2", "0x1.017fc551c47c0p+2", "0x1.01f5333b9ca01p-42")),
+    ("zero", "complex", 3, 2000, ("-0x1.c01e1a7adc8d5p+5", "0x1.26d545c9fffc6p+9", "0x1.943d8d838ea65p-13")),
+    ("zero", "complex", 3, 20000, ("-0x1.c01e27e9ba4cap+5", "0x1.26d543f112ec5p+9", "0x1.9920755bf178bp-18")),
+    ("zero", "complex", 6, 2000, ("-0x1.30458b408cfbbp+18", "-0x1.a0c4fdaf94d37p+16", "0x1.bf0ea4d972a9ap-4")),
+    ("zero", "complex", 6, 20000, ("-0x1.3045891ba1e2dp+18", "-0x1.a0c4ff754fcfap+16", "0x1.c4762055583d8p-9")),
+]
+
+
+def _bits(a: Approx) -> tuple[str, str, str]:
+    return a.value.real.hex(), a.value.imag.hex(), a.err_bound.hex()
+
+
+@pytest.mark.parametrize("kind,s,depth,cutoff,bits", CONSTANT_CHAIN_BITS)
+def test_constant_chain_bits(kind, s, depth, cutoff, bits):
+    a = _KINDS[kind]([_CONSTANT_S[s]] * depth, [0.3] * depth, EvalConfig(cutoff))
+    assert _bits(a) == bits
+
+
+def test_operand_order_bits():
+    # numpy evaluates ``table * temporary`` in place as ``temporary *= table``,
+    # which swaps the operands of the complex product and, with fused
+    # multiply-adds, moved this value from ...293613j to ...293648j.
+    s, y = complex(1.68499223565118, -0.7511125559359804), 0.18852062230064282
+    a = ez_zeta([s] * 3, [y] * 3, EvalConfig(20000))
+    assert _bits(a) == ("-0x1.558227df0b6e4p-3", "0x1.a19666e4dadcap-7", "0x1.40f677c92533cp-18")
+
+
+@pytest.mark.parametrize("s,y2,first_min,bits", [
+    (3, 1e-200, 0, ("0x1.35d842efe0e78p+3", "0x0.0p+0", "0x1.4aa177acaad4cp-43")),
+    (30, -(1 - 1e-15), 1, ("0x1.5dfaa69d6451ep-18", "0x0.0p+0", "0x1.c844d7d073bf2p-357")),
+], ids=["tiny", "negative"])
+def test_tiny_base_after_a_strict_step_bits(s, y2, first_min, bits):
+    # test_tiny_base_after_a_strict_step_is_finite's chains with one exponent
+    # in both slots; the second cell's powers below its least entry overflow.
+    a = eval_chain((s, s), [0.5, y2], [True], EvalConfig(2000), first_min)
+    assert _bits(a) == bits
+
+
+# Content specs: 4,3,2,1 has seven contents, each with its own (z, y) pair.
+SPECS = {
+    "3,2": ({-1: 2, 0: 2.5 + 0.5j, 1: 2, 2: 3}, {0: 0.25, 1: 0.5}),
+    "4,3,2,1": ({k: 2 + 0.125 * (k + 3) for k in range(-3, 4)}, {-1: 0.5, 2: 0.75}),
+}
+
+
+def _instance(shape):
+    z, y = SPECS[shape]
+    return instance_from_spec(ContentSpec(z, y), parse_shape(shape))
+
+
+@pytest.mark.parametrize("shape,bits", [
+    ("3,2", ("0x1.3c89a265c5644p-6", "-0x1.6421927a92455p-6", "0x1.58b8d6c2edc72p-30")),
+    ("4,3,2,1", ("0x1.c49b654e9ae15p-16", "0x0.0p+0", "0x1.3cfe968f8f848p-34")),
+])
+def test_schur_eval_bits(shape, bits):
+    assert _bits(schur_eval(_instance(shape))) == bits
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the power tables built, by pass: a value table has a complex
+    exponent, a |.| table the real part."""
+    counts = {"value": 0, "abs": 0}
+    neg_power = ezzeta.neg_power
+
+    def spy(base, s):
+        counts["value" if isinstance(s, complex) else "abs"] += 1
+        return neg_power(base, s)
+
+    monkeypatch.setattr(ezzeta, "neg_power", spy)
+    return counts
+
+
+class TestOneTablePerPair:
+    def test_constant_chain(self, built):
+        ez_zeta([2.25] * 6, [0.3] * 6, EvalConfig(200))
+        assert built == {"value": 1, "abs": 1}
+
+    def test_distinct_exponents_with_one_real_part(self, built):
+        ez_zeta([complex(2.5, 0.1 * k) for k in range(6)], [0.3] * 6, EvalConfig(200))
+        assert built == {"value": 6, "abs": 1}
+
+    def test_diagonal_cells(self, built):
+        inst = _instance("4,3,2,1")
+        schur_eval(inst, EvalConfig(200))
+        assert built == {"value": 7, "abs": 7}
+        assert power_tables(inst) == 7
+
+    def test_chain_tails(self, built):
+        chain_tails([2.5] * 4, [0.3] * 4, [True] * 3, EvalConfig(100), 5, 1)
+        assert built == {"value": 1, "abs": 1}
