@@ -226,6 +226,7 @@ def _lgv_exact(spec: ContentSpec, entry: dict, cfg: EvalConfig) -> dict:
         "patterns": rep.total_patterns,
         "nonintersecting": rep.nonintersecting,
         "pass": rep.passes,
+        "cutoffs": {"grid": LGV_GRID_HEIGHT},
     }
 
 

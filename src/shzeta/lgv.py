@@ -11,14 +11,18 @@ the k-th cell of that decomposition's walk i, ribbon i in the order its
 builder added the cells.  So a pattern's weight is the product of its path
 weights, and one call weighs each (walk, path) pair once.
 
-Everything here is exact (``fractions.Fraction``) for integer exponents and
-rational shifts, so the cancellation lemma and the truncated-series identity
-can be asserted with zero tolerance.
+Everything here is exact for integer exponents and rational shifts, so the
+cancellation lemma and the truncated-series identity can be asserted with
+zero tolerance.  Weights are unreduced integer pairs, compared by
+cross-multiplication and summed as one ``Fraction`` per distinct weight.  A
+call builds each (start, end) pair's paths once, finds the nonintersecting
+patterns by pruning, and checks each intersecting pair of the cancellation once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +41,13 @@ from .shapes import (
 from .tableaux import Tableau, int_exponent, is_diagonal_constant
 
 Point = tuple[int, int]
+Weight = tuple[int, int]  # (numerator, denominator), not reduced
+_type_sign = lru_cache(maxsize=None)(perm_sign)  # the sign of a pattern type
+
+# The enumeration refuses more patterns than PATTERN_CAP; the weigher refuses,
+# before any power, data whose weights could need more bits than WEIGHT_BIT_CAP.
+PATTERN_CAP = 10**6
+WEIGHT_BIT_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ class Pattern:
 
     @property
     def sign(self) -> int:
-        return perm_sign(self.type)
+        return _type_sign(self.type)
 
     def is_nonintersecting(self) -> bool:
         seen: set[Point] = set()
@@ -150,32 +161,43 @@ def count_patterns(shape: Partition, n: int, kind: str) -> int:
     return total
 
 
-def enumerate_patterns(
-    shape: Partition, n: int, kind: str = "H"
-) -> Iterator[Pattern]:
-    """Every pattern of the given kind on the height-``n`` grid."""
-    if count_patterns(shape, n, kind) > 10**6:
+def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Pattern]:
+    """Patterns type by type, in permutation order, from the paths between
+    each (start, end) pair built once; only nonintersecting ones if free."""
+    if count_patterns(shape, n, kind) > PATTERN_CAP:
         raise UsageError("pattern count exceeds the enumeration cap (10^6)")
     starts, ends = _endpoints(shape, n, kind)
-    t = len(starts)
-    for sigma in itertools.permutations(range(t)):
-        choices = [
-            list(_paths_between(starts[i], ends[sigma[i]], kind))
-            for i in range(t)
-        ]
-        if any(not c for c in choices):
-            continue
-        sigma = tuple(s + 1 for s in sigma)
-        for combo in itertools.product(*choices):
-            yield Pattern(shape, n, kind, combo, sigma)
+    between = [[list(_paths_between(a, b, kind)) for b in ends] for a in starts]
+    for sigma in itertools.permutations(range(len(starts))):
+        choices = [row[k] for row, k in zip(between, sigma)]
+        if all(choices):
+            sigma = tuple(k + 1 for k in sigma)
+            for combo in _disjoint(choices) if free else itertools.product(*choices):
+                yield Pattern(shape, n, kind, combo, sigma)
+
+
+def _disjoint(choices: list, seen: frozenset = frozenset()) -> Iterator[tuple]:
+    """One path from each list, pairwise disjoint and off ``seen``, in
+    ``itertools.product`` order: a choice stops growing at its first meeting."""
+    if not choices:
+        yield ()
+        return
+    for path in choices[0]:
+        if seen.isdisjoint(path._vertex_set):
+            for rest in _disjoint(choices[1:], seen | path._vertex_set):
+                yield (path, *rest)
+
+
+def enumerate_patterns(shape: Partition, n: int, kind: str = "H") -> Iterator[Pattern]:
+    """Every pattern of the given kind on the height-``n`` grid."""
+    yield from _patterns(shape, n, kind, free=False)
 
 
 def nonintersecting_patterns(
     shape: Partition, n: int, kind: str = "H"
 ) -> Iterator[Pattern]:
-    for pat in enumerate_patterns(shape, n, kind):
-        if pat.is_nonintersecting():
-            yield pat
+    """The nonintersecting patterns, in ``enumerate_patterns`` order."""
+    yield from _patterns(shape, n, kind, free=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +226,22 @@ def rim_for_type(
 # Weights
 
 
-def _pattern_weigher(s: Tableau, x: Tableau) -> Callable[[Pattern], Fraction]:
-    """Exact pattern weights for one set of exponents and shifts, weighing
-    each (ribbon walk, path) pair once; the memo dies with the weigher."""
-    memo: dict[tuple[tuple[Cell, ...], LatticePath], Fraction] = {}
+def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weight]:
+    """Exact pattern weights on the height-``n`` grid, as unreduced pairs: cell
+    c, with shift p/q (q > 0) and exponent e, gives (q / (jq + p))^e on row j.
+    Each (ribbon walk, path) pair is weighed once; the memo dies with it."""
+    cells: dict[Cell, tuple[int, int, int]] = {}
+    bits = 0
+    for c, v in s.entries.items():
+        e, (p, q) = int_exponent(v), Fraction(x[c]).as_integer_ratio()
+        cells[c] = (p, q, e)
+        # Rows run from 1 to n, and |jq + p| is largest at one of the ends.
+        bits += abs(e) * max(q, abs(q + p), abs(n * q + p)).bit_length()
+    if bits > WEIGHT_BIT_CAP:
+        raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
+    memo: dict[tuple[tuple[Cell, ...], LatticePath], Weight] = {}
 
-    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> Fraction:
+    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> Weight:
         letter = "R" if kind == "H" else "NE"
         # The row of an edge is the y of the vertex it leaves.
         rows = [y for (_, y), step in zip(path.points(), path.steps) if step == letter]
@@ -218,22 +250,33 @@ def _pattern_weigher(s: Tableau, x: Tableau) -> Callable[[Pattern], Fraction]:
                 f"path {i} has {len(rows)} weighted edges but ribbon has "
                 f"{len(walk)} cells"
             )
-        w = Fraction(1)
+        num = den = 1
         for j, cell in zip(rows, walk):
-            w /= (j + Fraction(x[cell])) ** int_exponent(s[cell])
-        return w
+            p, q, e = cells[cell]
+            base = j * q + p
+            if e < 0:
+                q, base, e = base, q, -e
+            num *= q**e
+            den *= base**e
+        return num, den
 
-    def weigh(pat: Pattern) -> Fraction:
+    def weigh(pat: Pattern) -> Weight:
         walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
-        weight = None
+        num = den = 1
         for i, key in enumerate(zip(walks, pat.paths), start=1):
             w = memo.get(key)
             if w is None:
                 w = memo[key] = path_weight(i, *key, pat.kind)
-            weight = w if weight is None else weight * w
-        return Fraction(1) if weight is None else weight
+            num *= w[0]
+            den *= w[1]
+        return num, den
 
     return weigh
+
+
+def _total(groups: dict[Weight, int]) -> Fraction:
+    """The exact sum of count * weight over the groups."""
+    return sum((Fraction(k * a, b) for (a, b), k in groups.items() if k), Fraction(0))
 
 
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
@@ -241,18 +284,18 @@ def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
     the product of its path weights.  ``verify_cancellation`` and
     ``truncated_schur_via_paths`` share one weigher over all their patterns
     instead of calling this per pattern."""
-    return _pattern_weigher(s, x)(pat)
+    return Fraction(*_pattern_weigher(s, x, pat.n)(pat))
 
 
 def truncated_schur_via_paths(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> Fraction:
     """Height-``n`` truncation of the tableau series, via nonintersecting paths."""
-    weigh = _pattern_weigher(s, x)
-    return sum(
-        (weigh(p) for p in nonintersecting_patterns(shape, n, kind)),
-        Fraction(0),
-    )
+    weigh = _pattern_weigher(s, x, n)
+    groups: dict[Weight, int] = defaultdict(int)
+    for pat in nonintersecting_patterns(shape, n, kind):
+        groups[weigh(pat)] += 1
+    return _total(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -263,33 +306,23 @@ def tail_swap(pat: Pattern) -> Pattern:
     """The standard sign-reversing involution on intersecting patterns.
 
     Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex.  One pass over the paths in
-    index order finds all three: the first path met at a vertex is its
-    smallest-indexed owner, and the next one met there is the second.
+    lexicographically smallest shared vertex.  That vertex is the least
+    of the pairwise intersections of the paths' vertex sets.
     """
-    owner: dict[Point, int] = {}
-    meet = None  # (vertex, i, j)
-    for k, path in enumerate(pat.paths):
-        for v in path.points():
-            first = owner.setdefault(v, k)
-            if first != k and (meet is None or v < meet[0]):
-                meet = (v, first, k)
-    if meet is None:
+    vsets = [p._vertex_set for p in pat.paths]
+    shared = [min(m) for a, b in itertools.combinations(vsets, 2) if (m := a & b)]
+    if not shared:
         raise UsageError("pattern is nonintersecting")
-    v, i, j = meet
-
-    def split(k: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        idx = pat.paths[k].points().index(v)
-        return pat.paths[k].steps[:idx], pat.paths[k].steps[idx:]
-
-    head_i, tail_i = split(i)
-    head_j, tail_j = split(j)
-    new_paths = list(pat.paths)
-    new_paths[i] = LatticePath(pat.paths[i].start, head_i + tail_j)
-    new_paths[j] = LatticePath(pat.paths[j].start, head_j + tail_i)
-    new_type = list(pat.type)
-    new_type[i], new_type[j] = new_type[j], new_type[i]
-    return Pattern(pat.shape, pat.n, pat.kind, tuple(new_paths), tuple(new_type))
+    v = min(shared)
+    i, j = [k for k, vs in enumerate(vsets) if v in vs][:2]
+    paths = list(pat.paths)
+    a, b = paths[i], paths[j]
+    cut_a, cut_b = a.points().index(v), b.points().index(v)
+    paths[i] = LatticePath(a.start, a.steps[:cut_a] + b.steps[cut_b:])
+    paths[j] = LatticePath(b.start, b.steps[:cut_b] + a.steps[cut_a:])
+    sigma = list(pat.type)
+    sigma[i], sigma[j] = sigma[j], sigma[i]
+    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
 
 
 @dataclass(frozen=True)
@@ -316,46 +349,43 @@ class CancellationReport:
 def verify_cancellation(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> CancellationReport:
-    """Check that intersecting patterns cancel in signed pairs, exactly."""
+    """Check that intersecting patterns cancel in signed pairs, exactly.
+
+    A pair is checked from its first-enumerated member: swapping the mate's
+    tails gives it back, the mate has the opposite sign and, when enumerated,
+    the same weight.  No mate may be left unenumerated at the end.
+    """
     if not (is_diagonal_constant(s) and is_diagonal_constant(x)):
         raise UsageError(
             "the cancellation involution needs diagonal-constant exponents "
             "and shifts"
         )
-    weigh = _pattern_weigher(s, x)
-    signed = Fraction(0)
-    crossing_signed = Fraction(0)
-    free_total = Fraction(0)
-    count = 0
-    free_count = 0
-    involution_ok = True
+    weigh = _pattern_weigher(s, x, n)
+    # Pattern counts by weight: signed over all and over intersecting ones.
+    signed, crossing, free = defaultdict(int), defaultdict(int), defaultdict(int)
+    # A mate's (start, steps) pairs -> its partner's weight.  Plain tuples: the
+    # mate's paths would keep their vertex sets alive until it is enumerated.
+    pending: dict[tuple, Weight] = {}
+    count, involution_ok = 0, True
     for pat in enumerate_patterns(shape, n, kind):
         count += 1
         w = weigh(pat)
         sgn = pat.sign
-        signed = signed + w if sgn > 0 else signed - w
+        signed[w] += sgn
         if pat.is_nonintersecting():
-            free_count += 1
-            free_total += w
+            free[w] += 1
             continue
-        crossing_signed = crossing_signed + w if sgn > 0 else crossing_signed - w
-        mate = tail_swap(pat)
-        if (
-            tail_swap(mate).paths != pat.paths
-            or mate.sign != -sgn
-            or weigh(mate) != w
-        ):
+        crossing[w] += sgn
+        partner = pending.pop(tuple([(p.start, p.steps) for p in pat.paths]), None)
+        if partner is None:
+            mate = tail_swap(pat)
+            involution_ok &= tail_swap(mate).paths == pat.paths and mate.sign == -sgn
+            pending[tuple([(p.start, p.steps) for p in mate.paths])] = w
+        elif partner[0] * w[1] != partner[1] * w[0]:
             involution_ok = False
     return CancellationReport(
-        shape,
-        n,
-        kind,
-        count,
-        free_count,
-        signed,
-        free_total,
-        crossing_signed,
-        involution_ok,
+        shape, n, kind, count, sum(free.values()), _total(signed), _total(free),
+        _total(crossing), involution_ok and not pending,
     )
 
 

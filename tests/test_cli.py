@@ -193,7 +193,7 @@ class TestUsage:
 
 class TestRegistry:
     def test_builtin_all_record_schema(self, capsys):
-        from shzeta.cli import builtin_suite
+        from shzeta.cli import LGV_GRID_HEIGHT, builtin_suite
 
         code, out, _ = run(capsys, "check", "--builtin", "all")
         assert code == 0
@@ -207,6 +207,8 @@ class TestRegistry:
                 assert "ell" in rec
             if rec["identity_id"] == "dirichlet_series_expr":
                 assert rec["cutoffs"]["outer"] == 300
+            if rec["identity_id"] == "lgv_exact":
+                assert rec["cutoffs"]["grid"] == LGV_GRID_HEIGHT == 3
 
     def test_example_manifest_lists_every_registry_id(self):
         from pathlib import Path
@@ -264,6 +266,8 @@ class TestRegistry:
         ["eval", "--tableau-file", "{x_7}"],
         ["check", "--manifest", "{no_shape}"],
         ["check", "--manifest", "{shape_2}"],
+        # 0 = 10^7 would raise its bases to the power 10^7.
+        ["check", "--manifest", "{lgv_huge_exponent}"],
         # 10^15 entries (7.11 PiB) lie beyond the 128 TiB x86-64 address
         # space, so the allocation is refused before any memory is touched.
         ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "1000000000000000"],
@@ -274,6 +278,7 @@ class TestRegistry:
          "missing-manifest",
          "spec-z-list", "spec-number", "cfg-number", "root-z-number",
          "tableau-s-number", "tableau-x-number", "shape-missing", "shape-number",
+         "lgv-huge-exponent",
          "eval-cutoff-beyond-memory", "check-cutoff-beyond-memory"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
@@ -289,6 +294,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
         "no_shape": {"identity_id": "jacobi_trudi_H", "spec": {"z": {"0": 2}}},
         "shape_2": {"identity_id": "hook_expansion_star", "shape": 2,
                     "spec": {"z": {"0": 2, "1": 3}}},
+        "lgv_huge_exponent": {"identity_id": "lgv_exact", "shape": "2,1",
+                              "spec": {"z": {"-1": 2, "0": 1e7, "1": 2}}},
     }
     paths = {"{missing}": str(tmp_path / "missing.json")}
     for name, data in files.items():

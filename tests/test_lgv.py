@@ -7,7 +7,9 @@ from itertools import combinations
 import pytest
 
 from shzeta.errors import UsageError
+from shzeta import lgv
 from shzeta.lgv import (
+    CancellationReport,
     LatticePath,
     Pattern,
     _pattern_weigher,
@@ -139,6 +141,20 @@ class TestCancellation:
         assert rep.intersecting_signed_total == 0
         assert rep.signed_total == rep.nonintersecting_total
 
+    def test_weight_check_catches_weights_that_depend_on_the_type(self, monkeypatch):
+        # Mates differ in type, so scaling by sigma(1) breaks only the weight
+        # check: the swaps and signs are those of the real involution.
+        real = lgv._pattern_weigher
+
+        def by_type(s, x, n):
+            weigh = real(s, x, n)
+            return lambda pat: (weigh(pat)[0] * pat.type[0], weigh(pat)[1])
+
+        monkeypatch.setattr(lgv, "_pattern_weigher", by_type)
+        shape = Partition((2, 2))
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert not rep.involution_verified and not rep.passes
+
     def test_requires_diagonal_constant_data(self):
         shape = Partition((2, 2))
         s = constant_tableau(shape, 2).with_entries({(1, 1): 3})
@@ -158,6 +174,46 @@ class TestCancellation:
         )
         direct = schur_truncated_exact(shape, s, x, 3)
         assert signed != direct
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("parts,n,kind", [
+        ((2, 1), 3, "H"),
+        ((2, 2, 2), 4, "H"),
+        ((3, 2, 1), 4, "H"),
+        ((3, 2), 5, "E"),
+        ((3, 2, 1), 5, "E"),
+    ])
+    def test_pruned_enumeration_is_the_filter(self, parts, n, kind):
+        shape = Partition(parts)
+        filtered = [
+            p for p in enumerate_patterns(shape, n, kind) if p.is_nonintersecting()
+        ]
+        assert filtered
+        assert list(nonintersecting_patterns(shape, n, kind)) == filtered
+
+    def test_cancellation_draws_patterns_through_the_module(self, monkeypatch):
+        # A tracer counts patterns by replacing lgv.enumerate_patterns.
+        drawn = []
+
+        def counting(*args):
+            for p in enumerate_patterns(*args):
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(lgv, "enumerate_patterns", counting)
+        shape = Partition((3, 2))
+        rep = verify_cancellation(shape, 4, *diag_data(shape), "E")
+        assert rep.passes
+        assert len(drawn) == rep.total_patterns > rep.nonintersecting
+
+    def test_huge_exponent_is_refused_before_any_power(self):
+        shape = Partition((2, 1))
+        s, x = diag_tableaux(shape, {-1: 2, 0: 10**7, 1: 2}, {-1: 0, 0: 0, 1: 0})
+        with pytest.raises(UsageError, match="bits"):
+            verify_cancellation(shape, 3, s, x, "H")
+        with pytest.raises(UsageError, match="bits"):
+            truncated_schur_via_paths(shape, 3, s, x, "H")
 
 
 class TestTailSwap:
@@ -192,6 +248,56 @@ class TestTailSwap:
         for p in pats:
             assert tail_swap(p) == tail_swap_oracle(p)
 
+    def test_swaps_once_per_intersecting_pattern(self, monkeypatch):
+        # Each pair is checked from one member: two swaps per pair.
+        calls = []
+
+        def counting(pat):
+            calls.append(pat)
+            return tail_swap(pat)
+
+        monkeypatch.setattr(lgv, "tail_swap", counting)
+        shape = Partition((2, 2, 2))
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert rep.passes
+        assert len(calls) == rep.total_patterns - rep.nonintersecting
+
+    def test_mutant_keeping_the_type_fails_the_sign_check(self, monkeypatch):
+        def same_type(pat):
+            mate = tail_swap(pat)
+            return Pattern(pat.shape, pat.n, pat.kind, mate.paths, pat.type)
+
+        monkeypatch.setattr(lgv, "tail_swap", same_type)
+        shape = Partition((2, 2))
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert not rep.involution_verified and not rep.passes
+        # The totals are right: only the involution check catches it.
+        assert rep.signed_total == rep.nonintersecting_total
+
+    def test_mutant_whose_mates_are_not_patterns_fails(self, monkeypatch):
+        # Swapping whole paths is an involution that reverses the type's
+        # sign, but path i of the mate leaves start j: no pattern does.
+        def whole_paths(pat):
+            mate = tail_swap(pat)
+            i, j = [k for k, (a, b) in enumerate(zip(pat.type, mate.type)) if a != b]
+            paths, sigma = list(pat.paths), list(pat.type)
+            paths[i], paths[j] = paths[j], paths[i]
+            sigma[i], sigma[j] = sigma[j], sigma[i]
+            return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
+
+        shape = Partition((2, 2))
+        crossing = [
+            p for p in enumerate_patterns(shape, 3, "H") if not p.is_nonintersecting()
+        ]
+        # It passes the swap-twice and sign checks, so only the check that
+        # every mate is enumerated can catch it.
+        for p in crossing:
+            mate = whole_paths(p)
+            assert whole_paths(mate).paths == p.paths and mate.sign == -p.sign
+        monkeypatch.setattr(lgv, "tail_swap", whole_paths)
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert not rep.involution_verified and not rep.passes
+
     def test_rejects_nonintersecting(self):
         shape = Partition((2, 1))
         free = next(nonintersecting_patterns(shape, 2, "H"))
@@ -214,12 +320,12 @@ class TestWeights:
         cells = shape.cells()
         s = Tableau(shape, {(i, j): 1 + (i + 2 * j) % 3 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction((3 * i + j) % 5, 7) for i, j in cells})
-        shared = _pattern_weigher(s, x)
+        shared = _pattern_weigher(s, x, n)
         free = Fraction(0)
         types = set()
         for p in enumerate_patterns(shape, n, kind):
             w = edge_weight_oracle(p, s, x)
-            assert pattern_weight(p, s, x) == shared(p) == w
+            assert pattern_weight(p, s, x) == Fraction(*shared(p)) == w
             types.add(p.type)
             if p.is_nonintersecting():
                 free += w
@@ -240,6 +346,25 @@ class TestPinnedValues:
         assert (rep.total_patterns, rep.nonintersecting) == (total, free)
         assert rep.signed_total == rep.nonintersecting_total == Fraction(value)
         assert rep.passes
+
+    # Recorded before the cancellation checked each pair once with integer
+    # weights: every field of the report, exactly.
+    @pytest.mark.parametrize("parts,n,kind,fields", [
+        ((2, 2, 2), 4, "H", (3910, 10, "1320203857421875/40019049523559006208")),
+        ((3, 2, 1), 4, "H", (1984, 64,
+         "84256985143157708520488037109375/90965412146300443191554793700589568")),
+        ((3, 2, 1), 5, "E", (730, 280,
+         "464542206210801711382077046181156005859375/"
+         "307825918425105529105572583690585260995641344")),
+    ])
+    def test_cancellation_report_fields(self, parts, n, kind, fields):
+        shape = Partition(parts)
+        total, free, value = fields
+        rep = verify_cancellation(shape, n, *diag_data(shape), kind)
+        assert rep == CancellationReport(
+            shape, n, kind, total, free, Fraction(value), Fraction(value),
+            Fraction(0), True,
+        )
 
     @pytest.mark.parametrize("parts,n,value", [
         ((3, 2, 1), 4,
