@@ -18,6 +18,7 @@ error.  The series cutoff comes from the ``--cutoff`` flag, else the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from typing import Any, Callable, NoReturn
 
 from . import identities
 from .errors import DomainError, UsageError
-from .ezzeta import DEFAULT_CONFIG, EvalConfig
+from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
 from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
 from .schurzeta import (
@@ -350,7 +351,8 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     """Run one manifest entry through the registry and return its record.
 
     ``cutoff`` is the flag or environment override; without one the
-    entry's ``cfg.cutoff`` applies, else the default.
+    entry's ``cfg.cutoff`` applies, else the default.  The record's kernel
+    calls share one power-table store; ``work.tables_built`` is its size.
     """
     spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
     manifest_cfg = entry.get("cfg", {})
@@ -361,13 +363,15 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     cfg = EvalConfig(cutoff=cutoff)
     ident = entry["identity_id"]
     t0 = time.perf_counter()
-    record = {
-        "identity_id": ident,
-        "shape": entry.get("shape", ""),
-        **IDENTITIES[ident](spec, entry, cfg),
-    }
+    with power_table_scope() as tables:
+        record = {
+            "identity_id": ident,
+            "shape": entry.get("shape", ""),
+            **IDENTITIES[ident](spec, entry, cfg),
+        }
     record["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     record["cutoffs"] = {"series": cfg.cutoff, **record.get("cutoffs", {})}
+    record["work"] = {"tables_built": len(tables)}
     return record
 
 
@@ -466,6 +470,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="shzeta",

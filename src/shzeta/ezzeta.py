@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,20 +115,40 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
+# The power-table store of the active ``power_table_scope``, if any.
+_SCOPE_TABLES: ContextVar[dict | None] = ContextVar("power_tables", default=None)
+
+
+@contextmanager
+def power_table_scope() -> Iterator[dict]:
+    """One power-table store shared by every kernel call in the block (the
+    command line opens one per check record); dropped when the block ends."""
+    token = _SCOPE_TABLES.set(store := {})
+    try:
+        yield store
+    finally:
+        _SCOPE_TABLES.reset(token)
+
+
 def _power_tables(
     idx: np.ndarray, least: int,
 ) -> Callable[[complex, float, bool], np.ndarray]:
-    """Per call, one read-only table (idx + y)^(-e) per (exponent, shift, pass),
-    zeroed below ``least`` (a tiny base may overflow).  The pass (value or |.|)
-    is in the key: 2.5 == 2.5+0j, but the two tables differ in the last bit."""
-    tables: dict[tuple[complex, float, bool], np.ndarray] = {}
+    """One read-only table (idx + y)^(-e) per (length, least, exponent, shift,
+    pass): per ``power_table_scope`` if one is open, else per call.  ``idx``
+    is always arange(length); a table is zeroed below ``least`` (a tiny base
+    may overflow).  The pass (value or |.|) is in the key: 2.5 == 2.5+0j, but
+    the two tables differ in the last bit."""
+    scoped = _SCOPE_TABLES.get()
+    tables = {} if scoped is None else scoped
 
     def table(e: complex, y: float, absolute: bool) -> np.ndarray:
-        a = tables.get((e, y, absolute))
+        key = (len(idx), least, e, y, absolute)
+        a = tables.get(key)
         if a is None:
             with np.errstate(over="ignore"):
-                a = tables[e, y, absolute] = neg_power(idx + y, e)
+                a = tables[key] = neg_power(idx + y, e)
             a[:least] = 0.0
+            a.flags.writeable = False
         return a
 
     return table
@@ -224,7 +246,9 @@ def eval_layers(
 
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
-    table per pass; each state multiplies it by its inflow into a new array.
+    table per pass, built once per ``power_table_scope`` (one per check
+    record), else per call; each state multiplies it by its inflow into a
+    new array.
     """
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]

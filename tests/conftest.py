@@ -1,7 +1,9 @@
 """Shared strategies and helpers for the test suite."""
 
+import pytest
 from hypothesis import strategies as st
 
+from shzeta import ezzeta
 from shzeta.shapes import Partition
 
 
@@ -21,3 +23,18 @@ def partitions(draw, max_size: int = 12, max_rows: int = 5, max_cols: int = 6):
         prev = p
         budget -= p
     return Partition(tuple(parts))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the power tables built, by pass: a value table has a complex
+    exponent, a |.| table the real part."""
+    counts = {"value": 0, "abs": 0}
+    neg_power = ezzeta.neg_power
+
+    def spy(base, s):
+        counts["value" if isinstance(s, complex) else "abs"] += 1
+        return neg_power(base, s)
+
+    monkeypatch.setattr(ezzeta, "neg_power", spy)
+    return counts

@@ -3,10 +3,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from shzeta.cli import BUILTIN_SUITES, main
-from shzeta.ezzeta import hurwitz
+from shzeta import ezzeta
+from shzeta.cli import (
+    _NO_SPEC,
+    BUILTIN_SUITES,
+    IDENTITIES,
+    SUITES,
+    build_parser,
+    builtin_suite,
+    main,
+    run_one,
+)
+from shzeta.errors import DomainError
+from shzeta.ezzeta import EvalConfig, hurwitz
+from shzeta.tableaux import content_spec_from_json
 
 
 def run(capsys, *argv):
@@ -17,6 +30,11 @@ def run(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def timeless(out):
+    """The records of ``out`` without their ``runtime_ms``."""
+    return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in json_lines(out)]
 
 
 class TestEval:
@@ -95,6 +113,10 @@ class TestCheck:
                            "--cutoff", "400", "--jobs", "2")
         assert code == 0
         assert all(r["pass"] for r in json_lines(out))
+        # Each worker thread opens its own table store per record.
+        outs = [run(capsys, "check", "--builtin", "all", "--cutoff", "400",
+                    "--jobs", jobs)[1] for jobs in ("1", "2")]
+        assert timeless(outs[0]) == timeless(outs[1])
 
     def test_manifest(self, capsys, tmp_path):
         f = tmp_path / "suite.manifest"
@@ -190,6 +212,15 @@ class TestUsage:
     def test_bad_flag_value(self, capsys, argv):
         self.exits_2(capsys, argv)
 
+    def test_one_parser_survives_a_bad_invocation(self, capsys):
+        assert build_parser() is build_parser()
+        argv = ["check", "--builtin", "giambelli", "--cutoff", "300"]
+        first = run(capsys, *argv)
+        self.exits_2(capsys, ["check", "--cutoff", "x"])
+        again = run(capsys, *argv)
+        assert first[0] == again[0] == 0
+        assert timeless(first[1]) == timeless(again[1])
+
 
 class TestRegistry:
     def test_builtin_all_record_schema(self, capsys):
@@ -203,12 +234,15 @@ class TestRegistry:
             assert {"identity_id", "shape", "pass"} <= set(rec)
             assert rec["shape"]
             assert rec["cutoffs"]["series"] == 2000
+            assert set(rec["work"]) == {"tables_built"}
+            assert isinstance(rec["work"]["tables_built"], int)
             if rec["identity_id"].startswith("derivative_"):
                 assert "ell" in rec
             if rec["identity_id"] == "dirichlet_series_expr":
                 assert rec["cutoffs"]["outer"] == 300
             if rec["identity_id"] == "lgv_exact":
                 assert rec["cutoffs"]["grid"] == LGV_GRID_HEIGHT == 3
+                assert rec["work"]["tables_built"] == 0  # it sums no series
 
     def test_example_manifest_lists_every_registry_id(self):
         from pathlib import Path
@@ -245,6 +279,53 @@ class TestRegistry:
         monkeypatch.setenv("SHZETA_CUTOFF", "70")
         assert [c for c, _ in cutoffs()] == [70, 70]
         assert [c for c, _ in cutoffs("--cutoff", "90")] == [90, 90]
+
+
+JT_32 = next(e for e in builtin_suite("jacobi-trudi")
+             if e["identity_id"] == "jacobi_trudi_H" and e["shape"] == "3,2")
+
+
+def run_alone(entry):
+    """The identity's fields computed outside any record: tables per call."""
+    spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
+    return IDENTITIES[entry["identity_id"]](spec, entry, EvalConfig())
+
+
+def float_bits(rec):
+    return {k: [float.hex(v) for v in np.ravel(rec[k])]
+            for k in ("lhs", "rhs", "discrepancy", "budget") if k in rec}
+
+
+class TestTableScope:
+    """One power-table store per check record, dropped when it ends."""
+
+    def test_tables_built_counts_the_builds(self, built):
+        rec = run_one(JT_32, None)
+        assert rec["work"]["tables_built"] == sum(built.values()) == 6
+        run_alone(JT_32)  # per call, the same work builds 18 tables
+        assert sum(built.values()) == 6 + 18
+
+    def test_no_state_survives_a_record(self, built):
+        counts = []
+        for _ in range(2):
+            before = sum(built.values())
+            tables_built = run_one(JT_32, None)["work"]["tables_built"]
+            counts.append((tables_built, sum(built.values()) - before))
+        assert counts[0] == counts[1] == (6, 6)
+
+    def test_scope_unset_after_a_domain_error(self):
+        entry = {"identity_id": "root_reductions", "z": [2, 3], "m": 1e-200}
+        with pytest.raises(DomainError, match="overflows"):
+            run_one(entry, None)
+        assert ezzeta._SCOPE_TABLES.get() is None
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_sharing_changes_no_bit(self, suite):
+        for entry in builtin_suite(suite):
+            shared, alone = run_one(entry, None), run_alone(entry)
+            assert float_bits(shared) == float_bits(alone)
+            alone.pop("cutoffs", None)  # run_one adds the series cutoff
+            assert {k: shared[k] for k in alone} == alone
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ code with this package.  Convention: in ``ez_zeta(s, y)`` the exponent
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -382,21 +383,6 @@ def test_schur_eval_bits(shape, bits):
     assert _bits(schur_eval(_instance(shape))) == bits
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """Counts the power tables built, by pass: a value table has a complex
-    exponent, a |.| table the real part."""
-    counts = {"value": 0, "abs": 0}
-    neg_power = ezzeta.neg_power
-
-    def spy(base, s):
-        counts["value" if isinstance(s, complex) else "abs"] += 1
-        return neg_power(base, s)
-
-    monkeypatch.setattr(ezzeta, "neg_power", spy)
-    return counts
-
-
 class TestOneTablePerPair:
     def test_constant_chain(self, built):
         ez_zeta([2.25] * 6, [0.3] * 6, EvalConfig(200))
@@ -415,3 +401,21 @@ class TestOneTablePerPair:
     def test_chain_tails(self, built):
         chain_tails([2.5] * 4, [0.3] * 4, [True] * 3, EvalConfig(100), 5, 1)
         assert built == {"value": 1, "abs": 1}
+
+    def test_tables_are_read_only(self):
+        a = ezzeta._power_tables(np.arange(10.0), 1)(2.5 + 0j, 0.3, False)
+        with pytest.raises(ValueError):
+            a[3] = 0.0
+
+    def test_scope_shares_tables_between_calls(self, built):
+        args = [2.25] * 3, [0.3] * 3
+        with ezzeta.power_table_scope() as store:
+            ez_zeta(*args, EvalConfig(200))
+            ez_zeta(*args, EvalConfig(200))
+            assert built == {"value": 1, "abs": 1} and len(store) == 2
+            # Another least first index (or length) is another table.
+            ez_zeta_star_star(*args, EvalConfig(200))
+            assert built == {"value": 2, "abs": 2} and len(store) == 4
+        assert ezzeta._SCOPE_TABLES.get() is None
+        ez_zeta(*args, EvalConfig(200))  # no scope: built per call
+        assert built == {"value": 3, "abs": 3}
