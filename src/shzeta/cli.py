@@ -31,13 +31,7 @@ from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
 from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
-from .schurzeta import (
-    SchurInstance,
-    dp_states,
-    instance_from_spec,
-    power_tables,
-    schur_eval,
-)
+from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
 from .shapes import Partition, parse_partition, parse_shape
 from .tableaux import (
     ContentSpec,
@@ -125,7 +119,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             _parse_assignments(args.y, float) if args.y else {},
         )
         inst = instance_from_spec(spec, shape)
-    approx = schur_eval(inst, cfg)
+    with power_table_scope() as tables:
+        approx = schur_eval(inst, cfg)
     _emit(
         {
             "value_re": approx.value.real,
@@ -135,7 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             "work": {
                 "dp_states": dp_states(inst.shape),
-                "power_tables": power_tables(inst),
+                "power_tables": sum(not absolute for *_, absolute in tables),
                 "array_len": cfg.cutoff + 1,
             },
         }

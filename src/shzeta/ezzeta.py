@@ -11,8 +11,7 @@ dynamic program over a single cutoff M, and every result carries a rigorous
 truncation-error bound valid under the stated convergence hypotheses
 (Re s_r > 1, Re s_i >= 1 for i < r).
 
-Conventions: depth 0 returns exactly 1 and negative depth exactly 0, so
-determinant entries of vanishing or negative depth need no special casing.
+An empty chain (depth 0) sums to exactly 1.
 
 One kernel, ``eval_layers``, sums over the P-partitions of a labelled poset
 given as its graph of (order ideal, last cell) states.  ``eval_chain``, with
@@ -122,7 +121,8 @@ _SCOPE_TABLES: ContextVar[dict | None] = ContextVar("power_tables", default=None
 @contextmanager
 def power_table_scope() -> Iterator[dict]:
     """One power-table store shared by every kernel call in the block (the
-    command line opens one per check record); dropped when the block ends."""
+    command line opens one per check record and one per eval), keyed by
+    (table length, exponent, shift, |.| pass); dropped when the block ends."""
     token = _SCOPE_TABLES.set(store := {})
     try:
         yield store
@@ -130,24 +130,22 @@ def power_table_scope() -> Iterator[dict]:
         _SCOPE_TABLES.reset(token)
 
 
-def _power_tables(
-    idx: np.ndarray, least: int,
-) -> Callable[[complex, float, bool], np.ndarray]:
-    """One read-only table (idx + y)^(-e) per (length, least, exponent, shift,
-    pass): per ``power_table_scope`` if one is open, else per call.  ``idx``
-    is always arange(length); a table is zeroed below ``least`` (a tiny base
-    may overflow).  The pass (value or |.|) is in the key: 2.5 == 2.5+0j, but
-    the two tables differ in the last bit."""
+def _power_tables(idx: np.ndarray) -> Callable[[complex, float, bool], np.ndarray]:
+    """One read-only table (idx + y)^(-e) per (length, exponent, shift, pass):
+    per ``power_table_scope`` if one is open, else per call.  ``idx`` is
+    always arange(length).  A tiny base may overflow, so each caller zeroes
+    or skips the entries below its least index in its own arrays.  The pass
+    (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables differ in
+    the last bit."""
     scoped = _SCOPE_TABLES.get()
     tables = {} if scoped is None else scoped
 
     def table(e: complex, y: float, absolute: bool) -> np.ndarray:
-        key = (len(idx), least, e, y, absolute)
+        key = (len(idx), e, y, absolute)
         a = tables.get(key)
         if a is None:
             with np.errstate(over="ignore"):
                 a = tables[key] = neg_power(idx + y, e)
-            a[:least] = 0.0
             a.flags.writeable = False
         return a
 
@@ -248,7 +246,8 @@ def eval_layers(
     are constant along diagonals, a constant chain's slots) share one power
     table per pass, built once per ``power_table_scope`` (one per check
     record), else per call; each state multiplies it by its inflow into a
-    new array.
+    new array (a first-layer state copies it) and zeroes that below its
+    least entry.
     """
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
@@ -256,7 +255,7 @@ def eval_layers(
     idx = np.arange(0, m + 1, dtype=np.float64)
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
     exps = {False: [complex(v) for v in s], True: sigmas}  # per pass
-    table = _power_tables(idx, first_min)  # no cell's least entry is lower
+    table = _power_tables(idx)
     steps = _strict_steps(layers)
 
     # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
@@ -276,14 +275,14 @@ def eval_layers(
                 out = []
                 for c, preds in layer:
                     a = table(exps[absolute][c], y[c], absolute)
-                    if i:
-                        # Keep the operand order: with fused multiply-adds,
-                        # complex products do not commute bitwise, and numpy
-                        # would evaluate ``a * temporary`` as ``temporary *= a``.
-                        a = np.multiply(a, _inflow(cums, preds))
-                        # Below its least entry a cell's inflow is 0, but a
-                        # power there may overflow (tiny base): 0 * inf is NaN.
-                        a[:first_min + steps[c]] = 0.0
+                    # Keep the operand order: with fused multiply-adds,
+                    # complex products do not commute bitwise, and numpy
+                    # would evaluate ``a * temporary`` as ``temporary *= a``.
+                    a = np.multiply(a, _inflow(cums, preds)) if i else a.copy()
+                    # Below its least entry a cell sums nothing, but the shared
+                    # table holds powers there, which may overflow (tiny base;
+                    # 0 * inf is NaN).
+                    a[:first_min + steps[c]] = 0.0
                     out.append(a)
                 arrs[absolute] = out
             if i <= carry_layer:
@@ -442,68 +441,59 @@ def chain_tails(
     if min(sig) <= 1.0:
         raise DomainError(f"chain_tails needs Re s > 1 in every slot; got {sig}")
     big = cfg.cutoff + count
-    size = big + 1
-    j = np.arange(size, dtype=np.float64)
-    lo = np.arange(1, count + 1) + first_min
     tails = [tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
-    table = _power_tables(j, lo[0])  # below every lo(m)
-    a = [table(complex(v), yc, False) for v, yc in zip(s, y)]
-    values = _reverse_pass(a, strict, size)[lo]
-    prefix = _reverse_pass(a[:-1], strict, size)[lo]
+    table = _power_tables(np.arange(big + 1, dtype=np.float64))
+    # The passes run over k = lo(1)..K, so index m - 1 is lo(m); no sum reads
+    # a lower k, where a tiny base may overflow.
+    start, size = 1 + first_min, big - first_min
+    a = [table(complex(v), yc, False)[start:] for v, yc in zip(s, y)]
+    values = _reverse_pass(a, strict, size)[:count]
+    prefix = _reverse_pass(a[:-1], strict, size)[:count]
     em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
     if r > 1:
         # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
         n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
-        absolute = [table(sig[i], y[i], True) for i in range(n)]
-        hbar = _reverse_pass(absolute, strict, size, consts)[lo]
+        absolute = [table(sig[i], y[i], True)[start:] for i in range(n)]
+        hbar = _reverse_pass(absolute, strict, size, consts)[:count]
         em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
     return values + em_value, em_remainder
 
 
 def _chain_zeta(
     s: Sequence[complex], y: "Sequence[float] | None", cfg: EvalConfig,
-    depth: int | None, strict: bool, first_min: int,
+    strict: bool, first_min: int,
 ) -> Approx:
-    if depth is None:
-        depth = len(s)
-    if depth < 0:
-        return APPROX_ZERO
     sv = tuple(complex(v) for v in s)
-    if len(sv) != depth:
-        raise ValueError(f"need {depth} exponents, got {len(sv)}")
-    yv = (0.0,) * depth if y is None else tuple(float(v) for v in y)
-    return eval_chain(sv, yv, (strict,) * (depth - 1), cfg, first_min)
+    yv = (0.0,) * len(sv) if y is None else tuple(float(v) for v in y)
+    return eval_chain(sv, yv, (strict,) * (len(sv) - 1), cfg, first_min)
 
 
 def ez_zeta(
     s: Sequence[complex],
     y: "Sequence[float] | None" = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    depth: int | None = None,
 ) -> Approx:
     """Strict-chain multiple zeta: 0 < m_1 < ... < m_r."""
-    return _chain_zeta(s, y, cfg, depth, True, 1)
+    return _chain_zeta(s, y, cfg, True, 1)
 
 
 def ez_zeta_star(
     s: Sequence[complex],
     y: "Sequence[float] | None" = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    depth: int | None = None,
 ) -> Approx:
     """Weak-chain multiple zeta: 0 < m_1 <= ... <= m_r."""
-    return _chain_zeta(s, y, cfg, depth, False, 1)
+    return _chain_zeta(s, y, cfg, False, 1)
 
 
 def ez_zeta_star_star(
     s: Sequence[complex],
     y: Sequence[float],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    depth: int | None = None,
 ) -> Approx:
     """Weak chain starting at 0: 0 <= m_1 <= ... <= m_r; all shifts > 0."""
-    return _chain_zeta(s, y, cfg, depth, False, 0)
+    return _chain_zeta(s, y, cfg, False, 0)
 
 
 def hurwitz(s: complex, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:

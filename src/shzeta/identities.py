@@ -7,6 +7,9 @@ sums, ...), then reports the discrepancy against the combined certified
 error budget.  Every determinant (Jacobi-Trudi, Giambelli, Frobenius,
 Dirichlet) is expanded by minors in O(n 2^n) Approx operations, so the entry
 error bounds propagate rigorously, no looser than in the full expansion.
+Those with a content-spec right side are one ``_strip_determinant`` each:
+det[Z(a_j, b_i)] over the strips (a_k, b_k) of an outside decomposition of
+the shape (rows, columns or diagonal hooks), each with its own entry route.
 """
 
 from __future__ import annotations
@@ -125,55 +128,67 @@ def _zy(spec: ContentSpec, ks: Sequence[int]) -> tuple[list[complex], list[float
     return [spec.z_at(k) for k in ks], [spec.y_at(k) for k in ks]
 
 
+def _strip_determinant(
+    strips: Sequence[tuple[int, int]], entry: Callable[[int, int], Approx]
+) -> Approx:
+    """det[Z(a_j, b_i)] over the strips (a_k, b_k), strip k covering the
+    contents a_k..b_k: entry (i, j) is the series of the contents a_j..b_i,
+    ``entry(a_j, b_i)``, so rows go by strip end.  A segment that starts one
+    past its end is empty (1); one that starts later is 0."""
+
+    def at(a: int, b: int) -> Approx:
+        if a > b:
+            return APPROX_ONE if a == b + 1 else APPROX_ZERO
+        return entry(a, b)
+
+    starts = [a for a, _ in strips]
+    return determinant([[at(a, b) for a in starts] for _, b in strips])
+
+
+def _hook_strips(shape: Partition) -> list[tuple[int, int]]:
+    fr = shape.frobenius()
+    return list(zip((-q for q in fr.q), fr.p))
+
+
 # ---------------------------------------------------------------------------
 # Jacobi-Trudi
 
 
-def _jacobi_trudi(
-    spec: ContentSpec, shape: Partition, sign: int, zeta: Callable[..., Approx],
-    cfg: EvalConfig,
-) -> Approx:
-    """det[zeta over contents sign * (-j+1, -j+2, ..., -j+d)], with depth
-    d = lambda_i - i + j in entry (i, j); depth 0 gives 1, negative depth 0."""
-    r = shape.rows
-    rows = []
-    for i in range(1, r + 1):
-        row = []
-        for j in range(1, r + 1):
-            d = shape.part(i) - i + j
-            if d < 0:
-                row.append(APPROX_ZERO)
-                continue
-            z, y = _zy(spec, [sign * k for k in range(-j + 1, -j + 1 + d)])
-            row.append(zeta(z, y, cfg))
-        rows.append(row)
-    return determinant(rows)
+def _weak_rows(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Approx:
+    rows = [(1 - i, shape.part(i) - i) for i in range(1, shape.rows + 1)]
+    return _strip_determinant(
+        rows, lambda a, b: ez_zeta_star(*_zy(spec, range(a, b + 1)), cfg)
+    )
 
 
 def jacobi_trudi_H(
     spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
-    """Determinant of weak-chain zetas over row lengths vs. the direct sum.
+    """Determinant of weak-chain zetas over the rows vs. the direct sum.
 
-    Entry (i, j) has depth d = lambda_i - i + j on contents
-    -j+1, -j+2, ..., -j+d; depth 0 contributes 1 and negative depth 0.
+    Row i is the strip of contents 1 - i..lambda_i - i, so entry (i, j) is
+    ``ez_zeta_star`` on the contents 1 - j, 2 - j, ..., lambda_i - i
+    (depth lambda_i - i + j).
     """
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
-    rhs = _jacobi_trudi(spec, shape, 1, ez_zeta_star, cfg)
-    return IdentityReport("jacobi_trudi_H", lhs, rhs)
+    return IdentityReport("jacobi_trudi_H", lhs, _weak_rows(spec, shape, cfg))
 
 
 def jacobi_trudi_E(
     spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
-    """Determinant of strict-chain zetas over column lengths: the H
-    determinant on the conjugate shape with the contents negated.
+    """Determinant of strict-chain zetas over the columns vs. the direct sum.
 
-    Entry (i, j) has depth d = lambda'_i - i + j on contents
-    j-1, j-2, ..., j-d (descending).
+    Column j is the strip of contents j - lambda'_j..j - 1, so entry (i, j)
+    is ``ez_zeta`` on the contents i - 1, i - 2, ..., j - lambda'_j
+    (descending, as a column is read downward).
     """
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
-    rhs = _jacobi_trudi(spec, shape.conjugate(), -1, ez_zeta, cfg)
+    conj = shape.conjugate()
+    columns = [(j - conj.part(j), j - 1) for j in range(1, conj.rows + 1)]
+    rhs = _strip_determinant(
+        columns, lambda a, b: ez_zeta(*_zy(spec, range(b, a - 1, -1)), cfg)
+    )
     return IdentityReport("jacobi_trudi_E", lhs, rhs)
 
 
@@ -193,8 +208,7 @@ def jacobi_trudi_H_general(
         {k: s[cells[0]] for k, cells in sets.items()},
         {k: float(x[cells[0]]) for k, cells in sets.items()},
     )
-    rhs = _jacobi_trudi(spec, shape, 1, ez_zeta_star, cfg)
-    return IdentityReport("jacobi_trudi_H_general", lhs, rhs)
+    return IdentityReport("jacobi_trudi_H_general", lhs, _weak_rows(spec, shape, cfg))
 
 
 def _ext_shape_mn(shape: Partition) -> tuple[int, int, int]:
@@ -275,17 +289,14 @@ def extended_jacobi_trudi(
 def giambelli(
     spec: ContentSpec, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
-    """Determinant of hook evaluations over the Frobenius coordinates."""
+    """Determinant of hook evaluations over the diagonal hooks: entry (i, j)
+    is the hook (p_i + 1, 1^(q_j)) on contents -q_j..p_i."""
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
-    fr = shape.frobenius()
-    rows = [
-        [
-            schur_eval(instance_from_spec(spec, hook(fr.p[i], fr.q[j])), cfg)
-            for j in range(fr.depth)
-        ]
-        for i in range(fr.depth)
-    ]
-    return IdentityReport("giambelli", lhs, determinant(rows))
+    rhs = _strip_determinant(
+        _hook_strips(shape),
+        lambda a, b: schur_eval(instance_from_spec(spec, hook(b, -a)), cfg),
+    )
+    return IdentityReport("giambelli", lhs, rhs)
 
 
 def _transport(t: Tableau, ht: HashTranspose) -> Tableau:
@@ -375,8 +386,8 @@ def hook_expansion_zeta(
 
 
 def _frobenius_rhs(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Approx:
-    """Giambelli determinant det[H(p_i, q_k)] over the Frobenius coordinates,
-    with the hook expansion H(p, q) = sum_{j <= q} (-1)^j zeta*(contents
+    """Giambelli determinant det[H(p_i, q_j)] over the diagonal hooks, with
+    the hook expansion H(p, q) = sum_{j <= q} (-1)^j zeta*(contents
     -j..p) zeta(contents -j-1 down to -q).  By multilinearity in the rows it
     is the signed sum over the matchings of arms to legs and the split
     points of every leg; on a hook, ``hook_expansion_star``."""
@@ -394,7 +405,7 @@ def _frobenius_rhs(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Appr
         terms = (weak[p][j] * strict[q][j] for j in range(q + 1))
         return sum((-t if j % 2 else t for j, t in enumerate(terms)), APPROX_ZERO)
 
-    return determinant([[h(p, q) for p in fr.p] for q in fr.q])
+    return _strip_determinant(_hook_strips(shape), lambda a, b: h(b, -a))
 
 
 def frobenius_expansion(
@@ -455,8 +466,7 @@ def dirichlet_series_expr(
         tail = bound(*arms[p], m_top + 1) * bound(*legs[q], m_top + 2) * outer_tail
         return Approx(complex(np.sum(w * a * b)), float(np.sum(err)) + tail)
 
-    # Rows are legs, columns arms.
-    rhs = determinant([[entry(p, q) for p in fr.p] for q in fr.q])
+    rhs = _strip_determinant(_hook_strips(shape), lambda a, b: entry(b, -a))
     return IdentityReport("dirichlet_series_expr", lhs, rhs)
 
 

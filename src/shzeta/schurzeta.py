@@ -140,13 +140,6 @@ def dp_states(shape: Shape) -> int:
     return sum(map(len, ideal_layers(as_skew(shape))[1]))
 
 
-def power_tables(inst: SchurInstance) -> int:
-    """Number of power tables ``schur_eval`` builds for the values: one per
-    distinct (exponent, shift) pair among the cells."""
-    cells = inst.exponents.entries
-    return len({(complex(v), float(inst.shifts[c])) for c, v in cells.items()})
-
-
 def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     """Certified value of the tableau series for the instance."""
     if not in_W_lambda(inst.exponents):

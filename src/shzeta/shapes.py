@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
 
@@ -194,6 +194,35 @@ class SkewShape:
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 
+    @classmethod
+    def from_cells(cls, cells: Iterable[Cell]) -> "SkewShape":
+        """The skew shape whose cells are exactly ``cells``.
+
+        Row i runs from inner_i + 1 to outer_i; a row with no cells, above
+        one that has some, gets inner_i = outer_i = outer_(i+1).  Raises
+        ValueError when no skew shape has exactly these cells.
+        """
+        cells = set(cells)
+        runs: dict[int, list[int]] = {}
+        for i, j in cells:
+            if i < 1 or j < 1:
+                raise ValueError(f"the cells do not form a skew shape: {(i, j)} "
+                                 "is outside rows and columns 1, 2, ...")
+            runs.setdefault(i, []).append(j)
+        outer: list[int] = []
+        inner: list[int] = []
+        for i in range(max(runs, default=0), 0, -1):  # bottom row first
+            js = runs.get(i, [])
+            lo, hi = (min(js) - 1, max(js)) if js else (outer[-1], outer[-1])
+            if hi - lo != len(js):
+                raise ValueError(f"the cells do not form a skew shape: row {i} has a gap")
+            if outer and (hi < outer[-1] or lo < inner[-1]):
+                raise ValueError(f"the cells do not form a skew shape: row {i + 1} "
+                                 f"does not fit under row {i}")
+            inner.append(lo)
+            outer.append(hi)
+        return cls(Partition(tuple(outer[::-1])), Partition(tuple(inner[::-1])))
+
     def cells(self) -> tuple[Cell, ...]:
         return tuple(
             (i, j)
@@ -267,32 +296,9 @@ def hash_transpose(s: "SkewShape | Partition") -> HashTranspose:
     """
     if isinstance(s, Partition):
         s = SkewShape(s)
-    if s.size == 0:
-        return HashTranspose(SkewShape(Partition()), {})
-    r = s.outer.rows
-    c = s.outer.parts[0]
+    r, c = s.outer.rows, s.outer.part(1)
     cmap = {(i, j): (c + 1 - j, r + 1 - i) for (i, j) in s.cells()}
-    image = set(cmap.values())
-    # Rebuild outer/inner of the image inside the c x r box.  In each row of
-    # the image the present cells form a contiguous run ending at the row's
-    # maximum column (reflection of a left-justified run).
-    outer_parts = []
-    inner_parts = []
-    for i in range(1, c + 1):
-        cols = [j for (a, j) in image if a == i]
-        if cols:
-            outer_parts.append(max(cols))
-            inner_parts.append(min(cols) - 1)
-        else:
-            outer_parts.append(0)
-            inner_parts.append(0)
-    while outer_parts and outer_parts[-1] == 0:
-        outer_parts.pop()
-        inner_parts.pop()
-    shape = SkewShape(Partition(tuple(outer_parts)), Partition(tuple(inner_parts)))
-    if set(shape.cells()) != image:
-        raise AssertionError("anti-diagonal image is not a skew shape")
-    return HashTranspose(shape, cmap)
+    return HashTranspose(SkewShape.from_cells(cmap.values()), cmap)
 
 
 @dataclass(frozen=True)

@@ -376,31 +376,16 @@ def tableau_to_rows(t: Tableau) -> list[list[Any]]:
 
 
 def tableau_from_rows(rows: list[list[Any]]) -> Tableau:
-    """Inverse of ``tableau_to_rows``: null-prefixed rows describe a skew shape."""
-    outer = []
-    inner = []
-    entries: dict[Cell, Any] = {}
-    for i, row in enumerate(rows, start=1):
-        present = [j for j, v in enumerate(row, start=1) if v is not None]
-        if not present:
-            outer.append(0)
-            inner.append(0)
-            continue
-        if present != list(range(present[0], present[-1] + 1)):
-            raise UsageError(f"row {i} has gaps between present cells")
-        outer.append(present[-1])
-        inner.append(present[0] - 1)
-        for j in present:
-            entries[(i, j)] = row[j - 1]
-    while outer and outer[-1] == 0:
-        outer.pop()
-        inner.pop()
-    shape: Shape
-    if any(inner):
-        shape = SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
-    else:
-        shape = Partition(tuple(outer))
-    return Tableau(shape, entries)
+    """Inverse of ``tableau_to_rows``: null-prefixed rows describe a skew
+    shape, given by its cells (``SkewShape.from_cells``)."""
+    entries = {
+        (i, j): v
+        for i, row in enumerate(rows, start=1)
+        for j, v in enumerate(row, start=1)
+        if v is not None
+    }
+    shape = SkewShape.from_cells(entries)
+    return Tableau(shape if shape.inner.size else shape.outer, entries)
 
 
 def json_scalar(value: Any, what: str) -> Any:

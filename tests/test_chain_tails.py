@@ -23,7 +23,7 @@ def _chain(depth, imag):
 
 def _per_m(s, y, first_min, cfg, count):
     oracle, _ = ORACLES[first_min]
-    return [oracle(s, [m + v for v in y], cfg, depth=len(s)) for m in range(1, count + 1)]
+    return [oracle(s, [m + v for v in y], cfg) for m in range(1, count + 1)]
 
 
 def _against_per_m_calls(s, y, strict, first_min, cfg, count, values, errs):
@@ -66,6 +66,16 @@ def test_matches_per_m_calls(depth, first_min, imag, check, cutoff, count):
     values, errs = chain_tails(s, y, strict, cfg, count, first_min)
     assert values.shape == errs.shape == (count,)
     check(s, y, strict, first_min, cfg, count, values, errs)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_tiny_shift_below_the_least_index(depth):
+    # At first_min 0 the tables start at k = 0, where the base 1e-200 makes
+    # (1e-200)^(-s) overflow; no tail reads that entry.
+    s, y, cfg = [2.5 + 0.5j] * depth, [1e-200] * depth, EvalConfig(200)
+    strict = [False] * (depth - 1)
+    values, errs = chain_tails(s, y, strict, cfg, 5, 0)
+    _against_per_m_calls(s, y, strict, 0, cfg, 5, values, errs)
 
 
 def test_depth_zero_is_one():

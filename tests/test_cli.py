@@ -345,6 +345,8 @@ class TestTableScope:
         ["check", "--manifest", "{root_z_5}"],
         ["eval", "--tableau-file", "{s_5}"],
         ["eval", "--tableau-file", "{x_7}"],
+        ["eval", "--tableau-file", "{s_gap}"],
+        ["eval", "--tableau-file", "{s_rows_grow}"],
         ["check", "--manifest", "{no_shape}"],
         ["check", "--manifest", "{shape_2}"],
         # 0 = 10^7 would raise its bases to the power 10^7.
@@ -358,7 +360,8 @@ class TestTableScope:
          "tableau-without-s", "cutoff-0", "paths-n-0", "paths-max-render-negative",
          "missing-manifest",
          "spec-z-list", "spec-number", "cfg-number", "root-z-number",
-         "tableau-s-number", "tableau-x-number", "shape-missing", "shape-number",
+         "tableau-s-number", "tableau-x-number", "tableau-row-gap",
+         "tableau-rows-grow", "shape-missing", "shape-number",
          "lgv-huge-exponent",
          "eval-cutoff-beyond-memory", "check-cutoff-beyond-memory"],
 )
@@ -372,6 +375,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv):
         "root_z_5": {"identity_id": "root_reductions", "z": 5},
         "s_5": {"s": 5},
         "x_7": {"s": [[2, 3]], "x": 7},
+        "s_gap": {"s": [[2, None, 3]]},  # cells that form no skew shape
+        "s_rows_grow": {"s": [[2], [3, 3]]},
         "no_shape": {"identity_id": "jacobi_trudi_H", "spec": {"z": {"0": 2}}},
         "shape_2": {"identity_id": "hook_expansion_star", "shape": 2,
                     "spec": {"z": {"0": 2, "1": 3}}},

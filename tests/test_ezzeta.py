@@ -27,7 +27,7 @@ from shzeta.ezzeta import (
     ez_zeta_star_star,
     hurwitz,
 )
-from shzeta.schurzeta import instance_from_spec, power_tables, schur_eval
+from shzeta.schurzeta import instance_from_spec, schur_eval
 from shzeta.shapes import parse_shape
 from shzeta.tableaux import ContentSpec
 
@@ -115,12 +115,6 @@ class TestConventions:
             assert a.value == 1.0 and a.err_bound == 0.0
         a = ez_zeta_star_star([], [])
         assert a.value == 1.0 and a.err_bound == 0.0
-
-    def test_negative_depth_is_exactly_zero(self):
-        assert ez_zeta([2], depth=-1).value == 0.0
-        assert ez_zeta([2], depth=-1).err_bound == 0.0
-        assert ez_zeta_star([2], depth=-2) == APPROX_ZERO
-        assert ez_zeta_star_star([2], [0.3], depth=-1) == APPROX_ZERO
 
     def test_star_star_requires_positive_shifts(self):
         with pytest.raises(DomainError):
@@ -393,17 +387,17 @@ class TestOneTablePerPair:
         assert built == {"value": 6, "abs": 1}
 
     def test_diagonal_cells(self, built):
-        inst = _instance("4,3,2,1")
-        schur_eval(inst, EvalConfig(200))
+        with ezzeta.power_table_scope() as store:
+            schur_eval(_instance("4,3,2,1"), EvalConfig(200))
         assert built == {"value": 7, "abs": 7}
-        assert power_tables(inst) == 7
+        assert sum(not absolute for *_, absolute in store) == 7
 
     def test_chain_tails(self, built):
         chain_tails([2.5] * 4, [0.3] * 4, [True] * 3, EvalConfig(100), 5, 1)
         assert built == {"value": 1, "abs": 1}
 
     def test_tables_are_read_only(self):
-        a = ezzeta._power_tables(np.arange(10.0), 1)(2.5 + 0j, 0.3, False)
+        a = ezzeta._power_tables(np.arange(10.0))(2.5 + 0j, 0.3, False)
         with pytest.raises(ValueError):
             a[3] = 0.0
 
@@ -413,9 +407,21 @@ class TestOneTablePerPair:
             ez_zeta(*args, EvalConfig(200))
             ez_zeta(*args, EvalConfig(200))
             assert built == {"value": 1, "abs": 1} and len(store) == 2
-            # Another least first index (or length) is another table.
+            # Another least first index reads the same tables; another
+            # length is another table.
             ez_zeta_star_star(*args, EvalConfig(200))
+            assert built == {"value": 1, "abs": 1} and len(store) == 2
+            ez_zeta(*args, EvalConfig(100))
             assert built == {"value": 2, "abs": 2} and len(store) == 4
         assert ezzeta._SCOPE_TABLES.get() is None
         ez_zeta(*args, EvalConfig(200))  # no scope: built per call
         assert built == {"value": 3, "abs": 3}
+
+    def test_shared_tables_keep_each_value(self):
+        # Each call zeroes the entries below its own least index in its own
+        # arrays, so reading one table from 1, 0 and 1 again changes no bit.
+        args = [2.25] * 3, [0.3] * 3
+        calls = (ez_zeta, ez_zeta_star_star, ez_zeta)
+        alone = [f(*args, EvalConfig(200)) for f in calls]
+        with ezzeta.power_table_scope():
+            assert [f(*args, EvalConfig(200)) for f in calls] == alone

@@ -15,6 +15,7 @@ import pytest
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import APPROX_ONE, APPROX_ZERO, Approx, EvalConfig, ez_zeta
 from shzeta.identities import (
+    _strip_determinant,
     derivative_fd_check,
     derivative_identity,
     determinant,
@@ -219,25 +220,55 @@ class TestFrobeniusExpansion:
         assert abs(a.rhs.value - b.rhs.value) <= a.rhs.err_bound + b.rhs.err_bound + 1e-10
 
 
+class TestStripDeterminant:
+    @staticmethod
+    def entry(calls):
+        def z(a, b):
+            calls.append((a, b))
+            return Approx(100 + 10 * a + b, 0.0)
+        return z
+
+    def test_rows_go_by_strip_end(self):
+        calls = []
+        det = _strip_determinant([(0, 2), (1, 3)], self.entry(calls))
+        assert calls == [(0, 2), (1, 2), (0, 3), (1, 3)]
+        assert det.value == 102 * 113 - 112 * 103
+
+    def test_empty_and_negative_segments(self):
+        # The second strip is empty: a segment that starts one past its end
+        # is 1, one that starts later 0, and neither calls the entry.
+        calls = []
+        det = _strip_determinant([(0, 1), (3, 2)], self.entry(calls))
+        assert calls == [(0, 1), (0, 2)]
+        assert det == Approx(101, 0.0)  # entry(0, 1) times 1
+
+
 class TestLargeShapes:
     # z = 2 on even contents and 2.5 on odd ones, y_0 = 0.3, cutoff 2000.
     # ``before``: the budgets of the full permutation expansions, frozen;
     # expanding by minors may tighten them, never loosen them.  ``pinned``:
     # the budgets of the expansion by minors, so that the bounds the entries
-    # carry into the determinant cannot loosen unnoticed either.
+    # carry into the determinant cannot loosen unnoticed either.  The bound
+    # of an expansion by minors depends on the matrix's orientation: every
+    # strip determinant has rows by strip end, and transposing the
+    # Giambelli matrix would raise its budget by 5% and 29% here.
     BUDGETS_BEFORE = [
         ((4, 4, 4, 4), frobenius_expansion, 1.1081738100108418e-05,
-         1.496651347372482e-08),
+         6.215566135993224e-09),
         ((4, 4, 4, 4), jacobi_trudi_H, 4.4722369112325134e-07, 2.146270508882358e-07),
+        ((4, 4, 4, 4), jacobi_trudi_E, 1.1374126182039706e-14, 5.194103898673346e-15),
+        ((4, 4, 4, 4), giambelli, 1.7970959777422496e-09, 1.3730367617903697e-09),
         ((4, 4, 4, 4), dirichlet_series_expr, 2.5245361709694676e-06,
-         5.940303387909141e-10),
+         3.0609854048147766e-10),
         ((5, 4, 3, 2, 1), frobenius_expansion, 1.649943203830973e-06,
-         2.2025822872486427e-08),
+         1.24411494517996e-08),
         ((5, 4, 3, 2, 1), jacobi_trudi_H, 1.2809116459980973e-06, 8.561465466888644e-07),
+        ((5, 4, 3, 2, 1), jacobi_trudi_E, 7.22105671822803e-12, 7.080633355762444e-12),
+        ((5, 4, 3, 2, 1), giambelli, 1.3655469622299842e-09, 1.2961346519293977e-09),
         ((5, 4, 3, 2, 1), dirichlet_series_expr, 4.5307451843544937e-07,
-         1.3483979916407607e-09),
+         1.2981881479216556e-09),
         ((5, 5, 5, 5, 5), frobenius_expansion, 0.00031161853845255945,
-         4.940350249027989e-10),
+         1.5528602399843127e-10),
     ]
 
     @pytest.mark.parametrize(

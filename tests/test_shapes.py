@@ -100,6 +100,36 @@ class TestSkewShape:
         assert not is_ribbon(parse_shape("3,3/1"))  # contains a 2x2 block
 
 
+class TestFromCells:
+    @pytest.mark.parametrize("text", ["4,3,3,2", "3,3/1", "4,4,3,1/2,1", "2,2/2", "0"])
+    def test_round_trip(self, text):
+        shape = parse_shape(text)
+        assert SkewShape.from_cells(shape.cells()) == shape
+
+    def test_empty_row_between_cells(self):
+        # Row 2 is empty: it gets inner = outer = 1, the end of row 3.
+        shape = SkewShape.from_cells([(1, 3), (3, 1)])
+        assert str(shape) == "3,1,1/2,1"
+
+    @pytest.mark.parametrize("cells", [
+        [(1, 1), (1, 3)],  # a gap in a row
+        [(1, 1), (3, 1)],  # a gap in a column
+        [(1, 1), (2, 1), (2, 2)],  # a row longer than the one above
+        [(1, 2), (2, 1), (2, 2), (2, 3)],
+        [(0, 1)],
+        [(1, 0)],
+    ])
+    def test_not_a_skew_shape(self, cells):
+        with pytest.raises(ValueError, match="do not form a skew shape"):
+            SkewShape.from_cells(cells)
+
+    def test_error_names_the_row_not_the_cells(self):
+        cells = list(parse_shape("30,30,30").cells()) + [(2, 32)]
+        with pytest.raises(ValueError, match=r"row 2 has a gap$") as info:
+            SkewShape.from_cells(cells)
+        assert len(str(info.value)) < 80
+
+
 class TestHashTranspose:
     def test_known_shape(self):
         ht = hash_transpose(Partition((4, 3, 3, 2)))

@@ -268,6 +268,18 @@ class TestRowsFormat:
         assert rows[0][0] is None  # inner cells render as missing
         assert tableau_from_rows(rows) == t
 
+    def test_round_trip_skew_with_an_empty_row(self):
+        t = constant_tableau(parse_shape("2,2/2"), 7)
+        assert tableau_to_rows(t)[0] == [None, None]
+        assert tableau_from_rows(tableau_to_rows(t)) == t
+
+    def test_straight_rows_give_a_partition(self):
+        assert tableau_from_rows([[1, 2], [3]]).shape == Partition((2, 1))
+
+    def test_rows_that_form_no_skew_shape(self):
+        with pytest.raises(ValueError):
+            tableau_from_rows([[1, None, 2]])
+
 
 @settings(max_examples=40, deadline=None)
 @given(p=partitions(max_size=8, max_rows=3, max_cols=3), n=st.integers(1, 3))
