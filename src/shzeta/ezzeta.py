@@ -353,9 +353,12 @@ def _check_chain(
     """Check a chain's arguments; return the real parts of its exponents.
     Re s must be > 1 at the last slot and >= 1 before, and every base
     positive: cell i's least base is ``least`` (the least first index) +
-    the strict steps before it + y_i."""
-    if len(y) != len(s) or len(strict) != len(s) - 1:
+    the strict steps before it + y_i.  An empty chain needs empty y and
+    strict, and has no exponents."""
+    if len(y) != len(s) or len(strict) != max(len(s) - 1, 0):
         raise ValueError("length mismatch between s, y, strict")
+    if not s:
+        return []
     sig = [complex(v).real for v in s]
     if not (sig[-1] > 1.0 and min(sig) >= 1.0):
         raise DomainError(
@@ -381,9 +384,9 @@ def eval_chain(
     starts at m_1 >= first_min.  Depth 0 returns exactly 1.  ``eval_layers``
     does the work, one state per layer.
     """
+    _check_chain(s, y, strict, first_min)
     if len(s) == 0:
         return APPROX_ONE
-    _check_chain(s, y, strict, first_min)
     return eval_layers(chain_layers(tuple(strict)), s, y, cfg, first_min)
 
 
@@ -435,9 +438,9 @@ def chain_tails(
     Re s > 1 in every slot.
     """
     r = len(s)
+    sig = _check_chain(s, y, strict, first_min + 1)  # lo(1) = 1 + first_min
     if r == 0:
         return np.ones(count, complex), np.zeros(count)
-    sig = _check_chain(s, y, strict, first_min + 1)  # lo(1) = 1 + first_min
     if min(sig) <= 1.0:
         raise DomainError(f"chain_tails needs Re s > 1 in every slot; got {sig}")
     big = cfg.cutoff + count

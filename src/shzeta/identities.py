@@ -7,14 +7,16 @@ sums, ...), then reports the discrepancy against the combined certified
 error budget.  Every determinant (Jacobi-Trudi, Giambelli, Frobenius,
 Dirichlet) is expanded by minors in O(n 2^n) Approx operations, so the entry
 error bounds propagate rigorously, no looser than in the full expansion.
-Those with a content-spec right side are one ``_strip_determinant`` each:
-det[Z(a_j, b_i)] over the strips (a_k, b_k) of an outside decomposition of
-the shape (rows, columns or diagonal hooks), each with its own entry route.
+Every determinant but the reflected Giambelli one is a
+``_strip_determinant``: det[Z(a_j, b_i)] over the strips (a_k, b_k) of an
+outside decomposition of the shape (rows, columns or diagonal hooks), each
+with its own entry route.  The extended Jacobi-Trudi form reads its row
+strips' entries from tableau cells instead of a content spec, and the
+derivative identities are the Frobenius check with one exponent raised.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,18 +37,12 @@ from .ezzeta import (
     neg_power,
     tail_integral,
 )
-from .schurzeta import (
-    SchurInstance,
-    instance_from_spec,
-    schur_eval,
-    shift_exponent,
-)
+from .schurzeta import SchurInstance, instance_from_spec, schur_eval
 from .shapes import (
     Cell,
     HashTranspose,
     Partition,
     SkewShape,
-    content,
     hash_transpose,
     hook,
 )
@@ -154,10 +150,14 @@ def _hook_strips(shape: Partition) -> list[tuple[int, int]]:
 # Jacobi-Trudi
 
 
+def _row_strips(shape: Partition) -> list[tuple[int, int]]:
+    return [(1 - i, shape.part(i) - i) for i in range(1, shape.rows + 1)]
+
+
 def _weak_rows(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Approx:
-    rows = [(1 - i, shape.part(i) - i) for i in range(1, shape.rows + 1)]
     return _strip_determinant(
-        rows, lambda a, b: ez_zeta_star(*_zy(spec, range(a, b + 1)), cfg)
+        _row_strips(shape),
+        lambda a, b: ez_zeta_star(*_zy(spec, range(a, b + 1)), cfg),
     )
 
 
@@ -211,31 +211,36 @@ def jacobi_trudi_H_general(
     return IdentityReport("jacobi_trudi_H_general", lhs, _weak_rows(spec, shape, cfg))
 
 
-def _ext_shape_mn(shape: Partition) -> tuple[int, int, int]:
-    parts = tuple(shape)
-    if len(parts) < 2 or any(p != 1 for p in parts[2:]):
-        raise UsageError(
-            "extended Jacobi-Trudi supports shapes (m, n, 1, ..., 1) only"
-        )
-    return parts[0], parts[1], len(parts)
-
-
 def extended_jacobi_trudi(
     s: Tableau, x: Tableau, shape: Partition, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
     """Diagonal-symmetrized Jacobi-Trudi for shapes (m, n, 1^(X-2)).
 
     Both sides are summed over every reordering of the entries within each
-    diagonal (``diagonal_orbit``); the determinant entries concatenate
-    row/column segments of the (reordered) tableaux: row segments read
-    left-to-right, the first-column segment bottom-to-top down to row 3.
+    diagonal (``diagonal_orbit``).  The right side is the strip determinant
+    over the rows of ``jacobi_trudi_H``, but its entries read one cell per
+    content k of the reordered tableaux: the first column below row 2 for
+    k <= -2, row 1 for k >= n - 1, and in between row 2 on a segment that
+    starts left of content 0, else row 1.
     """
-    m, n, big_x = _ext_shape_mn(shape)
+    parts = tuple(shape)
+    if len(parts) < 2 or any(p != 1 for p in parts[2:]):
+        raise UsageError(
+            "extended Jacobi-Trudi supports shapes (m, n, 1, ..., 1) only"
+        )
+    n = parts[1]
     if not in_W_lambda_H(s):
         raise DomainError(
             "exponents outside the extended convergence domain "
             "(need Re >= 1 everywhere, > 1 on the arm-content diagonals)"
         )
+    rows = _row_strips(shape)
+
+    def cell(a: int, k: int) -> Cell:
+        if k <= -2:
+            return (1 - k, 1)
+        return (2, k + 2) if k <= n - 2 and a < 0 else (1, k + 1)
+
     lhs = APPROX_ZERO
     rhs = APPROX_ZERO
     for orbit in diagonal_orbit(shape):
@@ -243,42 +248,13 @@ def extended_jacobi_trudi(
         xo = apply_orbit(orbit, x)
         lhs = lhs + schur_eval(SchurInstance(shape, so, xo), cfg)
 
-        def rseg(i: int, a: int, b: int) -> list[Cell]:
-            return [(i, t) for t in range(a, b + 1)]
-
-        def cseg(top: int, bottom: int) -> list[Cell]:
-            # First-column cells from row `top` upward to row `bottom`.
-            return [(t, 1) for t in range(top, bottom - 1, -1)]
-
-        def star(cells: list[Cell]) -> Approx:
+        def entry(a: int, b: int) -> Approx:
+            cells = [cell(a, k) for k in range(a, b + 1)]
             return ez_zeta_star(
                 [so[c] for c in cells], [float(xo[c]) for c in cells], cfg
             )
 
-        rows: list[list[Approx]] = []
-        for i in range(1, big_x + 1):
-            row: list[Approx] = []
-            for j in range(1, big_x + 1):
-                if i == 1:
-                    tail = rseg(2, 1, n) + rseg(1, n, m) if j >= 2 else rseg(1, 1, m)
-                    head = cseg(j, 3) if j >= 3 else []
-                    row.append(star(head + tail))
-                elif i == 2:
-                    if j == 1:
-                        row.append(star(rseg(1, 1, n - 1)))
-                    else:
-                        head = cseg(j, 3) if j >= 3 else []
-                        row.append(star(head + rseg(2, 1, n)))
-                else:
-                    depth = j - i + 1
-                    if depth < 0:
-                        row.append(APPROX_ZERO)
-                    elif depth == 0:
-                        row.append(APPROX_ONE)
-                    else:
-                        row.append(star(cseg(j, i)))
-            rows.append(row)
-        rhs = rhs + determinant(rows)
+        rhs = rhs + _strip_determinant(rows, entry)
     return IdentityReport("extended_jacobi_trudi", lhs, rhs)
 
 
@@ -482,19 +458,13 @@ def hook_pq(shape: Partition) -> tuple[int, int]:
     return parts[0] - 1, len(parts) - 1
 
 
-def _raised_cells(spec: ContentSpec, shape: Partition, ell: int, by: int,
-                  cfg: EvalConfig) -> tuple[SchurInstance, list[Cell], Approx]:
-    """The hook's instance, its content-ell cells, and the sum over them of
-    the value with that cell's exponent raised by ``by``."""
+def _raised(spec: ContentSpec, shape: Partition, ell: int, by: int) -> ContentSpec:
+    """The spec with z_ell raised by ``by``; the shape must be a hook with
+    an arm cell (or the corner) of content ell."""
     p, _ = hook_pq(shape)
     if not 0 <= ell <= p:
         raise UsageError(f"ell must be in 0..{p}")
-    inst = instance_from_spec(spec, shape)
-    cells = [c for c in shape.cells() if content(c) == ell]
-    total = APPROX_ZERO
-    for c in cells:
-        total = total + schur_eval(shift_exponent(inst, [c], by), cfg)
-    return inst, cells, total
+    return ContentSpec({**spec.z, ell: spec.z_at(ell) + by}, spec.y)
 
 
 def derivative_identity(
@@ -504,21 +474,18 @@ def derivative_identity(
     order: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> IdentityReport:
-    """Exponent-shifted sums against the hook expansion with the slot raised.
+    """The Frobenius check of a hook at z_ell + ``order``: its value with
+    z_ell raised against ``_frobenius_rhs`` at the same raised spec.
 
-    Order 1: sum over content-ell cells of the value with that exponent + 1.
-    Order 2 adds twice the sum over unordered distinct same-content pairs
-    with both exponents + 1 (empty on hooks, where contents are distinct).
+    Content ell has one cell on a hook, so the k-th derivative in y_ell of
+    the hook's value is (-1)^k (z_ell)(z_ell + 1)...(z_ell + k - 1) times
+    this raised value.
     """
     if order not in (1, 2):
         raise UsageError("order must be 1 or 2")
-    inst, cells, lhs = _raised_cells(spec, shape, ell, order, cfg)
-    if order == 2:
-        for c1, c2 in itertools.combinations(cells, 2):
-            lhs = lhs + schur_eval(shift_exponent(inst, [c1, c2], 1), cfg).scale(2.0)
-    z = dict(spec.z)
-    z[ell] = z[ell] + order
-    rhs = _frobenius_rhs(ContentSpec(z, spec.y), shape, cfg)
+    raised = _raised(spec, shape, ell, order)
+    lhs = schur_eval(instance_from_spec(raised, shape), cfg)
+    rhs = _frobenius_rhs(raised, shape, cfg)
     return IdentityReport(f"derivative_identity_{order}", lhs, rhs)
 
 
@@ -537,7 +504,7 @@ def derivative_fd_check(
     has one cell c and f''' = -z (z + 1)(z + 2) f(s + 3 e_c), which the series
     with real exponents at y - h bounds: |(m + y)^(-s)| = (m + y)^(-Re s).
     """
-    _, _, shifted = _raised_cells(spec, shape, ell, 1, cfg)
+    shifted = schur_eval(instance_from_spec(_raised(spec, shape, ell, 1), shape), cfg)
     y0, z = spec.y_at(ell), complex(spec.z_at(ell))
     if y0 - h < 0:
         raise DomainError(f"step {h} would push shift y_{ell} negative")

@@ -235,21 +235,6 @@ def contents_of(shape: Shape) -> tuple[int, ...]:
 # Diagonal-permutation orbit
 
 
-@dataclass(frozen=True)
-class DiagonalOrbit:
-    """One choice of permutation per diagonal cell set I(j)."""
-
-    shape: Shape
-    diagonal_sets: Mapping[int, tuple[Cell, ...]]
-    permutation_choice: Mapping[int, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "diagonal_sets", dict(self.diagonal_sets))
-        object.__setattr__(
-            self, "permutation_choice", dict(self.permutation_choice)
-        )
-
-
 def diagonal_sets(shape: Shape) -> dict[int, tuple[Cell, ...]]:
     """I(j) = cells of content j, ordered by row."""
     out: dict[int, list[Cell]] = {}
@@ -258,24 +243,18 @@ def diagonal_sets(shape: Shape) -> dict[int, tuple[Cell, ...]]:
     return {k: tuple(sorted(v)) for k, v in sorted(out.items())}
 
 
-def diagonal_orbit(shape: Shape) -> Iterator[DiagonalOrbit]:
-    """All tuples of per-diagonal permutations; cardinality prod |I(j)|!."""
-    sets = diagonal_sets(shape)
-    keys = list(sets)
-    for choice in itertools.product(
-        *(itertools.permutations(range(len(sets[k]))) for k in keys)
-    ):
-        yield DiagonalOrbit(shape, sets, dict(zip(keys, choice)))
+def diagonal_orbit(shape: Shape) -> Iterator[dict[Cell, Cell]]:
+    """Every choice of one permutation per diagonal I(j), as the map from
+    each cell to the cell of its diagonal whose entry it takes; there are
+    prod |I(j)|! of them."""
+    sets = diagonal_sets(shape).values()
+    for images in itertools.product(*map(itertools.permutations, sets)):
+        yield {c: src for cells, img in zip(sets, images) for c, src in zip(cells, img)}
 
 
-def apply_orbit(orbit: DiagonalOrbit, t: Tableau) -> Tableau:
-    """Permute entries within each diagonal: new[I(j)[k]] = old[I(j)[sigma(k)]]."""
-    new = dict(t.entries)
-    for j, cells in orbit.diagonal_sets.items():
-        sigma = orbit.permutation_choice[j]
-        for k, cell in enumerate(cells):
-            new[cell] = t.entries[cells[sigma[k]]]
-    return Tableau(t.shape, new)
+def apply_orbit(orbit: Mapping[Cell, Cell], t: Tableau) -> Tableau:
+    """Permute entries within each diagonal: new[c] = old[orbit[c]]."""
+    return Tableau(t.shape, {c: t.entries[orbit[c]] for c in t.entries})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shzeta import ezzeta
+from shzeta import ezzeta, identities
 from shzeta.cli import (
     _NO_SPEC,
     BUILTIN_SUITES,
@@ -18,7 +18,7 @@ from shzeta.cli import (
     run_one,
 )
 from shzeta.errors import DomainError
-from shzeta.ezzeta import EvalConfig, hurwitz
+from shzeta.ezzeta import Approx, EvalConfig, hurwitz
 from shzeta.tableaux import content_spec_from_json
 
 
@@ -117,6 +117,22 @@ class TestCheck:
         outs = [run(capsys, "check", "--builtin", "all", "--cutoff", "400",
                     "--jobs", jobs)[1] for jobs in ("1", "2")]
         assert timeless(outs[0]) == timeless(outs[1])
+
+    def test_failed_identity_exits_1(self, capsys, monkeypatch):
+        # The registry looks each identity up on its module at call time, so
+        # a stand-in that reports lhs 1 against rhs 2 fails every H record.
+        def broken(spec, shape, cfg):
+            return identities.IdentityReport("jacobi_trudi_H", Approx(1.0, 0.0),
+                                             Approx(2.0, 0.0))
+
+        monkeypatch.setattr(identities, "jacobi_trudi_H", broken)
+        code, out, err = run(capsys, "check", "--builtin", "jacobi-trudi")
+        assert code == 1
+        recs = json_lines(out)
+        failed = [r for r in recs if r["pass"] is False]
+        assert [r["identity_id"] for r in failed] == ["jacobi_trudi_H"] * 5
+        assert [r["discrepancy"] for r in failed] == [1.0] * 5
+        assert err == f"{len(recs) - 5}/{len(recs)} checks passed\n"
 
     def test_manifest(self, capsys, tmp_path):
         f = tmp_path / "suite.manifest"
@@ -355,6 +371,7 @@ class TestTableScope:
         # space, so the allocation is refused before any memory is touched.
         ["eval", "--shape", "1", "--z", "0=2", "--cutoff", "1000000000000000"],
         ["check", "--builtin", "hook", "--cutoff", "1000000000000000"],
+        ["check"],
     ],
     ids=["bad-part", "increasing-parts", "missing-tableau-file",
          "tableau-without-s", "cutoff-0", "paths-n-0", "paths-max-render-negative",
@@ -363,7 +380,8 @@ class TestTableScope:
          "tableau-s-number", "tableau-x-number", "tableau-row-gap",
          "tableau-rows-grow", "shape-missing", "shape-number",
          "lgv-huge-exponent",
-         "eval-cutoff-beyond-memory", "check-cutoff-beyond-memory"],
+         "eval-cutoff-beyond-memory", "check-cutoff-beyond-memory",
+         "check-without-suite"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     jt = {"identity_id": "jacobi_trudi_H", "shape": "2,1"}

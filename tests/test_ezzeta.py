@@ -113,8 +113,24 @@ class TestConventions:
         for f in (ez_zeta, ez_zeta_star):
             a = f([])
             assert a.value == 1.0 and a.err_bound == 0.0
-        a = ez_zeta_star_star([], [])
-        assert a.value == 1.0 and a.err_bound == 0.0
+        for a in (ez_zeta_star_star([], []), ez_zeta_star([], []),
+                  eval_chain([], [], [], EvalConfig())):
+            assert a.value == 1.0 and a.err_bound == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ez_zeta([], [0.3, 0.5]),
+            lambda: eval_chain([], [], [True], EvalConfig()),
+            lambda: chain_tails([], [0.3], [True, False], EvalConfig(), 2, 0),
+        ],
+        ids=["ez_zeta-shifts", "eval_chain-strict", "chain_tails-both"],
+    )
+    def test_depth_zero_checks_lengths(self, call):
+        # A depth-0 chain takes no shift and no step; extra ones are the
+        # same length mismatch as at any other depth.
+        with pytest.raises(ValueError, match="length mismatch"):
+            call()
 
     def test_star_star_requires_positive_shifts(self):
         with pytest.raises(DomainError):

@@ -138,6 +138,22 @@ class TestExtendedJacobiTrudi:
         assert not plain.passes
         assert_passes(extended_jacobi_trudi(s, x, shape, CFG))
 
+    @pytest.mark.parametrize(
+        "parts", [(3, 2, 1), (2, 2, 1), (3, 3, 1), (4, 2, 1, 1), (3, 1, 1), (2, 1, 1)],
+        ids=lambda parts: ",".join(map(str, parts)),
+    )
+    def test_holds_with_per_cell_data(self, parts):
+        # Every cell has its own exponent and shift, so an entry that reads
+        # the wrong cell of a diagonal breaks the identity: reading row 2
+        # instead of row 1 on the segments that start at content 0 fails
+        # the four shapes with n >= 2 (on 3,2,1: 1.6e-4 against 4.7e-10).
+        shape = Partition(parts)
+        rng = random.Random(10 * sum(parts) + len(parts))
+        s = Tableau(shape, {c: round(rng.uniform(2, 3), 2) for c in shape.cells()})
+        x = Tableau(shape, {c: round(rng.uniform(0, 1), 2) for c in shape.cells()})
+        assert_passes(extended_jacobi_trudi(s, x, shape, EvalConfig(cutoff=2000)),
+                      max_budget=1e-6)
+
     def test_shape_restriction(self):
         shape = Partition((3, 2, 2))
         s = constant_tableau(shape, 2.0)
@@ -245,29 +261,30 @@ class TestStripDeterminant:
 
 class TestLargeShapes:
     # z = 2 on even contents and 2.5 on odd ones, y_0 = 0.3, cutoff 2000.
-    # ``before``: the budgets of the full permutation expansions, frozen;
-    # expanding by minors may tighten them, never loosen them.  ``pinned``:
-    # the budgets of the expansion by minors, so that the bounds the entries
-    # carry into the determinant cannot loosen unnoticed either.  The bound
-    # of an expansion by minors depends on the matrix's orientation: every
-    # strip determinant has rows by strip end, and transposing the
-    # Giambelli matrix would raise its budget by 5% and 29% here.
+    # ``before``: the budgets of the full permutation expansions of the
+    # matrices each check builds, frozen; expanding by minors may tighten
+    # them, never loosen them.  ``pinned``: the budgets of the expansion by
+    # minors, so that the bounds the entries carry into the determinant
+    # cannot loosen unnoticed either.  The bound of an expansion by minors
+    # depends on the matrix's orientation: every strip determinant has rows
+    # by strip end, and transposing the Giambelli matrix would raise its
+    # budget by 5% and 29% here.
     BUDGETS_BEFORE = [
-        ((4, 4, 4, 4), frobenius_expansion, 1.1081738100108418e-05,
+        ((4, 4, 4, 4), frobenius_expansion, 1.5036973163367753e-08,
          6.215566135993224e-09),
         ((4, 4, 4, 4), jacobi_trudi_H, 4.4722369112325134e-07, 2.146270508882358e-07),
         ((4, 4, 4, 4), jacobi_trudi_E, 1.1374126182039706e-14, 5.194103898673346e-15),
         ((4, 4, 4, 4), giambelli, 1.7970959777422496e-09, 1.3730367617903697e-09),
-        ((4, 4, 4, 4), dirichlet_series_expr, 2.5245361709694676e-06,
+        ((4, 4, 4, 4), dirichlet_series_expr, 2.524536170637876e-06,
          3.0609854048147766e-10),
-        ((5, 4, 3, 2, 1), frobenius_expansion, 1.649943203830973e-06,
+        ((5, 4, 3, 2, 1), frobenius_expansion, 2.2026480645507185e-08,
          1.24411494517996e-08),
         ((5, 4, 3, 2, 1), jacobi_trudi_H, 1.2809116459980973e-06, 8.561465466888644e-07),
         ((5, 4, 3, 2, 1), jacobi_trudi_E, 7.22105671822803e-12, 7.080633355762444e-12),
         ((5, 4, 3, 2, 1), giambelli, 1.3655469622299842e-09, 1.2961346519293977e-09),
-        ((5, 4, 3, 2, 1), dirichlet_series_expr, 4.5307451843544937e-07,
+        ((5, 4, 3, 2, 1), dirichlet_series_expr, 4.5307451843544693e-07,
          1.2981881479216556e-09),
-        ((5, 5, 5, 5, 5), frobenius_expansion, 0.00031161853845255945,
+        ((5, 5, 5, 5, 5), frobenius_expansion, 4.95622786120952e-10,
          1.5528602399843127e-10),
     ]
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import partitions
 from shzeta.errors import DomainError, UsageError
-from shzeta.shapes import Partition, hook, parse_shape
+from shzeta.shapes import Partition, content, hook, parse_shape
 from shzeta.tableaux import (
     ContentSpec,
     Tableau,
@@ -174,6 +174,15 @@ class TestDiagonalOrbits:
             d = dict(img)
             assert {d[(1, 1)], d[(2, 2)]} == {"a", "d"}  # diagonal 0 shuffled
             assert d[(1, 2)] == "b" and d[(2, 1)] == "c"  # singletons fixed
+
+    def test_orbits_are_cell_maps_within_diagonals(self):
+        shape = Partition((3, 3, 1))
+        orbits = list(diagonal_orbit(shape))
+        assert orbits[0] == {c: c for c in shape.cells()}
+        for orbit in orbits:
+            assert sorted(orbit) == sorted(orbit.values()) == sorted(shape.cells())
+            assert all(content(c) == content(src) for c, src in orbit.items())
+        assert len({tuple(sorted(o.items())) for o in orbits}) == len(orbits) == 4
 
     def test_diagonal_sets(self):
         sets = diagonal_sets(Partition((2, 2)))
