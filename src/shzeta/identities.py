@@ -243,6 +243,9 @@ def extended_jacobi_trudi(
 
     lhs = APPROX_ZERO
     rhs = APPROX_ZERO
+    # Orbits that permute cells an entry does not read repeat its chain, so
+    # each distinct (exponents, shifts) chain is evaluated once per call.
+    chains: dict[tuple, Approx] = {}
     for orbit in diagonal_orbit(shape):
         so = apply_orbit(orbit, s)
         xo = apply_orbit(orbit, x)
@@ -250,9 +253,10 @@ def extended_jacobi_trudi(
 
         def entry(a: int, b: int) -> Approx:
             cells = [cell(a, k) for k in range(a, b + 1)]
-            return ez_zeta_star(
-                [so[c] for c in cells], [float(xo[c]) for c in cells], cfg
-            )
+            key = tuple(so[c] for c in cells), tuple(float(xo[c]) for c in cells)
+            if key not in chains:
+                chains[key] = ez_zeta_star(*key, cfg)
+            return chains[key]
 
         rhs = rhs + _strip_determinant(rows, entry)
     return IdentityReport("extended_jacobi_trudi", lhs, rhs)

@@ -13,10 +13,13 @@ weights, and one call weighs each (walk, path) pair once.
 
 Everything here is exact for integer exponents and rational shifts, so the
 cancellation lemma and the truncated-series identity can be asserted with
-zero tolerance.  Weights are unreduced integer pairs, compared by
-cross-multiplication and summed as one ``Fraction`` per distinct weight.  A
-call builds each (start, end) pair's paths once, finds the nonintersecting
-patterns by pruning, and checks each intersecting pair of the cancellation once.
+zero tolerance.  Weights are unreduced integer pairs from
+``tableaux.exact_factor``, compared by cross-multiplication; each total is
+one ``tableaux.exact_sum`` over the distinct weights with a count per weight
+(the same factor and sum as ``schurzeta``'s exact truncations).  A call
+builds each (start, end) pair's paths once, finds the nonintersecting
+patterns by pruning, and checks each intersecting pair of the cancellation
+once; a tail swap joins slices of the two paths instead of walking new ones.
 """
 
 from __future__ import annotations
@@ -38,10 +41,16 @@ from .shapes import (
     h_rim_decompositions,
     perm_sign,
 )
-from .tableaux import Tableau, int_exponent, is_diagonal_constant
+from .tableaux import (
+    Tableau,
+    Weight,
+    exact_factor,
+    exact_sum,
+    int_exponent,
+    is_diagonal_constant,
+)
 
 Point = tuple[int, int]
-Weight = tuple[int, int]  # (numerator, denominator), not reduced
 _type_sign = lru_cache(maxsize=None)(perm_sign)  # the sign of a pattern type
 
 # The enumeration refuses more patterns than PATTERN_CAP; the weigher refuses,
@@ -82,6 +91,18 @@ class LatticePath:
 
     def points(self) -> tuple[Point, ...]:
         return self._points
+
+    def _joined(self, other: LatticePath, cut: int, other_cut: int) -> LatticePath:
+        """This path's steps and points before its vertex ``cut``, then
+        ``other``'s from its vertex ``other_cut`` on, which must be the same
+        point: the path is built from the slices, not walked."""
+        points = self._points[:cut] + other._points[other_cut:]
+        path = object.__new__(LatticePath)
+        object.__setattr__(path, "start", self.start)
+        object.__setattr__(path, "steps", self.steps[:cut] + other.steps[other_cut:])
+        object.__setattr__(path, "_points", points)
+        object.__setattr__(path, "_vertex_set", frozenset(points))
+        return path
 
 
 @dataclass(frozen=True)
@@ -227,19 +248,27 @@ def rim_for_type(
 
 
 def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weight]:
-    """Exact pattern weights on the height-``n`` grid, as unreduced pairs: cell
-    c, with shift p/q (q > 0) and exponent e, gives (q / (jq + p))^e on row j.
-    Each (ribbon walk, path) pair is weighed once; the memo dies with it."""
+    """Exact pattern weights on the height-``n`` grid, as unreduced pairs: the
+    weighted edge of a path on row j, read against cell c of its walk, gives
+    ``exact_factor`` of c at m = j.
+
+    The memo holds, per pattern kind and type, that type's walks and one
+    dict per path index from a path's steps to its weight (the index fixes
+    the start), so each (walk, path) pair is weighed once; the memo dies with
+    the weigher.
+    """
+    if n < 1:
+        raise UsageError("max_entry must be >= 1")
     cells: dict[Cell, tuple[int, int, int]] = {}
     bits = 0
     for c, v in s.entries.items():
         e, (p, q) = int_exponent(v), Fraction(x[c]).as_integer_ratio()
-        cells[c] = (p, q, e)
+        cells[c] = (e, p, q)
         # Rows run from 1 to n, and |jq + p| is largest at one of the ends.
         bits += abs(e) * max(q, abs(q + p), abs(n * q + p)).bit_length()
     if bits > WEIGHT_BIT_CAP:
         raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
-    memo: dict[tuple[tuple[Cell, ...], LatticePath], Weight] = {}
+    memo: dict[tuple, tuple[tuple, list[dict[tuple[str, ...], Weight]]]] = {}
 
     def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> Weight:
         letter = "R" if kind == "H" else "NE"
@@ -252,21 +281,22 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weig
             )
         num = den = 1
         for j, cell in zip(rows, walk):
-            p, q, e = cells[cell]
-            base = j * q + p
-            if e < 0:
-                q, base, e = base, q, -e
-            num *= q**e
-            den *= base**e
+            a, b = exact_factor(cell, *cells[cell], j)
+            num *= a
+            den *= b
         return num, den
 
     def weigh(pat: Pattern) -> Weight:
-        walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
+        key = pat.kind, pat.type
+        found = memo.get(key)
+        if found is None:
+            walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
+            found = memo[key] = (walks, [{} for _ in walks])
         num = den = 1
-        for i, key in enumerate(zip(walks, pat.paths), start=1):
-            w = memo.get(key)
+        for i, (walk, weights, path) in enumerate(zip(*found, pat.paths), start=1):
+            w = weights.get(path.steps)
             if w is None:
-                w = memo[key] = path_weight(i, *key, pat.kind)
+                w = weights[path.steps] = path_weight(i, walk, path, pat.kind)
             num *= w[0]
             den *= w[1]
         return num, den
@@ -274,28 +304,25 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weig
     return weigh
 
 
-def _total(groups: dict[Weight, int]) -> Fraction:
-    """The exact sum of count * weight over the groups."""
-    return sum((Fraction(k * a, b) for (a, b), k in groups.items() if k), Fraction(0))
-
-
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
     """Exact weight of a pattern for integer exponents and rational shifts:
-    the product of its path weights.  ``verify_cancellation`` and
-    ``truncated_schur_via_paths`` share one weigher over all their patterns
-    instead of calling this per pattern."""
+    the product of its path weights, reduced to one ``Fraction``.
+    ``verify_cancellation`` and ``truncated_schur_via_paths`` share one
+    weigher over all their patterns and keep its unreduced pairs instead of
+    calling this per pattern."""
     return Fraction(*_pattern_weigher(s, x, pat.n)(pat))
 
 
 def truncated_schur_via_paths(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> Fraction:
-    """Height-``n`` truncation of the tableau series, via nonintersecting paths."""
+    """Height-``n`` truncation of the tableau series, via nonintersecting
+    paths: the patterns are counted per distinct weight and summed once."""
     weigh = _pattern_weigher(s, x, n)
     groups: dict[Weight, int] = defaultdict(int)
     for pat in nonintersecting_patterns(shape, n, kind):
         groups[weigh(pat)] += 1
-    return _total(groups)
+    return exact_sum(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +333,10 @@ def tail_swap(pat: Pattern) -> Pattern:
     """The standard sign-reversing involution on intersecting patterns.
 
     Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex.  That vertex is the least
-    of the pairwise intersections of the paths' vertex sets.
+    lexicographically smallest shared vertex v.  That vertex is the least
+    of the pairwise intersections of the paths' vertex sets.  Each new path
+    joins slices at v: its own steps and points before v, the other path's
+    from v on.  So each path keeps its start, and nothing is walked again.
     """
     vsets = [p._vertex_set for p in pat.paths]
     shared = [min(m) for a, b in itertools.combinations(vsets, 2) if (m := a & b)]
@@ -317,9 +346,9 @@ def tail_swap(pat: Pattern) -> Pattern:
     i, j = [k for k, vs in enumerate(vsets) if v in vs][:2]
     paths = list(pat.paths)
     a, b = paths[i], paths[j]
-    cut_a, cut_b = a.points().index(v), b.points().index(v)
-    paths[i] = LatticePath(a.start, a.steps[:cut_a] + b.steps[cut_b:])
-    paths[j] = LatticePath(b.start, b.steps[:cut_b] + a.steps[cut_a:])
+    cut_a, cut_b = a._points.index(v), b._points.index(v)
+    paths[i] = a._joined(b, cut_a, cut_b)
+    paths[j] = b._joined(a, cut_b, cut_a)
     sigma = list(pat.type)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
@@ -363,9 +392,10 @@ def verify_cancellation(
     weigh = _pattern_weigher(s, x, n)
     # Pattern counts by weight: signed over all and over intersecting ones.
     signed, crossing, free = defaultdict(int), defaultdict(int), defaultdict(int)
-    # A mate's (start, steps) pairs -> its partner's weight.  Plain tuples: the
-    # mate's paths would keep their vertex sets alive until it is enumerated.
-    pending: dict[tuple, Weight] = {}
+    # A mate's step tuples -> its partner's weight.  Path i starts at a_i in
+    # every pattern and mate (``tail_swap`` keeps starts), so the steps name
+    # the mate; plain tuples do not keep its vertex sets alive until then.
+    pending: dict[tuple[tuple[str, ...], ...], Weight] = {}
     count, involution_ok = 0, True
     for pat in enumerate_patterns(shape, n, kind):
         count += 1
@@ -376,16 +406,16 @@ def verify_cancellation(
             free[w] += 1
             continue
         crossing[w] += sgn
-        partner = pending.pop(tuple([(p.start, p.steps) for p in pat.paths]), None)
+        partner = pending.pop(tuple([p.steps for p in pat.paths]), None)
         if partner is None:
             mate = tail_swap(pat)
             involution_ok &= tail_swap(mate).paths == pat.paths and mate.sign == -sgn
-            pending[tuple([(p.start, p.steps) for p in mate.paths])] = w
+            pending[tuple([p.steps for p in mate.paths])] = w
         elif partner[0] * w[1] != partner[1] * w[0]:
             involution_ok = False
     return CancellationReport(
-        shape, n, kind, count, sum(free.values()), _total(signed), _total(free),
-        _total(crossing), involution_ok and not pending,
+        shape, n, kind, count, sum(free.values()), exact_sum(signed), exact_sum(free),
+        exact_sum(crossing), involution_ok and not pending,
     )
 
 

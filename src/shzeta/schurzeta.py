@@ -17,6 +17,7 @@ rational truncations back the tests and the lattice-path cross-checks.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,10 @@ from .tableaux import (
     ContentSpec,
     Shape,
     Tableau,
+    Weight,
     as_skew,
+    exact_factor,
+    exact_sum,
     expand_content,
     in_W_lambda,
     int_exponent,
@@ -156,11 +160,14 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
 
 
 def _inverse_powers(s: Tableau, x: Tableau, max_entry: int) -> dict[Cell, list]:
-    """Per cell c, 1/(m + x_c)^s_c at index m = 1..max_entry (index 0 unused)."""
+    """Per cell c, 1/(m + x_c)^s_c as an unreduced pair (``exact_factor``)
+    at index m = 1..max_entry (index 0 unused)."""
+    if max_entry < 1:
+        raise UsageError("max_entry must be >= 1")
     table = {}
     for c, y in x.entries.items():
-        e, y = int_exponent(s[c]), Fraction(y)
-        table[c] = [0] + [(m + y) ** -e for m in range(1, max_entry + 1)]
+        e, (p, q) = int_exponent(s[c]), Fraction(y).as_integer_ratio()
+        table[c] = [None] + [exact_factor(c, e, p, q, m) for m in range(1, max_entry + 1)]
     return table
 
 
@@ -174,16 +181,20 @@ def schur_truncated_exact(
 
     Requires integer exponents and rational shifts; used as an oracle for
     both the chain decomposition and the lattice-path model.  The factors
-    1/(m + x)^s come from one table per call (``_inverse_powers``).
+    1/(m + x)^s come from one table of integer pairs per call
+    (``_inverse_powers``); each filling multiplies plain ints, and the
+    fillings are counted per distinct pair and summed once (``exact_sum``).
     """
     table = _inverse_powers(exponents, shifts, max_entry)
-    total = Fraction(0)
+    groups: dict[Weight, int] = defaultdict(int)
     for filling in ssyt_fillings(shape, max_entry):
-        term = Fraction(1)
+        num = den = 1
         for c, m in filling.items():
-            term *= table[c][m]
-        total += term
-    return total
+            a, b = table[c][m]
+            num *= a
+            den *= b
+        groups[num, den] += 1
+    return exact_sum(groups)
 
 
 def chain_truncated_exact(
@@ -195,22 +206,25 @@ def chain_truncated_exact(
     """The chain decomposition summed exactly to ``max_entry`` per variable.
 
     Equals ``schur_truncated_exact`` filling-for-filling; kept separate so
-    the equality is testable.  Factors come from ``_inverse_powers``.
+    the equality is testable.  Factors come from ``_inverse_powers`` and
+    the leaves are counted per distinct pair, as there.
     """
     table = _inverse_powers(exponents, shifts, max_entry)
-    total = Fraction(0)
+    groups: dict[Weight, int] = defaultdict(int)
     for cells, strict in chain_decomposition(shape):
-        stack = [(0, 0, Fraction(1))]  # (position, previous value, weight)
+        # (position, previous value, weight numerator, weight denominator)
+        stack = [(0, 0, 1, 1)]
         while stack:
-            k, prev, w = stack.pop()
+            k, prev, num, den = stack.pop()
             if k == len(cells):
-                total += w
+                groups[num, den] += 1
                 continue
             lo = prev + 1 if (k > 0 and strict[k - 1]) else max(prev, 1)
             row = table[cells[k]]
             for m in range(lo, max_entry + 1):
-                stack.append((k + 1, m, w * row[m]))
-    return total
+                a, b = row[m]
+                stack.append((k + 1, m, num * a, den * b))
+    return exact_sum(groups)
 
 
 def shift_exponent(

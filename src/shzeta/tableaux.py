@@ -3,8 +3,9 @@
 Covers semi-standard enumeration, the convergence-domain predicates on
 exponent tableaux, diagonal-constant (content) parametrization, the
 diagonal-permutation orbit used to symmetrize non-diagonal-constant
-identities, sigma-tableaux and their hook decomposition, and the
-corner-entry condition for integer exponent tableaux.
+identities, sigma-tableaux and their hook decomposition, the corner-entry
+condition for integer exponent tableaux, and the exact factor and sum that
+the rational oracles (``schurzeta``'s truncations and ``lgv``) share.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import cmath
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from .errors import DomainError, UsageError
@@ -139,14 +141,6 @@ def _re(v: Any) -> float:
     return complex(v).real
 
 
-def int_exponent(v: Any) -> int:
-    """An exponent as an int, for exact rational arithmetic."""
-    c = complex(v)
-    if c.imag != 0 or c.real != int(c.real):
-        raise UsageError(f"exact arithmetic needs integer exponents, got {v!r}")
-    return int(c.real)
-
-
 def in_W_lambda(s: Tableau) -> bool:
     """Real part >= 1 everywhere, and > 1 on the corners of the shape."""
     cs = as_skew(s.shape).corners()
@@ -175,6 +169,47 @@ def in_W_lambda_H(s: Tableau) -> bool:
         if cell in strict and _re(v) <= 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Exact factors and sums for the rational oracles
+
+
+def int_exponent(v: Any) -> int:
+    """An exponent as an int, for exact rational arithmetic."""
+    c = complex(v)
+    if c.imag != 0 or c.real != int(c.real):
+        raise UsageError(f"exact arithmetic needs integer exponents, got {v!r}")
+    return int(c.real)
+
+
+# An exact weight as an unreduced pair (numerator, denominator).
+Weight = tuple[int, int]
+
+
+def exact_factor(cell: Cell, e: int, p: int, q: int, m: int) -> Weight:
+    """1/(m + p/q)^e as the unreduced pair (q^e, (mq + p)^e), swapped for
+    e < 0: the factor of a cell with integer exponent e and shift p/q
+    (q > 0) at entry or row m.  A zero base with e > 0 is a ``DomainError``."""
+    base = m * q + p
+    if e < 0:
+        return base**-e, q**-e
+    if base == 0 and e:
+        raise DomainError(f"cell {cell}: the base m + x is 0 at m = {m}")
+    return q**e, base**e
+
+
+def exact_sum(groups: Mapping[Weight, int]) -> Fraction:
+    """The exact sum of count * num / den over ``{(num, den): count}``.
+
+    The terms are added in pairs, level by level, so most additions are of
+    two Fractions of similar size instead of one growing total and a term.
+    """
+    terms = [Fraction(k * a, b) for (a, b), k in groups.items() if k]
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[-1:] if len(terms) % 2 else pairs
+    return terms[0] if terms else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

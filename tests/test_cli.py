@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -525,7 +526,6 @@ def test_huge_shift_gives_finite_value_within_bound(capsys, tmp_path, case):
     # For an integer exponent Python's complex ** multiplies repeatedly, so
     # (1e160)^-2 once overflowed to NaN in an intermediate power although it
     # fits in a float.  Rounding is not yet in the bounds: 1e-12 relative.
-    mpmath = pytest.importorskip("mpmath")
     if case.startswith("manifest"):
         z = [2] if case == "manifest-depth1" else [2, 2, 3]
         f = tmp_path / "m.jsonl"

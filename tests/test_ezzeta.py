@@ -8,6 +8,7 @@ code with this package.  Convention: in ``ez_zeta(s, y)`` the exponent
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,7 +254,6 @@ def test_tiny_base_after_a_strict_step_is_finite(s, y2, first_min):
     # The second cell follows a strict step, so it never takes the value
     # first_min, where its base is tiny; that power (1e-200^-3, 1e-15^-30)
     # once overflowed, and the sum raised DomainError.
-    mpmath = pytest.importorskip("mpmath")
     a = eval_chain(s, [0.5, y2], [True], EvalConfig(2000), first_min)
     with mpmath.workdps(30):
         ref = mpmath.nsum(lambda m: (m + 0.5) ** -s[0] * mpmath.zeta(s[1], m + 1 + mpmath.mpf(y2)),

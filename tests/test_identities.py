@@ -10,8 +10,10 @@ passes therefore validates both routes at once.
 import itertools
 import random
 
+import mpmath
 import pytest
 
+from shzeta import identities
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import APPROX_ONE, APPROX_ZERO, Approx, EvalConfig, ez_zeta
 from shzeta.identities import (
@@ -153,6 +155,27 @@ class TestExtendedJacobiTrudi:
         x = Tableau(shape, {c: round(rng.uniform(0, 1), 2) for c in shape.cells()})
         assert_passes(extended_jacobi_trudi(s, x, shape, EvalConfig(cutoff=2000)),
                       max_budget=1e-6)
+
+    @pytest.mark.parametrize("parts,distinct", [
+        ((3, 3, 1), 25), ((4, 2, 1, 1), 19), ((3, 3, 1, 1), 35),
+    ], ids=["3,3,1", "4,2,1,1", "3,3,1,1"])
+    def test_each_distinct_entry_once(self, monkeypatch, parts, distinct):
+        # Orbits that move cells an entry does not read repeat its chain;
+        # without the cache these make 28, 22 and 44 calls.
+        calls = []
+        real = identities.ez_zeta_star
+
+        def counting(s, y, cfg):
+            calls.append((tuple(s), tuple(y)))
+            return real(s, y, cfg)
+
+        monkeypatch.setattr(identities, "ez_zeta_star", counting)
+        shape = Partition(parts)
+        rng = random.Random(10 * sum(parts) + len(parts))
+        s = Tableau(shape, {c: round(rng.uniform(2, 3), 2) for c in shape.cells()})
+        x = Tableau(shape, {c: round(rng.uniform(0, 1), 2) for c in shape.cells()})
+        extended_jacobi_trudi(s, x, shape, EvalConfig(cutoff=200))
+        assert len(calls) == len(set(calls)) == distinct
 
     def test_shape_restriction(self):
         shape = Partition((3, 2, 2))
@@ -399,7 +422,6 @@ class TestDerivativeIdentities:
         # shift derivative is -s zeta(s + 1, 1 + y).  At h = 1e-4 and the
         # largest cutoff the error is almost all the O(h^2) Taylor term and
         # nearly fills the bound, so that term cannot be dropped.
-        mpmath = pytest.importorskip("mpmath")
         for y, h, cutoff in itertools.product((0.2, 0.5, 1, 3), (1e-4, 1e-2, 0.1, 0.19),
                                               (20, 200, 2000)):
             rep = derivative_fd_check(ContentSpec({0: s}, {0: y}), Partition((1,)), 0,

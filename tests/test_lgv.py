@@ -304,6 +304,16 @@ class TestTailSwap:
         with pytest.raises(UsageError):
             tail_swap(free)
 
+    @pytest.mark.parametrize("parts,n,kind", [((3, 2, 1), 3, "H"), ((3, 2), 4, "E")])
+    def test_joined_paths_carry_their_walked_points(self, parts, n, kind):
+        # Pattern equality ignores the points, so compare them with a walk:
+        # the next swap searches the vertex sets that the join built.
+        for p in self.intersecting(Partition(parts), n, kind):
+            for path in tail_swap(p).paths:
+                walked = LatticePath(path.start, path.steps)
+                assert path.points() == walked.points()
+                assert path._vertex_set == walked._vertex_set
+
 
 class TestWeights:
     @pytest.mark.parametrize("parts,n,kind", [
@@ -331,6 +341,31 @@ class TestWeights:
                 free += w
         assert len(types) > 1
         assert truncated_schur_via_paths(shape, n, s, x, kind) == free
+
+    @pytest.mark.parametrize("parts,n,kind", [((2, 2), 3, "H"), ((3, 2), 3, "E")])
+    def test_exponents_minus_one_to_three(self, parts, n, kind):
+        # Exponent 0 gives the pair (1, 1) and -1 swaps the pair.
+        shape = Partition(parts)
+        cells = shape.cells()
+        s = Tableau(shape, {(i, j): (i + 2 * j) % 5 - 1 for i, j in cells})
+        x = Tableau(shape, {(i, j): Fraction(3 * i + j, 4) for i, j in cells})
+        assert {-1, 0} <= set(s.entries.values())
+        weigh = _pattern_weigher(s, x, n)
+        for p in enumerate_patterns(shape, n, kind):
+            assert Fraction(*weigh(p)) == edge_weight_oracle(p, s, x)
+
+    def test_one_rim_lookup_per_type(self, monkeypatch):
+        looked_up = []
+
+        def counting(shape, sigma, kind):
+            looked_up.append(sigma)
+            return rim_for_type(shape, sigma, kind)
+
+        monkeypatch.setattr(lgv, "rim_for_type", counting)
+        shape = Partition((3, 2, 1))
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert rep.passes
+        assert len(looked_up) == len(set(looked_up)) > 1
 
 
 class TestPinnedValues:

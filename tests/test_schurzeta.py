@@ -5,6 +5,7 @@ Hurwitz-zeta partial sums with integral tails, independently of this
 package's code.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import EvalConfig, ez_zeta, hurwitz
+from shzeta.lgv import truncated_schur_via_paths, verify_cancellation
 from shzeta.schurzeta import (
     SchurInstance,
     chain_decomposition,
@@ -24,7 +26,14 @@ from shzeta.schurzeta import (
     shift_exponent,
 )
 from shzeta.shapes import Partition, parse_shape
-from shzeta.tableaux import ContentSpec, Tableau, as_skew, constant_tableau
+from shzeta.tableaux import (
+    ContentSpec,
+    Tableau,
+    as_skew,
+    constant_tableau,
+    int_exponent,
+    ssyt_fillings,
+)
 
 # sum over SSYT of (2,1) with exponents 3 @ (1,1), 2 @ (1,2), 2 @ (2,1)
 # and shift 0.3 on the main diagonal.
@@ -155,3 +164,103 @@ def test_truncation_agreement_randomized(m, e):
     s = constant_tableau(shape, e)
     x = constant_tableau(shape, 0)
     assert chain_truncated_exact(shape, s, x, m) == schur_truncated_exact(shape, s, x, m)
+
+
+# The reference for both truncations: the same enumerations with one
+# Fraction product per term and one running sum.
+def fraction_table(s, x, max_entry):
+    table = {}
+    for c, y in x.entries.items():
+        e, y = int_exponent(s[c]), Fraction(y)
+        table[c] = [0] + [(m + y) ** -e for m in range(1, max_entry + 1)]
+    return table
+
+
+def fraction_fillings_sum(shape, s, x, max_entry):
+    table = fraction_table(s, x, max_entry)
+    total = Fraction(0)
+    for filling in ssyt_fillings(shape, max_entry):
+        term = Fraction(1)
+        for c, m in filling.items():
+            term *= table[c][m]
+        total += term
+    return total
+
+
+def fraction_chains_sum(shape, s, x, max_entry):
+    table = fraction_table(s, x, max_entry)
+    total = Fraction(0)
+    for cells, strict in chain_decomposition(shape):
+        stack = [(0, 0, Fraction(1))]
+        while stack:
+            k, prev, w = stack.pop()
+            if k == len(cells):
+                total += w
+                continue
+            lo = prev + 1 if (k > 0 and strict[k - 1]) else max(prev, 1)
+            row = table[cells[k]]
+            for m in range(lo, max_entry + 1):
+                stack.append((k + 1, m, w * row[m]))
+    return total
+
+
+EXACT_SHAPES = (
+    "1", "2,1", "2,2", "3,1", "2,1,1", "3,2", "3,2,1",
+    "2,2/1", "3,1/1", "3,2/1", "3,3/1", "2,2,1/1", "4,2/2,1", "3,3,2/2,1",
+)
+
+
+class TestExactTruncations:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_match_the_fraction_loops(self, seed):
+        # Per-cell exponents -1..3 in turn, so 0 too, and shifts p/q, some
+        # negative.
+        rng = random.Random(seed)
+        shape = parse_shape(EXACT_SHAPES[seed % len(EXACT_SHAPES)])
+        cells = shape.cells()
+        s = Tableau(shape, {c: (seed + k) % 5 - 1 for k, c in enumerate(cells)})
+        x = {}
+        for c in cells:
+            y = Fraction(rng.randrange(-6, 10), rng.randrange(1, 8))
+            x[c] = -y if y < 0 and y.denominator == 1 else y  # no zero base
+        x = Tableau(shape, x)
+        n = rng.randint(1, 4)
+        want = fraction_fillings_sum(shape, s, x, n)
+        assert fraction_chains_sum(shape, s, x, n) == want
+        assert schur_truncated_exact(shape, s, x, n) == want
+        assert chain_truncated_exact(shape, s, x, n) == want
+        if not shape.inner.size:
+            straight = shape.outer
+            s, x = Tableau(straight, s.entries), Tableau(straight, x.entries)
+            assert truncated_schur_via_paths(straight, n, s, x, "H") == want
+
+
+class TestExactBadInput:
+    # All three truncations agree on what they refuse.
+    def truncations(self, shape, s, x, n):
+        return (
+            lambda: schur_truncated_exact(shape, s, x, n),
+            lambda: chain_truncated_exact(shape, s, x, n),
+            lambda: truncated_schur_via_paths(shape, n, s, x, "H"),
+        )
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_max_entry_below_one(self, n):
+        # An empty range is an error, not a sum of no terms (0).
+        shape = Partition((2, 1))
+        s, x = constant_tableau(shape, 2), constant_tableau(shape, 0)
+        for run in self.truncations(shape, s, x, n):
+            with pytest.raises(UsageError, match="max_entry must be >= 1"):
+                run()
+
+    def test_zero_base_is_a_domain_error(self):
+        # Shift -1 makes the base m + x zero at m = 1: every exact route,
+        # the cancellation too, names the cell and m.
+        shape = Partition((2, 1))
+        s, x = constant_tableau(shape, 2), constant_tableau(shape, -1)
+        runs = self.truncations(shape, s, x, 3) + (
+            lambda: verify_cancellation(shape, 3, s, x, "H"),
+        )
+        for run in runs:
+            with pytest.raises(DomainError, match=r"cell \(\d, \d\): .* at m = 1"):
+                run()
