@@ -29,7 +29,7 @@ from typing import Any, Callable, NoReturn
 from . import identities
 from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
-from .lgv import count_patterns, enumerate_patterns, render_pattern, verify_cancellation
+from .lgv import enumerate_patterns, render_pattern, verify_cancellation
 from .rootzeta import check_reductions
 from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
 from .shapes import Partition, parse_partition, parse_shape
@@ -411,7 +411,6 @@ def cmd_paths(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.max_render < 0:
         raise UsageError(f"--max-render must be >= 0, got {args.max_render}")
-    total = count_patterns(shape, args.n, args.kind)
     by_type: dict[str, int] = {}
     nonintersecting = 0
     rendered = 0
@@ -432,6 +431,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
                 }
             )
             rendered += 1
+    total = sum(by_type.values())
     _emit(
         {
             "shape": args.shape,

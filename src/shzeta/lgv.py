@@ -13,23 +13,23 @@ weights, and one call weighs each (walk, path) pair once.
 
 Everything here is exact for integer exponents and rational shifts, so the
 cancellation lemma and the truncated-series identity can be asserted with
-zero tolerance.  Weights are unreduced integer pairs from
-``tableaux.exact_factor``, compared by cross-multiplication; each total is
-one ``tableaux.exact_sum`` over the distinct weights with a count per weight
-(the same factor and sum as ``schurzeta``'s exact truncations).  A call
-builds each (start, end) pair's paths once, finds the nonintersecting
-patterns by pruning, and checks each intersecting pair of the cancellation
-once; a tail swap joins slices of the two paths instead of walking new ones.
+zero tolerance.  One call puts every weight over one denominator: each
+cell's factors come from ``tableaux.exact_powers`` as integer numerators
+over that cell's denominator, for every row, and every pattern reads each
+cell once.  So weights are ints, compared with ``==`` and added into int
+totals (as in ``schurzeta``'s exact truncations).  A call builds each
+(start, end) pair's paths once, finds the nonintersecting patterns by
+pruning, and checks each intersecting pair of the cancellation once; a tail
+swap joins slices of the two paths instead of walking new ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterator
 
 from .errors import UsageError
@@ -43,9 +43,7 @@ from .shapes import (
 )
 from .tableaux import (
     Tableau,
-    Weight,
-    exact_factor,
-    exact_sum,
+    exact_powers,
     int_exponent,
     is_diagonal_constant,
 )
@@ -247,10 +245,14 @@ def rim_for_type(
 # Weights
 
 
-def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weight]:
-    """Exact pattern weights on the height-``n`` grid, as unreduced pairs: the
-    weighted edge of a path on row j, read against cell c of its walk, gives
-    ``exact_factor`` of c at m = j.
+def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern], int], int]:
+    """Exact pattern weights on the height-``n`` grid, as ``(weigh, den)``:
+    a pattern's weight is the int ``weigh(pat)`` over the one denominator
+    ``den``.  Each cell gets its table of integer numerators over its own
+    denominator (``exact_powers``), for every row 1..n before any pattern is
+    weighed; the weighted edge of a path on row j, read against cell c of
+    its walk, takes c's numerator at m = j.  The walks of a pattern cover
+    every cell once, so ``den`` is the product of the cells' denominators.
 
     The memo holds, per pattern kind and type, that type's walks and one
     dict per path index from a path's steps to its weight (the index fixes
@@ -259,18 +261,22 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weig
     """
     if n < 1:
         raise UsageError("max_entry must be >= 1")
-    cells: dict[Cell, tuple[int, int, int]] = {}
+    cells = {c: (int_exponent(v), *Fraction(x[c]).as_integer_ratio()) for c, v in s.entries.items()}
+    # A cell's numerators and denominator have at most |e| times the bits of
+    # q and of the lcm of its nonzero bases jq + p.
     bits = 0
-    for c, v in s.entries.items():
-        e, (p, q) = int_exponent(v), Fraction(x[c]).as_integer_ratio()
-        cells[c] = (e, p, q)
-        # Rows run from 1 to n, and |jq + p| is largest at one of the ends.
-        bits += abs(e) * max(q, abs(q + p), abs(n * q + p)).bit_length()
+    for e, p, q in cells.values():
+        common = lcm(*[j * q + p for j in range(1, n + 1) if j * q + p])
+        bits += abs(e) * (common.bit_length() + q.bit_length())
     if bits > WEIGHT_BIT_CAP:
         raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
-    memo: dict[tuple, tuple[tuple, list[dict[tuple[str, ...], Weight]]]] = {}
+    tables, den = {}, 1
+    for c, (e, p, q) in cells.items():
+        tables[c], d = exact_powers(c, e, p, q, n)
+        den *= d
+    memo: dict[tuple, tuple[tuple, list[dict[tuple[str, ...], int]]]] = {}
 
-    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> Weight:
+    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> int:
         letter = "R" if kind == "H" else "NE"
         # The row of an edge is the y of the vertex it leaves.
         rows = [y for (_, y), step in zip(path.points(), path.steps) if step == letter]
@@ -279,50 +285,45 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> Callable[[Pattern], Weig
                 f"path {i} has {len(rows)} weighted edges but ribbon has "
                 f"{len(walk)} cells"
             )
-        num = den = 1
+        w = 1
         for j, cell in zip(rows, walk):
-            a, b = exact_factor(cell, *cells[cell], j)
-            num *= a
-            den *= b
-        return num, den
+            w *= tables[cell][j]
+        return w
 
-    def weigh(pat: Pattern) -> Weight:
+    def weigh(pat: Pattern) -> int:
         key = pat.kind, pat.type
         found = memo.get(key)
         if found is None:
             walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
             found = memo[key] = (walks, [{} for _ in walks])
-        num = den = 1
+        total = 1
         for i, (walk, weights, path) in enumerate(zip(*found, pat.paths), start=1):
             w = weights.get(path.steps)
             if w is None:
                 w = weights[path.steps] = path_weight(i, walk, path, pat.kind)
-            num *= w[0]
-            den *= w[1]
-        return num, den
+            total *= w
+        return total
 
-    return weigh
+    return weigh, den
 
 
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
     """Exact weight of a pattern for integer exponents and rational shifts:
-    the product of its path weights, reduced to one ``Fraction``.
+    the product of its path weights, as one ``Fraction``.
     ``verify_cancellation`` and ``truncated_schur_via_paths`` share one
-    weigher over all their patterns and keep its unreduced pairs instead of
+    weigher over all their patterns and add its int numerators instead of
     calling this per pattern."""
-    return Fraction(*_pattern_weigher(s, x, pat.n)(pat))
+    weigh, den = _pattern_weigher(s, x, pat.n)
+    return Fraction(weigh(pat), den)
 
 
 def truncated_schur_via_paths(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> Fraction:
     """Height-``n`` truncation of the tableau series, via nonintersecting
-    paths: the patterns are counted per distinct weight and summed once."""
-    weigh = _pattern_weigher(s, x, n)
-    groups: dict[Weight, int] = defaultdict(int)
-    for pat in nonintersecting_patterns(shape, n, kind):
-        groups[weigh(pat)] += 1
-    return exact_sum(groups)
+    paths: the patterns' int numerators are added over one denominator."""
+    weigh, den = _pattern_weigher(s, x, n)
+    return Fraction(sum(map(weigh, nonintersecting_patterns(shape, n, kind))), den)
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +390,35 @@ def verify_cancellation(
             "the cancellation involution needs diagonal-constant exponents "
             "and shifts"
         )
-    weigh = _pattern_weigher(s, x, n)
-    # Pattern counts by weight: signed over all and over intersecting ones.
-    signed, crossing, free = defaultdict(int), defaultdict(int), defaultdict(int)
+    weigh, den = _pattern_weigher(s, x, n)
+    # Weight numerators over den: signed over all patterns and over the
+    # intersecting ones, and summed over the nonintersecting ones.
+    signed = crossing = free = 0
     # A mate's step tuples -> its partner's weight.  Path i starts at a_i in
     # every pattern and mate (``tail_swap`` keeps starts), so the steps name
     # the mate; plain tuples do not keep its vertex sets alive until then.
-    pending: dict[tuple[tuple[str, ...], ...], Weight] = {}
-    count, involution_ok = 0, True
+    pending: dict[tuple[tuple[str, ...], ...], int] = {}
+    count, nfree, involution_ok = 0, 0, True
     for pat in enumerate_patterns(shape, n, kind):
         count += 1
         w = weigh(pat)
         sgn = pat.sign
-        signed[w] += sgn
+        signed += sgn * w
         if pat.is_nonintersecting():
-            free[w] += 1
+            nfree += 1
+            free += w
             continue
-        crossing[w] += sgn
+        crossing += sgn * w
         partner = pending.pop(tuple([p.steps for p in pat.paths]), None)
         if partner is None:
             mate = tail_swap(pat)
             involution_ok &= tail_swap(mate).paths == pat.paths and mate.sign == -sgn
             pending[tuple([p.steps for p in mate.paths])] = w
-        elif partner[0] * w[1] != partner[1] * w[0]:
+        elif partner != w:
             involution_ok = False
     return CancellationReport(
-        shape, n, kind, count, sum(free.values()), exact_sum(signed), exact_sum(free),
-        exact_sum(crossing), involution_ok and not pending,
+        shape, n, kind, count, nfree, Fraction(signed, den), Fraction(free, den),
+        Fraction(crossing, den), involution_ok and not pending,
     )
 
 

@@ -12,12 +12,14 @@ the identities it is checked against.
 
 Oracles only: ``linear_extensions`` and ``chain_decomposition`` (one chain
 per linear extension, Stanley's fundamental lemma, §3.15) and the exact
-rational truncations back the tests and the lattice-path cross-checks.
+rational truncations back the tests and the lattice-path cross-checks.  A
+truncation puts every term over one denominator, the product of the
+cells' denominators from ``tableaux.exact_powers``, and adds int
+numerators.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -30,10 +32,8 @@ from .tableaux import (
     ContentSpec,
     Shape,
     Tableau,
-    Weight,
     as_skew,
-    exact_factor,
-    exact_sum,
+    exact_powers,
     expand_content,
     in_W_lambda,
     int_exponent,
@@ -159,16 +159,18 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     return eval_layers(layers, s, y, cfg, first_min=1)
 
 
-def _inverse_powers(s: Tableau, x: Tableau, max_entry: int) -> dict[Cell, list]:
-    """Per cell c, 1/(m + x_c)^s_c as an unreduced pair (``exact_factor``)
-    at index m = 1..max_entry (index 0 unused)."""
+def _inverse_powers(s: Tableau, x: Tableau, max_entry: int) -> tuple[dict[Cell, list[int]], int]:
+    """Per cell c, 1/(m + x_c)^s_c at index m = 1..max_entry as integer
+    numerators over that cell's denominator (``exact_powers``), and the
+    product of the cells' denominators: the denominator of every term."""
     if max_entry < 1:
         raise UsageError("max_entry must be >= 1")
-    table = {}
+    table, den = {}, 1
     for c, y in x.entries.items():
-        e, (p, q) = int_exponent(s[c]), Fraction(y).as_integer_ratio()
-        table[c] = [None] + [exact_factor(c, e, p, q, m) for m in range(1, max_entry + 1)]
-    return table
+        p, q = Fraction(y).as_integer_ratio()
+        table[c], d = exact_powers(c, int_exponent(s[c]), p, q, max_entry)
+        den *= d
+    return table, den
 
 
 def schur_truncated_exact(
@@ -181,20 +183,18 @@ def schur_truncated_exact(
 
     Requires integer exponents and rational shifts; used as an oracle for
     both the chain decomposition and the lattice-path model.  The factors
-    1/(m + x)^s come from one table of integer pairs per call
-    (``_inverse_powers``); each filling multiplies plain ints, and the
-    fillings are counted per distinct pair and summed once (``exact_sum``).
+    1/(m + x)^s come from one table of integer numerators per call over
+    one common denominator (``_inverse_powers``), so each filling adds a
+    plain int product to one int total.
     """
-    table = _inverse_powers(exponents, shifts, max_entry)
-    groups: dict[Weight, int] = defaultdict(int)
+    table, den = _inverse_powers(exponents, shifts, max_entry)
+    total = 0
     for filling in ssyt_fillings(shape, max_entry):
-        num = den = 1
+        term = 1
         for c, m in filling.items():
-            a, b = table[c][m]
-            num *= a
-            den *= b
-        groups[num, den] += 1
-    return exact_sum(groups)
+            term *= table[c][m]
+        total += term
+    return Fraction(total, den)
 
 
 def chain_truncated_exact(
@@ -206,25 +206,24 @@ def chain_truncated_exact(
     """The chain decomposition summed exactly to ``max_entry`` per variable.
 
     Equals ``schur_truncated_exact`` filling-for-filling; kept separate so
-    the equality is testable.  Factors come from ``_inverse_powers`` and
-    the leaves are counted per distinct pair, as there.
+    the equality is testable.  Factors come from ``_inverse_powers``, and
+    each leaf adds its int numerator to one total, as there.
     """
-    table = _inverse_powers(exponents, shifts, max_entry)
-    groups: dict[Weight, int] = defaultdict(int)
+    table, den = _inverse_powers(exponents, shifts, max_entry)
+    total = 0
     for cells, strict in chain_decomposition(shape):
-        # (position, previous value, weight numerator, weight denominator)
-        stack = [(0, 0, 1, 1)]
+        # (position, previous value, weight numerator)
+        stack = [(0, 0, 1)]
         while stack:
-            k, prev, num, den = stack.pop()
+            k, prev, num = stack.pop()
             if k == len(cells):
-                groups[num, den] += 1
+                total += num
                 continue
             lo = prev + 1 if (k > 0 and strict[k - 1]) else max(prev, 1)
             row = table[cells[k]]
             for m in range(lo, max_entry + 1):
-                a, b = row[m]
-                stack.append((k + 1, m, num * a, den * b))
-    return exact_sum(groups)
+                stack.append((k + 1, m, num * row[m]))
+    return Fraction(total, den)
 
 
 def shift_exponent(

@@ -4,8 +4,10 @@ Covers semi-standard enumeration, the convergence-domain predicates on
 exponent tableaux, diagonal-constant (content) parametrization, the
 diagonal-permutation orbit used to symmetrize non-diagonal-constant
 identities, sigma-tableaux and their hook decomposition, the corner-entry
-condition for integer exponent tableaux, and the exact factor and sum that
-the rational oracles (``schurzeta``'s truncations and ``lgv``) share.
+condition for integer exponent tableaux, and the integer power tables that
+the rational oracles (``schurzeta``'s truncations and ``lgv``) share: one
+denominator per cell, so every term of a call is an integer over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import cmath
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Any, Iterator, Mapping
 
 from .errors import DomainError, UsageError
@@ -172,7 +174,7 @@ def in_W_lambda_H(s: Tableau) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact factors and sums for the rational oracles
+# Exact power tables for the rational oracles
 
 
 def int_exponent(v: Any) -> int:
@@ -183,33 +185,23 @@ def int_exponent(v: Any) -> int:
     return int(c.real)
 
 
-# An exact weight as an unreduced pair (numerator, denominator).
-Weight = tuple[int, int]
+def exact_powers(cell: Cell, e: int, p: int, q: int, n: int) -> tuple[list[int], int]:
+    """1/(m + p/q)^e for m = 1..n as integer numerators over one denominator:
+    ``nums[m] / den``, for a cell with integer exponent e and shift p/q
+    (q > 0); ``nums[0]`` is unused.
 
-
-def exact_factor(cell: Cell, e: int, p: int, q: int, m: int) -> Weight:
-    """1/(m + p/q)^e as the unreduced pair (q^e, (mq + p)^e), swapped for
-    e < 0: the factor of a cell with integer exponent e and shift p/q
-    (q > 0) at entry or row m.  A zero base with e > 0 is a ``DomainError``."""
-    base = m * q + p
-    if e < 0:
-        return base**-e, q**-e
-    if base == 0 and e:
-        raise DomainError(f"cell {cell}: the base m + x is 0 at m = {m}")
-    return q**e, base**e
-
-
-def exact_sum(groups: Mapping[Weight, int]) -> Fraction:
-    """The exact sum of count * num / den over ``{(num, den): count}``.
-
-    The terms are added in pairs, level by level, so most additions are of
-    two Fractions of similar size instead of one growing total and a term.
+    For e > 0 the denominator is lcm(mq + p)^e and nums[m] is
+    (q lcm / (mq + p))^e; for e <= 0 it is q^-e and nums[m] is (mq + p)^-e.
+    A zero base with e > 0 is a ``DomainError`` naming the cell and the
+    first such m, raised before any power is taken.
     """
-    terms = [Fraction(k * a, b) for (a, b), k in groups.items() if k]
-    while len(terms) > 1:
-        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
-        terms = pairs + terms[-1:] if len(terms) % 2 else pairs
-    return terms[0] if terms else Fraction(0)
+    bases = [m * q + p for m in range(1, n + 1)]
+    if e <= 0:
+        return [0] + [b**-e for b in bases], q**-e
+    if 0 in bases:
+        raise DomainError(f"cell {cell}: the base m + x is 0 at m = {bases.index(0) + 1}")
+    common = lcm(*bases)
+    return [0] + [(q * (common // b)) ** e for b in bases], common**e
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ class TestCancellation:
         real = lgv._pattern_weigher
 
         def by_type(s, x, n):
-            weigh = real(s, x, n)
-            return lambda pat: (weigh(pat)[0] * pat.type[0], weigh(pat)[1])
+            weigh, den = real(s, x, n)
+            return (lambda pat: weigh(pat) * pat.type[0]), den
 
         monkeypatch.setattr(lgv, "_pattern_weigher", by_type)
         shape = Partition((2, 2))
@@ -214,6 +214,16 @@ class TestEnumeration:
             verify_cancellation(shape, 3, s, x, "H")
         with pytest.raises(UsageError, match="bits"):
             truncated_schur_via_paths(shape, 3, s, x, "H")
+
+    def test_lcm_denominators_count_toward_the_bit_cap(self):
+        # One base's power of 12 has 4 bits per unit of exponent, so 8000
+        # stays under the cap; the lcm of the bases 1..12 (27720) has 15.
+        shape = Partition((2, 1))
+        s, x = diag_tableaux(shape, {-1: 2, 0: 8000, 1: 2}, {-1: 0, 0: 0, 1: 0})
+        with pytest.raises(UsageError, match="128064 bits"):
+            truncated_schur_via_paths(shape, 12, s, x, "H")
+        with pytest.raises(UsageError, match="bits"):
+            verify_cancellation(shape, 12, s, x, "H")
 
 
 class TestTailSwap:
@@ -330,12 +340,12 @@ class TestWeights:
         cells = shape.cells()
         s = Tableau(shape, {(i, j): 1 + (i + 2 * j) % 3 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction((3 * i + j) % 5, 7) for i, j in cells})
-        shared = _pattern_weigher(s, x, n)
+        shared, den = _pattern_weigher(s, x, n)
         free = Fraction(0)
         types = set()
         for p in enumerate_patterns(shape, n, kind):
             w = edge_weight_oracle(p, s, x)
-            assert pattern_weight(p, s, x) == Fraction(*shared(p)) == w
+            assert pattern_weight(p, s, x) == Fraction(shared(p), den) == w
             types.add(p.type)
             if p.is_nonintersecting():
                 free += w
@@ -344,15 +354,15 @@ class TestWeights:
 
     @pytest.mark.parametrize("parts,n,kind", [((2, 2), 3, "H"), ((3, 2), 3, "E")])
     def test_exponents_minus_one_to_three(self, parts, n, kind):
-        # Exponent 0 gives the pair (1, 1) and -1 swaps the pair.
+        # Exponent 0 gives the numerator 1 and -1 puts the base on top.
         shape = Partition(parts)
         cells = shape.cells()
         s = Tableau(shape, {(i, j): (i + 2 * j) % 5 - 1 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction(3 * i + j, 4) for i, j in cells})
         assert {-1, 0} <= set(s.entries.values())
-        weigh = _pattern_weigher(s, x, n)
+        weigh, den = _pattern_weigher(s, x, n)
         for p in enumerate_patterns(shape, n, kind):
-            assert Fraction(*weigh(p)) == edge_weight_oracle(p, s, x)
+            assert Fraction(weigh(p), den) == edge_weight_oracle(p, s, x)
 
     def test_one_rim_lookup_per_type(self, monkeypatch):
         looked_up = []

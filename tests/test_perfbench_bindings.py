@@ -9,6 +9,7 @@ here as they are, so a rename fails this test instead of a benchmark run.
 import importlib
 import importlib.util
 import inspect
+import random
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -57,3 +58,16 @@ def test_counted_parameters_exist():
 
 def test_workloads_import_and_warm_up():
     load("workloads").exact_warm_up()
+
+
+def test_exact_ops_match_their_references(monkeypatch):
+    # Every exact-oracles op of the short rounds at seeds 0-2 is judged ok
+    # against its brute-force reference, and not ok against the corrupted
+    # one.  The references import ``refs`` from the perfbench directory.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = load("workloads")
+    for seed in range(3):
+        for op in workloads.exact_round(random.Random(seed), True, ""):
+            got, ref = op.run(), op.reference()
+            assert op.judge(got, ref).ok, (seed, op.label)
+            assert not op.judge(got, op.corrupt(ref)).ok, (seed, op.label)

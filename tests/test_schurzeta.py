@@ -264,3 +264,17 @@ class TestExactBadInput:
         for run in runs:
             with pytest.raises(DomainError, match=r"cell \(\d, \d\): .* at m = 1"):
                 run()
+
+    def test_zero_base_that_no_filling_reaches(self):
+        # x_(2,1) = -1 zeroes the base at m = 1, which no filling puts in
+        # row 2 and no nonintersecting pattern reads: the full tables
+        # refuse it on every route all the same.
+        shape = Partition((2, 1))
+        s = constant_tableau(shape, 2)
+        x = constant_tableau(shape, 0).with_entries({(2, 1): -1})
+        runs = self.truncations(shape, s, x, 3) + (
+            lambda: verify_cancellation(shape, 3, s, x, "H"),
+        )
+        for run in runs:
+            with pytest.raises(DomainError, match=r"cell \(2, 1\): the base m \+ x is 0 at m = 1"):
+                run()
