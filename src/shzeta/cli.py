@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -29,7 +30,13 @@ from typing import Any, Callable, NoReturn
 from . import identities
 from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
-from .lgv import enumerate_patterns, render_pattern, verify_cancellation
+from .lgv import (
+    enumerate_patterns,
+    nonintersecting_patterns,
+    patterns_by_type,
+    render_pattern,
+    verify_cancellation,
+)
 from .rootzeta import check_reductions
 from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
 from .shapes import Partition, parse_partition, parse_shape
@@ -411,26 +418,25 @@ def cmd_paths(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.max_render < 0:
         raise UsageError(f"--max-render must be >= 0, got {args.max_render}")
-    by_type: dict[str, int] = {}
-    nonintersecting = 0
-    rendered = 0
-    pattern_lines: list[dict] = []
-    for idx, pat in enumerate(enumerate_patterns(shape, args.n, args.kind)):
-        key = "".join(str(v) for v in pat.type)
-        by_type[key] = by_type.get(key, 0) + 1
-        if pat.is_nonintersecting():
-            nonintersecting += 1
-        if args.render and rendered < args.max_render:
-            pattern_lines.append(
-                {
-                    "index": idx,
-                    "type": list(pat.type),
-                    "sign": pat.sign,
-                    "nonintersecting": pat.is_nonintersecting(),
-                    "render": render_pattern(pat),
-                }
-            )
-            rendered += 1
+    # Counts come from the per-pair path counts and the pruned enumeration,
+    # which refuses an over-cap grid; only rendered patterns are enumerated.
+    by_type = {
+        "".join(map(str, sigma)): ways
+        for sigma, ways in patterns_by_type(shape, args.n, args.kind).items()
+    }
+    nonintersecting = sum(1 for _ in nonintersecting_patterns(shape, args.n, args.kind))
+    drawn = enumerate_patterns(shape, args.n, args.kind)
+    shown = itertools.islice(drawn, args.max_render if args.render else 0)
+    pattern_lines = [
+        {
+            "index": idx,
+            "type": list(pat.type),
+            "sign": pat.sign,
+            "nonintersecting": pat.is_nonintersecting(),
+            "render": render_pattern(pat),
+        }
+        for idx, pat in enumerate(shown)
+    ]
     total = sum(by_type.values())
     _emit(
         {

@@ -17,10 +17,11 @@ zero tolerance.  One call puts every weight over one denominator: each
 cell's factors come from ``tableaux.exact_powers`` as integer numerators
 over that cell's denominator, for every row, and every pattern reads each
 cell once.  So weights are ints, compared with ``==`` and added into int
-totals (as in ``schurzeta``'s exact truncations).  A call builds each
-(start, end) pair's paths once, finds the nonintersecting patterns by
-pruning, and checks each intersecting pair of the cancellation once; a tail
-swap joins slices of the two paths instead of walking new ones.
+totals (as in ``schurzeta``'s exact truncations).  A path's vertices are
+one int mask.  A grid's paths between each (start, end) pair are built once,
+into a table shared by calls (``_grid``, bounded); pruning to nonintersecting
+patterns ANDs masks, the cancellation checks each intersecting pair once,
+and a tail swap looks its two new paths up in the table by mask.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _type_sign = lru_cache(maxsize=None)(perm_sign)  # the sign of a pattern type
 # before any power, data whose weights could need more bits than WEIGHT_BIT_CAP.
 PATTERN_CAP = 10**6
 WEIGHT_BIT_CAP = 10**5
+_MOVES = {"R": (1, 0), "U": (0, 1), "NE": (1, 1)}  # step letter -> (dx, dy)
 
 
 @dataclass(frozen=True)
@@ -62,50 +64,38 @@ class LatticePath:
     """A monotone path given by its start point and step letters.
 
     Steps are "R" (right), "U" (up), or "NE" (diagonal up-right).  The
-    vertices are computed once, as a tuple in step order and as a set.
+    vertices are one int, ``_mask``: point (x, y) is bit x(h+1) + y, where h
+    is the row the path ends on (every path of a grid ends on its top row).
+    Bit order is the lexicographic order of points.
     """
 
     start: Point
     steps: tuple[str, ...]
-    _points: tuple[Point, ...] = field(init=False, repr=False, compare=False)
-    _vertex_set: frozenset[Point] = field(init=False, repr=False, compare=False)
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if min(self.start) < 0:
+            raise UsageError(f"path starts at {self.start}, off the quadrant x, y >= 0")
+        pts = self.points()
+        stride = pts[-1][1] + 1
+        object.__setattr__(self, "_mask", sum(1 << (x * stride + y) for x, y in pts))
+
+    def points(self) -> tuple[Point, ...]:
+        """The vertices in step order, walked from the start."""
         x, y = self.start
         pts = [(x, y)]
         for s in self.steps:
-            if s == "R":
-                x += 1
-            elif s == "U":
-                y += 1
-            elif s == "NE":
-                x += 1
-                y += 1
-            else:
+            if s not in _MOVES:
                 raise UsageError(f"unknown step {s!r}")
+            x, y = x + _MOVES[s][0], y + _MOVES[s][1]
             pts.append((x, y))
-        object.__setattr__(self, "_points", tuple(pts))
-        object.__setattr__(self, "_vertex_set", frozenset(pts))
-
-    def points(self) -> tuple[Point, ...]:
-        return self._points
-
-    def _joined(self, other: LatticePath, cut: int, other_cut: int) -> LatticePath:
-        """This path's steps and points before its vertex ``cut``, then
-        ``other``'s from its vertex ``other_cut`` on, which must be the same
-        point: the path is built from the slices, not walked."""
-        points = self._points[:cut] + other._points[other_cut:]
-        path = object.__new__(LatticePath)
-        object.__setattr__(path, "start", self.start)
-        object.__setattr__(path, "steps", self.steps[:cut] + other.steps[other_cut:])
-        object.__setattr__(path, "_points", points)
-        object.__setattr__(path, "_vertex_set", frozenset(points))
-        return path
+        return tuple(pts)
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """A tuple of paths realizing some endpoint permutation."""
+    """A tuple of paths realizing some endpoint permutation.  The paths end
+    on the grid's top row, as enumerated ones do: masks compare only then."""
 
     shape: Partition
     n: int
@@ -118,27 +108,21 @@ class Pattern:
         return _type_sign(self.type)
 
     def is_nonintersecting(self) -> bool:
-        seen: set[Point] = set()
+        seen = 0
         for p in self.paths:
-            if not seen.isdisjoint(p._vertex_set):
+            if seen & p._mask:
                 return False
-            seen |= p._vertex_set
+            seen |= p._mask
         return True
 
 
 def _endpoints(shape: Partition, n: int, kind: str) -> tuple[list[Point], list[Point]]:
-    if kind == "H":
-        t = shape.rows
-        starts = [(t + 1 - i, 1) for i in range(1, t + 1)]
-        ends = [(t + 1 - i + shape.part(i), n) for i in range(1, t + 1)]
-    elif kind == "E":
-        conj = shape.conjugate()
-        t = conj.rows
-        starts = [(t + 1 - i, 1) for i in range(1, t + 1)]
-        ends = [(t + 1 - i + conj.part(i), n + 1) for i in range(1, t + 1)]
-    else:
+    if kind not in ("H", "E"):
         raise UsageError("kind must be 'H' or 'E'")
-    return starts, ends
+    rows, top = (shape, n) if kind == "H" else (shape.conjugate(), n + 1)
+    t = rows.rows
+    starts = [(t + 1 - i, 1) for i in range(1, t + 1)]
+    return starts, [(t + 1 - i + rows.part(i), top) for i in range(1, t + 1)]
 
 
 def _steps(start: Point, end: Point, kind: str) -> tuple[int, int] | None:
@@ -165,29 +149,43 @@ def _paths_between(start: Point, end: Point, kind: str) -> Iterator[LatticePath]
         yield LatticePath(start, tuple(steps))
 
 
-def count_patterns(shape: Partition, n: int, kind: str) -> int:
+def patterns_by_type(shape: Partition, n: int, kind: str) -> dict[tuple[int, ...], int]:
+    """The number of patterns of each type that has any, in permutation
+    order: the product of the path counts of the type's (start, end) pairs."""
     starts, ends = _endpoints(shape, n, kind)
-    total = 0
-    for perm in itertools.permutations(ends):
+    by_type = {}
+    for sigma in itertools.permutations(range(len(ends))):
         ways = 1
-        for a, b in zip(starts, perm):
-            counts = _steps(a, b, kind)
+        for a, k in zip(starts, sigma):
+            counts = _steps(a, ends[k], kind)
             if counts is None:
                 break
             ways *= comb(*counts)
         else:
-            total += ways
-    return total
+            by_type[tuple(k + 1 for k in sigma)] = ways
+    return by_type
 
 
-def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Pattern]:
-    """Patterns type by type, in permutation order, from the paths between
-    each (start, end) pair built once; only nonintersecting ones if free."""
+def count_patterns(shape: Partition, n: int, kind: str) -> int:
+    return sum(patterns_by_type(shape, n, kind).values())
+
+
+@lru_cache(maxsize=32)
+def _grid(shape: Partition, n: int, kind: str) -> tuple[tuple, dict[int, LatticePath]]:
+    """The paths between each (start, end) pair of the grid, and every path
+    by its mask (which holds its start); built once per grid, within the cap."""
     if count_patterns(shape, n, kind) > PATTERN_CAP:
         raise UsageError("pattern count exceeds the enumeration cap (10^6)")
     starts, ends = _endpoints(shape, n, kind)
-    between = [[list(_paths_between(a, b, kind)) for b in ends] for a in starts]
-    for sigma in itertools.permutations(range(len(starts))):
+    between = tuple(tuple(tuple(_paths_between(a, b, kind)) for b in ends) for a in starts)
+    return between, {p._mask: p for row in between for paths in row for p in paths}
+
+
+def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Pattern]:
+    """Patterns type by type, in permutation order, from the grid's paths
+    between each (start, end) pair; only nonintersecting ones if free."""
+    between, _ = _grid(shape, n, kind)
+    for sigma in itertools.permutations(range(len(between))):
         choices = [row[k] for row, k in zip(between, sigma)]
         if all(choices):
             sigma = tuple(k + 1 for k in sigma)
@@ -195,15 +193,15 @@ def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Patte
                 yield Pattern(shape, n, kind, combo, sigma)
 
 
-def _disjoint(choices: list, seen: frozenset = frozenset()) -> Iterator[tuple]:
-    """One path from each list, pairwise disjoint and off ``seen``, in
-    ``itertools.product`` order: a choice stops growing at its first meeting."""
+def _disjoint(choices: list, seen: int = 0) -> Iterator[tuple]:
+    """One path from each list, pairwise disjoint and off the mask ``seen``,
+    in ``itertools.product`` order: a choice stops growing at its first meeting."""
     if not choices:
         yield ()
         return
     for path in choices[0]:
-        if seen.isdisjoint(path._vertex_set):
-            for rest in _disjoint(choices[1:], seen | path._vertex_set):
+        if not seen & path._mask:
+            for rest in _disjoint(choices[1:], seen | path._mask):
                 yield (path, *rest)
 
 
@@ -255,7 +253,7 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern]
     every cell once, so ``den`` is the product of the cells' denominators.
 
     The memo holds, per pattern kind and type, that type's walks and one
-    dict per path index from a path's steps to its weight (the index fixes
+    dict per path index from a path's mask to its weight (the index fixes
     the start), so each (walk, path) pair is weighed once; the memo dies with
     the weigher.
     """
@@ -274,7 +272,7 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern]
     for c, (e, p, q) in cells.items():
         tables[c], d = exact_powers(c, e, p, q, n)
         den *= d
-    memo: dict[tuple, tuple[tuple, list[dict[tuple[str, ...], int]]]] = {}
+    memo: dict[tuple, tuple[tuple, list[dict[int, int]]]] = {}
 
     def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> int:
         letter = "R" if kind == "H" else "NE"
@@ -298,9 +296,9 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern]
             found = memo[key] = (walks, [{} for _ in walks])
         total = 1
         for i, (walk, weights, path) in enumerate(zip(*found, pat.paths), start=1):
-            w = weights.get(path.steps)
+            w = weights.get(path._mask)
             if w is None:
-                w = weights[path.steps] = path_weight(i, walk, path, pat.kind)
+                w = weights[path._mask] = path_weight(i, walk, path, pat.kind)
             total *= w
         return total
 
@@ -334,23 +332,29 @@ def tail_swap(pat: Pattern) -> Pattern:
     """The standard sign-reversing involution on intersecting patterns.
 
     Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex v.  That vertex is the least
-    of the pairwise intersections of the paths' vertex sets.  Each new path
-    joins slices at v: its own steps and points before v, the other path's
-    from v on.  So each path keeps its start, and nothing is walked again.
+    lexicographically smallest shared vertex v, the lowest bit of the union
+    of the pairwise ANDs of the paths' masks.  A new path keeps its own
+    vertices below v and takes the other's from v on, so its mask is
+    (a & (v-1)) | (b & ~(v-1)), looked up among the grid's paths: no path is
+    built.  A new path that is no path of the grid (a hand-built pattern may
+    leave it) is a ``UsageError`` naming its index.
     """
-    vsets = [p._vertex_set for p in pat.paths]
-    shared = [min(m) for a, b in itertools.combinations(vsets, 2) if (m := a & b)]
+    masks = [p._mask for p in pat.paths]
+    seen = shared = 0
+    for m in masks:
+        shared |= seen & m
+        seen |= m
     if not shared:
         raise UsageError("pattern is nonintersecting")
-    v = min(shared)
-    i, j = [k for k, vs in enumerate(vsets) if v in vs][:2]
-    paths = list(pat.paths)
-    a, b = paths[i], paths[j]
-    cut_a, cut_b = a._points.index(v), b._points.index(v)
-    paths[i] = a._joined(b, cut_a, cut_b)
-    paths[j] = b._joined(a, cut_b, cut_a)
-    sigma = list(pat.type)
+    v = shared & -shared
+    i, j = [k for k, m in enumerate(masks) if m & v][:2]
+    below = v - 1
+    _, by_mask = _grid(pat.shape, pat.n, pat.kind)
+    paths, sigma = list(pat.paths), list(pat.type)
+    for k, head, tail in ((i, masks[i], masks[j]), (j, masks[j], masks[i])):
+        paths[k] = by_mask.get((head & below) | (tail & ~below))
+        if paths[k] is None:
+            raise UsageError(f"swapped path {k + 1} is not a path of the grid")
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
 
@@ -394,10 +398,9 @@ def verify_cancellation(
     # Weight numerators over den: signed over all patterns and over the
     # intersecting ones, and summed over the nonintersecting ones.
     signed = crossing = free = 0
-    # A mate's step tuples -> its partner's weight.  Path i starts at a_i in
-    # every pattern and mate (``tail_swap`` keeps starts), so the steps name
-    # the mate; plain tuples do not keep its vertex sets alive until then.
-    pending: dict[tuple[tuple[str, ...], ...], int] = {}
+    # A mate's path masks -> its partner's weight (a mask holds the path's
+    # start, and ``tail_swap`` keeps starts).
+    pending: dict[tuple[int, ...], int] = {}
     count, nfree, involution_ok = 0, 0, True
     for pat in enumerate_patterns(shape, n, kind):
         count += 1
@@ -409,11 +412,11 @@ def verify_cancellation(
             free += w
             continue
         crossing += sgn * w
-        partner = pending.pop(tuple([p.steps for p in pat.paths]), None)
+        partner = pending.pop(tuple([p._mask for p in pat.paths]), None)
         if partner is None:
             mate = tail_swap(pat)
             involution_ok &= tail_swap(mate).paths == pat.paths and mate.sign == -sgn
-            pending[tuple([p.steps for p in mate.paths])] = w
+            pending[tuple([p._mask for p in mate.paths])] = w
         elif partner != w:
             involution_ok = False
     return CancellationReport(
@@ -429,15 +432,11 @@ def verify_cancellation(
 def render_pattern(pat: Pattern) -> str:
     """A fixed-width grid with each path's vertices marked by its index."""
     pts: dict[Point, str] = {}
-    xs = []
-    ys = []
     for i, p in enumerate(pat.paths, start=1):
         for v in p.points():
             pts[v] = str(i) if v not in pts else "*"
-            xs.append(v[0])
-            ys.append(v[1])
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = min(x for x, _ in pts), max(x for x, _ in pts)
+    y0, y1 = min(y for _, y in pts), max(y for _, y in pts)
     lines = []
     for y in range(y1, y0 - 1, -1):
         row = "".join(pts.get((x, y), ".").rjust(2) for x in range(x0, x1 + 1))

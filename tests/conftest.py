@@ -1,10 +1,15 @@
 """Shared strategies and helpers for the test suite."""
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from shzeta import ezzeta
 from shzeta.shapes import Partition
+
+# Two runs of the suite draw the same cases: a fixed seed, no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @st.composite

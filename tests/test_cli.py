@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -20,6 +21,8 @@ from shzeta.cli import (
 )
 from shzeta.errors import DomainError
 from shzeta.ezzeta import Approx, EvalConfig, hurwitz
+from shzeta.lgv import enumerate_patterns
+from shzeta.shapes import Partition
 from shzeta.tableaux import content_spec_from_json
 
 
@@ -202,6 +205,26 @@ class TestPaths:
         assert code == 0
         renders = [r for r in json_lines(out) if "render" in r]
         assert 0 < len(renders) <= 3
+
+    @pytest.mark.parametrize("parts,n,kind", [((3, 2), 4, "E"), ((2, 2, 1), 3, "H")])
+    def test_counts_are_those_of_the_enumeration(self, capsys, parts, n, kind):
+        # The summary is counted from path counts and the pruned
+        # enumeration; walking every pattern must give the same numbers.
+        shape = ",".join(map(str, parts))
+        code, out, _ = run(capsys, "paths", "--shape", shape, "--n", str(n), "--kind", kind)
+        assert code == 0
+        pats = list(enumerate_patterns(Partition(parts), n, kind))
+        types = Counter("".join(map(str, p.type)) for p in pats)
+        assert json_lines(out)[0] == {
+            "shape": shape, "n": n, "kind": kind, "patterns": len(pats),
+            "nonintersecting": sum(p.is_nonintersecting() for p in pats),
+            "types": dict(types),
+        }
+
+    def test_over_the_cap_is_refused(self, capsys):
+        code, out, err = run(capsys, "paths", "--shape", "4,3,2,1", "--n", "30")
+        assert (code, out) == (2, "")
+        assert "enumeration cap" in err
 
 
 class TestUsage:

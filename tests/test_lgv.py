@@ -83,6 +83,18 @@ def tail_swap_oracle(pat):
     return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
 
 
+def small_partitions(cells):
+    """Every partition of at most ``cells`` cells, as tuples of parts."""
+    def of(k, largest):
+        if k == 0:
+            yield ()
+        for part in range(min(k, largest), 0, -1):
+            for rest in of(k - part, part):
+                yield (part, *rest)
+
+    return [parts for k in range(1, cells + 1) for parts in of(k, k)]
+
+
 class TestPatternCounts:
     @pytest.mark.parametrize("parts,n,kind,total,free", [
         ((2, 1), 2, "H", 10, 2),
@@ -314,15 +326,50 @@ class TestTailSwap:
         with pytest.raises(UsageError):
             tail_swap(free)
 
+    @pytest.mark.parametrize("kind", ["H", "E"])
+    @pytest.mark.parametrize("parts", small_partitions(5))
+    def test_masks_match_the_vertex_sets(self, parts, kind):
+        # Every grid of at most 5 cells at heights 1-4, against the
+        # frozenset definitions: intersection, tail swap and pruning.
+        shape = Partition(parts)
+        for n in range(1, 5):
+            free = []
+            for p in enumerate_patterns(shape, n, kind):
+                sets = [frozenset(path.points()) for path in p.paths]
+                crossing = any(a & b for a, b in combinations(sets, 2))
+                assert p.is_nonintersecting() is not crossing
+                if not crossing:
+                    free.append(p)
+                    continue
+                mate, oracle = tail_swap(p), tail_swap_oracle(p)
+                assert mate == oracle
+                assert [q._mask for q in mate.paths] == [q._mask for q in oracle.paths]
+            assert list(nonintersecting_patterns(shape, n, kind)) == free
+
+    def test_mate_off_the_grid_is_a_usage_error(self):
+        # Path 1 runs past every end of the 2,1 grid of height 2; the swap
+        # gives its tail to path 2, and no path of the grid has that tail.
+        shape = Partition((2, 1))
+        off = LatticePath((2, 1), ("R", "R", "R", "R", "U"))
+        pat = Pattern(shape, 2, "H", (off, LatticePath((1, 1), ("R", "U"))), (1, 2))
+        assert not pat.is_nonintersecting()
+        with pytest.raises(UsageError, match="swapped path 2 is not a path of the grid"):
+            tail_swap(pat)
+
+    def test_path_off_the_quadrant_is_a_usage_error(self):
+        # A mask has no bit for a negative coordinate.
+        with pytest.raises(UsageError, match="off the quadrant"):
+            LatticePath((-1, 1), ("R", "U"))
+
     @pytest.mark.parametrize("parts,n,kind", [((3, 2, 1), 3, "H"), ((3, 2), 4, "E")])
     def test_joined_paths_carry_their_walked_points(self, parts, n, kind):
-        # Pattern equality ignores the points, so compare them with a walk:
-        # the next swap searches the vertex sets that the join built.
+        # Pattern equality ignores the masks, so compare them with a walk:
+        # the next swap reads the masks of the paths this one looked up.
         for p in self.intersecting(Partition(parts), n, kind):
             for path in tail_swap(p).paths:
                 walked = LatticePath(path.start, path.steps)
                 assert path.points() == walked.points()
-                assert path._vertex_set == walked._vertex_set
+                assert path._mask == walked._mask
 
 
 class TestWeights:
