@@ -418,6 +418,8 @@ def dirichlet_series_expr(
     the diagonal, arm and leg contents; each entry carries err + t, as the
     true entry lies within err + t of S.
     """
+    if outer_cutoff < 1:
+        raise UsageError(f"outer_cutoff must be >= 1, got {outer_cutoff}")
     fr = shape.frobenius()
     for k in range(-max(fr.q, default=0), max(fr.p, default=0) + 1):
         if complex(spec.z_at(k)).real <= 1:
@@ -506,8 +508,11 @@ def derivative_fd_check(
     In y = y_ell, D = (f(y + h) - f(y - h)) / 2h is within (h^2 / 6) times
     sup_{|t| <= h} |f'''(y + t)| of f'(y) (Taylor).  On a hook, content ell
     has one cell c and f''' = -z (z + 1)(z + 2) f(s + 3 e_c), which the series
-    with real exponents at y - h bounds: |(m + y)^(-s)| = (m + y)^(-Re s).
+    with real exponents at y - h bounds: |(m + y)^(-s)| = (m + y)^(-Re s),
+    which needs h > 0.
     """
+    if not h > 0:
+        raise UsageError(f"step h must be > 0, got {h}")
     shifted = schur_eval(instance_from_spec(_raised(spec, shape, ell, 1), shape), cfg)
     y0, z = spec.y_at(ell), complex(spec.z_at(ell))
     if y0 - h < 0:

@@ -13,15 +13,17 @@ weights, and one call weighs each (walk, path) pair once.
 
 Everything here is exact for integer exponents and rational shifts, so the
 cancellation lemma and the truncated-series identity can be asserted with
-zero tolerance.  One call puts every weight over one denominator: each
-cell's factors come from ``tableaux.exact_powers`` as integer numerators
-over that cell's denominator, for every row, and every pattern reads each
-cell once.  So weights are ints, compared with ``==`` and added into int
-totals (as in ``schurzeta``'s exact truncations).  A path's vertices are
-one int mask.  A grid's paths between each (start, end) pair are built once,
-into a table shared by calls (``_grid``, bounded); pruning to nonintersecting
-patterns ANDs masks, the cancellation checks each intersecting pair once,
-and a tail swap looks its two new paths up in the table by mask.
+zero tolerance.  One call puts every weight over one denominator: its tables
+come from ``tableaux.exact_tables`` (the builder, shape check and bit cap
+that ``schurzeta``'s truncations share), integer numerators over each cell's
+denominator for every row, and every pattern reads each cell once; a pattern
+whose cells are not the tables' is refused.  So weights are ints, compared
+with ``==`` and added into int totals (as in ``schurzeta``'s exact
+truncations).  A path's vertices are one int mask.  A grid's paths between
+each (start, end) pair are built once, into a table shared by calls
+(``_grid``, bounded); pruning to nonintersecting patterns ANDs masks, the
+cancellation checks each intersecting pair once, and a tail swap looks its
+two new paths up in the table by mask.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Callable, Iterator
 
 from .errors import UsageError
@@ -42,20 +44,13 @@ from .shapes import (
     h_rim_decompositions,
     perm_sign,
 )
-from .tableaux import (
-    Tableau,
-    exact_powers,
-    int_exponent,
-    is_diagonal_constant,
-)
+from .tableaux import Tableau, exact_tables, is_diagonal_constant
 
 Point = tuple[int, int]
 _type_sign = lru_cache(maxsize=None)(perm_sign)  # the sign of a pattern type
 
-# The enumeration refuses more patterns than PATTERN_CAP; the weigher refuses,
-# before any power, data whose weights could need more bits than WEIGHT_BIT_CAP.
+# The enumeration refuses more patterns than PATTERN_CAP.
 PATTERN_CAP = 10**6
-WEIGHT_BIT_CAP = 10**5
 _MOVES = {"R": (1, 0), "U": (0, 1), "NE": (1, 1)}  # step letter -> (dx, dy)
 
 
@@ -246,32 +241,19 @@ def rim_for_type(
 def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern], int], int]:
     """Exact pattern weights on the height-``n`` grid, as ``(weigh, den)``:
     a pattern's weight is the int ``weigh(pat)`` over the one denominator
-    ``den``.  Each cell gets its table of integer numerators over its own
-    denominator (``exact_powers``), for every row 1..n before any pattern is
-    weighed; the weighted edge of a path on row j, read against cell c of
-    its walk, takes c's numerator at m = j.  The walks of a pattern cover
-    every cell once, so ``den`` is the product of the cells' denominators.
+    ``den``.  The tables are ``exact_tables``'s on the tableaux' own shape,
+    every row 1..n built before any pattern is weighed; the weighted edge of
+    a path on row j, read against cell c of its walk, takes c's numerator at
+    m = j.  The walks of a pattern cover every cell once, so ``den`` is the
+    product of the cells' denominators.
 
     The memo holds, per pattern kind and type, that type's walks and one
     dict per path index from a path's mask to its weight (the index fixes
     the start), so each (walk, path) pair is weighed once; the memo dies with
-    the weigher.
+    the weigher.  A pattern whose shape's cells are not the tables' is
+    refused when its type first reaches the memo.
     """
-    if n < 1:
-        raise UsageError("max_entry must be >= 1")
-    cells = {c: (int_exponent(v), *Fraction(x[c]).as_integer_ratio()) for c, v in s.entries.items()}
-    # A cell's numerators and denominator have at most |e| times the bits of
-    # q and of the lcm of its nonzero bases jq + p.
-    bits = 0
-    for e, p, q in cells.values():
-        common = lcm(*[j * q + p for j in range(1, n + 1) if j * q + p])
-        bits += abs(e) * (common.bit_length() + q.bit_length())
-    if bits > WEIGHT_BIT_CAP:
-        raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
-    tables, den = {}, 1
-    for c, (e, p, q) in cells.items():
-        tables[c], d = exact_powers(c, e, p, q, n)
-        den *= d
+    tables, den = exact_tables(s.shape, s, x, n)
     memo: dict[tuple, tuple[tuple, list[dict[int, int]]]] = {}
 
     def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> int:
@@ -292,6 +274,8 @@ def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern]
         key = pat.kind, pat.type
         found = memo.get(key)
         if found is None:
+            if tables.keys() != set(pat.shape.cells()):
+                raise UsageError("exponent/shift tableaux must match the shape")
             walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
             found = memo[key] = (walks, [{} for _ in walks])
         total = 1

@@ -13,9 +13,10 @@ the identities it is checked against.
 Oracles only: ``linear_extensions`` and ``chain_decomposition`` (one chain
 per linear extension, Stanley's fundamental lemma, §3.15) and the exact
 rational truncations back the tests and the lattice-path cross-checks.  A
-truncation puts every term over one denominator, the product of the
-cells' denominators from ``tableaux.exact_powers``, and adds int
-numerators.
+truncation takes its tables from ``tableaux.exact_tables``, which refuses
+what ``lgv`` refuses (tableaux that do not match the shape, a non-integer
+exponent, data over the bit cap), puts every term over one denominator
+and adds int numerators.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from .tableaux import (
     Shape,
     Tableau,
     as_skew,
-    exact_powers,
+    exact_tables,
     expand_content,
     in_W_lambda,
-    int_exponent,
     ssyt_fillings,
 )
 
@@ -159,20 +159,6 @@ def schur_eval(inst: SchurInstance, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     return eval_layers(layers, s, y, cfg, first_min=1)
 
 
-def _inverse_powers(s: Tableau, x: Tableau, max_entry: int) -> tuple[dict[Cell, list[int]], int]:
-    """Per cell c, 1/(m + x_c)^s_c at index m = 1..max_entry as integer
-    numerators over that cell's denominator (``exact_powers``), and the
-    product of the cells' denominators: the denominator of every term."""
-    if max_entry < 1:
-        raise UsageError("max_entry must be >= 1")
-    table, den = {}, 1
-    for c, y in x.entries.items():
-        p, q = Fraction(y).as_integer_ratio()
-        table[c], d = exact_powers(c, int_exponent(s[c]), p, q, max_entry)
-        den *= d
-    return table, den
-
-
 def schur_truncated_exact(
     shape: Shape,
     exponents: Tableau,
@@ -184,10 +170,10 @@ def schur_truncated_exact(
     Requires integer exponents and rational shifts; used as an oracle for
     both the chain decomposition and the lattice-path model.  The factors
     1/(m + x)^s come from one table of integer numerators per call over
-    one common denominator (``_inverse_powers``), so each filling adds a
-    plain int product to one int total.
+    one common denominator (``tableaux.exact_tables``), so each filling
+    adds a plain int product to one int total.
     """
-    table, den = _inverse_powers(exponents, shifts, max_entry)
+    table, den = exact_tables(shape, exponents, shifts, max_entry)
     total = 0
     for filling in ssyt_fillings(shape, max_entry):
         term = 1
@@ -206,10 +192,10 @@ def chain_truncated_exact(
     """The chain decomposition summed exactly to ``max_entry`` per variable.
 
     Equals ``schur_truncated_exact`` filling-for-filling; kept separate so
-    the equality is testable.  Factors come from ``_inverse_powers``, and
-    each leaf adds its int numerator to one total, as there.
+    the equality is testable.  Factors come from ``tableaux.exact_tables``,
+    and each leaf adds its int numerator to one total, as there.
     """
-    table, den = _inverse_powers(exponents, shifts, max_entry)
+    table, den = exact_tables(shape, exponents, shifts, max_entry)
     total = 0
     for cells, strict in chain_decomposition(shape):
         # (position, previous value, weight numerator)

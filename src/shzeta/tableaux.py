@@ -4,10 +4,12 @@ Covers semi-standard enumeration, the convergence-domain predicates on
 exponent tableaux, diagonal-constant (content) parametrization, the
 diagonal-permutation orbit used to symmetrize non-diagonal-constant
 identities, sigma-tableaux and their hook decomposition, the corner-entry
-condition for integer exponent tableaux, and the integer power tables that
-the rational oracles (``schurzeta``'s truncations and ``lgv``) share: one
-denominator per cell, so every term of a call is an integer over one
-common denominator.
+condition for integer exponent tableaux, and the integer power tables of
+the rational oracles.  ``exact_tables`` is the one place where exact input
+becomes tables, for ``schurzeta``'s two truncations and ``lgv`` alike: it
+checks the tableaux against the shape, caps the tables' size before any
+power is taken, and gives one denominator per cell, so every term of a call
+is an integer over one common denominator.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import cmath
 import itertools
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Any, Iterator, Mapping
 
@@ -202,6 +205,43 @@ def exact_powers(cell: Cell, e: int, p: int, q: int, n: int) -> tuple[list[int],
         raise DomainError(f"cell {cell}: the base m + x is 0 at m = {bases.index(0) + 1}")
     common = lcm(*bases)
     return [0] + [(q * (common // b)) ** e for b in bases], common**e
+
+
+# ``exact_tables`` refuses, before any power, data whose tables could need
+# more bits than this.
+WEIGHT_BIT_CAP = 10**5
+
+
+def exact_tables(shape: Shape, s: Tableau, x: Tableau, n: int) -> tuple[dict[Cell, list[int]], int]:
+    """Per cell c of the shape, 1/(m + x_c)^s_c for m = 1..n as integer
+    numerators over that cell's denominator (``exact_powers``), and the
+    product of the cells' denominators: the denominator of every term of a
+    rational oracle's call.
+
+    Refuses, in this order: n < 1; exponent or shift tableaux whose cells
+    are not the shape's; a non-integer exponent; and, before any power is
+    taken, data whose tables could need more than ``WEIGHT_BIT_CAP`` bits.
+    A zero base is then ``exact_powers``'s ``DomainError``.
+    """
+    if n < 1:
+        raise UsageError("max_entry must be >= 1")
+    cells = shape.cells()
+    if not s.entries.keys() == x.entries.keys() == set(cells):
+        raise UsageError("exponent/shift tableaux must match the shape")
+    data = {c: (int_exponent(s[c]), *Fraction(x[c]).as_integer_ratio()) for c in cells}
+    # A cell's numerators and denominator have at most |e| times the bits of
+    # q and of the lcm of its nonzero bases mq + p.
+    bits = 0
+    for e, p, q in data.values():
+        common = lcm(*[m * q + p for m in range(1, n + 1) if m * q + p])
+        bits += abs(e) * (common.bit_length() + q.bit_length())
+    if bits > WEIGHT_BIT_CAP:
+        raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
+    tables, den = {}, 1
+    for c, (e, p, q) in data.items():
+        tables[c], d = exact_powers(c, e, p, q, n)
+        den *= d
+    return tables, den
 
 
 # ---------------------------------------------------------------------------

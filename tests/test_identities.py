@@ -363,6 +363,13 @@ class TestDirichletSeriesExpression:
         assert rep.budget <= before
         assert rep.budget == pytest.approx(pinned, rel=1e-9)
 
+    @pytest.mark.parametrize("outer", [0, -3])
+    def test_outer_cutoff_below_one(self, outer):
+        # 0 raised a ZeroDivisionError at y_0 = 0, -3 a numpy broadcast error.
+        spec = ContentSpec({-1: 2, 0: 3, 1: 2}, {})
+        with pytest.raises(UsageError, match=f"outer_cutoff must be >= 1, got {outer}"):
+            dirichlet_series_expr(spec, Partition((2, 1)), CFG, outer_cutoff=outer)
+
 
 class TestSlack:
     def test_slack_is_relative(self):
@@ -409,6 +416,13 @@ class TestDerivativeIdentities:
         # y - h < 0 on the single cell
         with pytest.raises(DomainError):
             derivative_fd_check(ContentSpec({0: 2}, {0: 0.0}), Partition((1,)), 0)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_fd_step_must_be_positive(self, h):
+        # h = 0 divided by zero; h < 0 took the Taylor majorant at y + |h|,
+        # where it no longer bounds the remainder.
+        with pytest.raises(UsageError, match=f"step h must be > 0, got {h}"):
+            derivative_fd_check(SPEC_Y, hook(1, 1), 0, CFG, h)
 
     def test_fd_matches_analytic_single_cell(self):
         # d/dy sum (m+y)^(-s) = -s sum (m+y)^(-s-1)

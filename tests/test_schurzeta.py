@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import EvalConfig, ez_zeta, hurwitz
-from shzeta.lgv import truncated_schur_via_paths, verify_cancellation
+from shzeta.lgv import (
+    enumerate_patterns,
+    pattern_weight,
+    truncated_schur_via_paths,
+    verify_cancellation,
+)
 from shzeta.schurzeta import (
     SchurInstance,
     chain_decomposition,
@@ -278,3 +283,42 @@ class TestExactBadInput:
         for run in runs:
             with pytest.raises(DomainError, match=r"cell \(2, 1\): the base m \+ x is 0 at m = 1"):
                 run()
+
+    # One row per refused input, on 2,1 unless the tableaux say otherwise:
+    # (max entry, exponent and shift tableaux, exception, message).
+    SHAPE_21 = Partition((2, 1))
+    REFUSED = {
+        "max-entry-0": (0, constant_tableau(SHAPE_21, 2), constant_tableau(SHAPE_21, 0),
+                        UsageError, "max_entry must be >= 1"),
+        "larger-shape": (3, *(constant_tableau(Partition((2, 2)), v) for v in (2, 0)),
+                         UsageError, "exponent/shift tableaux must match the shape"),
+        "smaller-shape": (3, *(constant_tableau(Partition((2,)), v) for v in (2, 0)),
+                          UsageError, "exponent/shift tableaux must match the shape"),
+        "same-size-shape": (3, *(constant_tableau(Partition((3,)), v) for v in (2, 0)),
+                            UsageError, "exponent/shift tableaux must match the shape"),
+        "non-integer-exponent": (3, constant_tableau(SHAPE_21, 2.5),
+                                 constant_tableau(SHAPE_21, 0), UsageError,
+                                 "exact arithmetic needs integer exponents, got 2.5"),
+        "over-the-cap": (3, constant_tableau(SHAPE_21, 2).with_entries({(1, 1): 30000}),
+                         constant_tableau(SHAPE_21, 0), UsageError,
+                         "exact weights could need 120016 bits, beyond the cap (10^5)"),
+        "zero-base": (3, constant_tableau(SHAPE_21, 2), constant_tableau(SHAPE_21, -1),
+                      DomainError, "cell (1, 1): the base m + x is 0 at m = 1"),
+    }
+
+    @pytest.mark.parametrize("row", REFUSED)
+    def test_every_exact_entry_point_refuses_alike(self, row):
+        # The three truncations, the cancellation and ``pattern_weight``
+        # (which needs a pattern, so a max entry >= 1) raise the same error.
+        n, s, x, error, message = self.REFUSED[row]
+        shape = self.SHAPE_21
+        runs = self.truncations(shape, s, x, n) + (
+            lambda: verify_cancellation(shape, n, s, x, "H"),
+        )
+        if n >= 1:
+            pat = next(enumerate_patterns(shape, n, "H"))
+            runs += (lambda: pattern_weight(pat, s, x),)
+        for run in runs:
+            with pytest.raises(Exception) as caught:
+                run()
+            assert (type(caught.value), str(caught.value)) == (error, message)
