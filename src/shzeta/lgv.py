@@ -14,16 +14,17 @@ weights, and one call weighs each (walk, path) pair once.
 Everything here is exact for integer exponents and rational shifts, so the
 cancellation lemma and the truncated-series identity can be asserted with
 zero tolerance.  One call puts every weight over one denominator: its tables
-come from ``tableaux.exact_tables`` (the builder, shape check and bit cap
-that ``schurzeta``'s truncations share), integer numerators over each cell's
-denominator for every row, and every pattern reads each cell once; a pattern
-whose cells are not the tables' is refused.  So weights are ints, compared
-with ``==`` and added into int totals (as in ``schurzeta``'s exact
-truncations).  A path's vertices are one int mask.  A grid's paths between
-each (start, end) pair are built once, into a table shared by calls
-(``_grid``, bounded); pruning to nonintersecting patterns ANDs masks, the
-cancellation checks each intersecting pair once, and a tail swap looks its
-two new paths up in the table by mask.
+come from ``tableaux.exact_tables`` on the call's own shape (the builder,
+shape check and bit cap that ``schurzeta``'s truncations share), integer
+numerators over each cell's denominator for every row, and every pattern
+reads each cell once.  So weights are ints, compared with ``==`` and added
+into int totals (as in ``schurzeta``'s exact truncations).  A path's
+vertices are one int mask, and a grid's paths are walked once into a table
+of masks shared by calls (``_grid``, bounded).  The two oracles build no
+path or pattern: a pattern is a tuple of masks from the product of per-type
+(mask, weight) lists (``_product``), pruning ANDs masks, and a tail swap
+(``_swap``) is two mask operations.  The public pattern functions are thin
+wrappers over the same helpers.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Callable, Iterator
+from math import comb, prod
+from typing import Iterator
 
 from .errors import UsageError
 from .shapes import (
@@ -61,12 +62,14 @@ class LatticePath:
     Steps are "R" (right), "U" (up), or "NE" (diagonal up-right).  The
     vertices are one int, ``_mask``: point (x, y) is bit x(h+1) + y, where h
     is the row the path ends on (every path of a grid ends on its top row).
-    Bit order is the lexicographic order of points.
+    Bit order is the lexicographic order of points.  ``_rows`` holds the
+    row of each weighted (non-"U") step: the y of the vertex it leaves.
     """
 
     start: Point
     steps: tuple[str, ...]
     _mask: int = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if min(self.start) < 0:
@@ -74,6 +77,7 @@ class LatticePath:
         pts = self.points()
         stride = pts[-1][1] + 1
         object.__setattr__(self, "_mask", sum(1 << (x * stride + y) for x, y in pts))
+        object.__setattr__(self, "_rows", tuple(y for (_, y), s in zip(pts, self.steps) if s != "U"))
 
     def points(self) -> tuple[Point, ...]:
         """The vertices in step order, walked from the start."""
@@ -89,8 +93,8 @@ class LatticePath:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A tuple of paths realizing some endpoint permutation.  The paths end
-    on the grid's top row, as enumerated ones do: masks compare only then."""
+    """A tuple of paths realizing some endpoint permutation.  The paths must
+    all end on one row, as enumerated ones do: masks compare only then."""
 
     shape: Partition
     n: int
@@ -98,17 +102,17 @@ class Pattern:
     paths: tuple[LatticePath, ...]
     type: tuple[int, ...]  # sigma as (sigma(1), ..., sigma(t)), 1-indexed
 
+    def __post_init__(self) -> None:
+        # A path ends on its start row plus its U and NE steps.
+        if len({p.start[1] + len(p.steps) - p.steps.count("R") for p in self.paths}) > 1:
+            raise UsageError("the paths of a pattern must all end on one row")
+
     @property
     def sign(self) -> int:
         return _type_sign(self.type)
 
     def is_nonintersecting(self) -> bool:
-        seen = 0
-        for p in self.paths:
-            if seen & p._mask:
-                return False
-            seen |= p._mask
-        return True
+        return not _shared([p._mask for p in self.paths])
 
 
 def _endpoints(shape: Partition, n: int, kind: str) -> tuple[list[Point], list[Point]]:
@@ -166,38 +170,54 @@ def count_patterns(shape: Partition, n: int, kind: str) -> int:
 
 
 @lru_cache(maxsize=32)
-def _grid(shape: Partition, n: int, kind: str) -> tuple[tuple, dict[int, LatticePath]]:
-    """The paths between each (start, end) pair of the grid, and every path
-    by its mask (which holds its start); built once per grid, within the cap."""
-    if count_patterns(shape, n, kind) > PATTERN_CAP:
+def _grid(shape: Partition, n: int, kind: str) -> tuple[tuple, dict[int, int]]:
+    """The types with patterns, each with one tuple per path index i of the
+    (mask, ``_rows``) pairs of the paths from start i to end sigma(i); and
+    each path's end index by its mask (which holds its start).  No paths
+    are kept; built once per grid, within the cap."""
+    by_type = patterns_by_type(shape, n, kind)
+    if sum(by_type.values()) > PATTERN_CAP:
         raise UsageError("pattern count exceeds the enumeration cap (10^6)")
     starts, ends = _endpoints(shape, n, kind)
-    between = tuple(tuple(tuple(_paths_between(a, b, kind)) for b in ends) for a in starts)
-    return between, {p._mask: p for row in between for paths in row for p in paths}
+    between = [[tuple((p._mask, p._rows) for p in _paths_between(a, b, kind)) for b in ends] for a in starts]
+    end_of = {m: k for row in between for k, ps in enumerate(row, 1) for m, _ in ps}
+    return tuple((sigma, [row[k - 1] for row, k in zip(between, sigma)]) for sigma in by_type), end_of
+
+
+@lru_cache(maxsize=32)
+def _grid_paths(shape: Partition, n: int, kind: str) -> dict[int, LatticePath]:
+    """Every path of the grid by its mask, for the pattern functions (after ``_grid``)."""
+    starts, ends = _endpoints(shape, n, kind)
+    return {p._mask: p for a in starts for b in ends for p in _paths_between(a, b, kind)}
+
+
+def _product(lists: list, free: bool) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """One (mask, weight) pair from each list, in ``itertools.product`` order,
+    as (masks, shared bits, weight product), from a running OR of the masks.
+    With ``free``, a choice stops growing at its first shared bit."""
+    last = len(lists) - 1
+
+    def grow(k: int, masks: tuple, seen: int, shared: int, weight: int) -> Iterator:
+        for m, w in lists[k]:
+            meet = seen & m
+            if free and meet:
+                continue
+            if k == last:
+                yield (*masks, m), shared | meet, weight * w
+            else:
+                yield from grow(k + 1, (*masks, m), seen | m, shared | meet, weight * w)
+
+    return grow(0, (), 0, 0, 1) if lists else iter([((), 0, 1)])
 
 
 def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Pattern]:
     """Patterns type by type, in permutation order, from the grid's paths
     between each (start, end) pair; only nonintersecting ones if free."""
-    between, _ = _grid(shape, n, kind)
-    for sigma in itertools.permutations(range(len(between))):
-        choices = [row[k] for row, k in zip(between, sigma)]
-        if all(choices):
-            sigma = tuple(k + 1 for k in sigma)
-            for combo in _disjoint(choices) if free else itertools.product(*choices):
-                yield Pattern(shape, n, kind, combo, sigma)
-
-
-def _disjoint(choices: list, seen: int = 0) -> Iterator[tuple]:
-    """One path from each list, pairwise disjoint and off the mask ``seen``,
-    in ``itertools.product`` order: a choice stops growing at its first meeting."""
-    if not choices:
-        yield ()
-        return
-    for path in choices[0]:
-        if not seen & path._mask:
-            for rest in _disjoint(choices[1:], seen | path._mask):
-                yield (path, *rest)
+    types, _ = _grid(shape, n, kind)
+    paths = _grid_paths(shape, n, kind)
+    for sigma, choices in types:
+        for masks, _, _ in _product([[(m, 1) for m, _ in ps] for ps in choices], free):
+            yield Pattern(shape, n, kind, tuple(paths[m] for m in masks), sigma)
 
 
 def enumerate_patterns(shape: Partition, n: int, kind: str = "H") -> Iterator[Pattern]:
@@ -238,109 +258,98 @@ def rim_for_type(
 # Weights
 
 
-def _pattern_weigher(s: Tableau, x: Tableau, n: int) -> tuple[Callable[[Pattern], int], int]:
-    """Exact pattern weights on the height-``n`` grid, as ``(weigh, den)``:
-    a pattern's weight is the int ``weigh(pat)`` over the one denominator
-    ``den``.  The tables are ``exact_tables``'s on the tableaux' own shape,
-    every row 1..n built before any pattern is weighed; the weighted edge of
-    a path on row j, read against cell c of its walk, takes c's numerator at
-    m = j.  The walks of a pattern cover every cell once, so ``den`` is the
-    product of the cells' denominators.
+def _path_weight(i: int, rows: tuple[int, ...], walk: tuple[Cell, ...], tables: dict) -> int:
+    """The int numerator of path i's weight: the weighted edge on row j,
+    read against cell c of the walk, takes c's table entry at m = j.  A
+    path whose weighted edges do not match the walk's cells is refused."""
+    if len(rows) != len(walk):
+        raise UsageError(f"path {i} has {len(rows)} weighted edges but ribbon has {len(walk)} cells")
+    return prod(tables[cell][j] for j, cell in zip(rows, walk))
 
-    The memo holds, per pattern kind and type, that type's walks and one
-    dict per path index from a path's mask to its weight (the index fixes
-    the start), so each (walk, path) pair is weighed once; the memo dies with
-    the weigher.  A pattern whose shape's cells are not the tables' is
-    refused when its type first reaches the memo.
-    """
-    tables, den = exact_tables(s.shape, s, x, n)
-    memo: dict[tuple, tuple[tuple, list[dict[int, int]]]] = {}
 
-    def path_weight(i: int, walk: tuple, path: LatticePath, kind: str) -> int:
-        letter = "R" if kind == "H" else "NE"
-        # The row of an edge is the y of the vertex it leaves.
-        rows = [y for (_, y), step in zip(path.points(), path.steps) if step == letter]
-        if len(rows) != len(walk):
-            raise UsageError(
-                f"path {i} has {len(rows)} weighted edges but ribbon has "
-                f"{len(walk)} cells"
-            )
-        w = 1
-        for j, cell in zip(rows, walk):
-            w *= tables[cell][j]
-        return w
-
-    def weigh(pat: Pattern) -> int:
-        key = pat.kind, pat.type
-        found = memo.get(key)
-        if found is None:
-            if tables.keys() != set(pat.shape.cells()):
-                raise UsageError("exponent/shift tableaux must match the shape")
-            walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
-            found = memo[key] = (walks, [{} for _ in walks])
-        total = 1
-        for i, (walk, weights, path) in enumerate(zip(*found, pat.paths), start=1):
-            w = weights.get(path._mask)
-            if w is None:
-                w = weights[path._mask] = path_weight(i, walk, path, pat.kind)
-            total *= w
-        return total
-
-    return weigh, den
+def _weigh(shape: Partition, kind: str, sigma: tuple[int, ...], choices: list, tables: dict) -> list:
+    """Per path index i, the (mask, weight) pairs of a ``_grid`` type: each
+    path read along walk i of the type's rim decomposition, once per call."""
+    walks = rim_for_type(shape, sigma, kind).walks
+    return [[(m, _path_weight(i, rows, walk, tables)) for m, rows in paths]
+            for i, (walk, paths) in enumerate(zip(walks, choices), start=1)]
 
 
 def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
     """Exact weight of a pattern for integer exponents and rational shifts:
-    the product of its path weights, as one ``Fraction``.
-    ``verify_cancellation`` and ``truncated_schur_via_paths`` share one
-    weigher over all their patterns and add its int numerators instead of
-    calling this per pattern."""
-    weigh, den = _pattern_weigher(s, x, pat.n)
-    return Fraction(weigh(pat), den)
+    the product of its path weights, as one ``Fraction``.  The oracles weigh
+    each path once per call instead of calling this per pattern."""
+    tables, den = exact_tables(pat.shape, s, x, pat.n)
+    walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
+    w = 1
+    for i, (walk, path) in enumerate(zip(walks, pat.paths), start=1):
+        w *= _path_weight(i, path._rows, walk, tables)
+    return Fraction(w, den)
 
 
 def truncated_schur_via_paths(
     shape: Partition, n: int, s: Tableau, x: Tableau, kind: str = "H"
 ) -> Fraction:
     """Height-``n`` truncation of the tableau series, via nonintersecting
-    paths: the patterns' int numerators are added over one denominator."""
-    weigh, den = _pattern_weigher(s, x, n)
-    return Fraction(sum(map(weigh, nonintersecting_patterns(shape, n, kind))), den)
+    paths: int numerators over one denominator.  Most types have no
+    nonintersecting pattern, so a type is weighed once its masks give one."""
+    tables, den = exact_tables(shape, s, x, n)
+    total = 0
+    for sigma, choices in _grid(shape, n, kind)[0]:
+        if next(_product([[(m, 1) for m, _ in ps] for ps in choices], free=True), None):
+            total += sum(w for _, _, w in _product(_weigh(shape, kind, sigma, choices, tables), free=True))
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
 # Cancellation
 
 
-def tail_swap(pat: Pattern) -> Pattern:
-    """The standard sign-reversing involution on intersecting patterns.
-
-    Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex v, the lowest bit of the union
-    of the pairwise ANDs of the paths' masks.  A new path keeps its own
-    vertices below v and takes the other's from v on, so its mask is
-    (a & (v-1)) | (b & ~(v-1)), looked up among the grid's paths: no path is
-    built.  A new path that is no path of the grid (a hand-built pattern may
-    leave it) is a ``UsageError`` naming its index.
-    """
-    masks = [p._mask for p in pat.paths]
+def _shared(masks: list[int] | tuple[int, ...]) -> int:
+    """The union of the pairwise ANDs of the masks: the shared vertices."""
     seen = shared = 0
     for m in masks:
         shared |= seen & m
         seen |= m
+    return shared
+
+
+def _swap(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The tail swap on masks: the first two paths through the lowest shared
+    bit v trade their bits from v on, as (a & (v-1)) | (b & ~(v-1))."""
+    shared = _shared(masks)
     if not shared:
         raise UsageError("pattern is nonintersecting")
     v = shared & -shared
     i, j = [k for k, m in enumerate(masks) if m & v][:2]
-    below = v - 1
-    _, by_mask = _grid(pat.shape, pat.n, pat.kind)
-    paths, sigma = list(pat.paths), list(pat.type)
-    for k, head, tail in ((i, masks[i], masks[j]), (j, masks[j], masks[i])):
-        paths[k] = by_mask.get((head & below) | (tail & ~below))
-        if paths[k] is None:
-            raise UsageError(f"swapped path {k + 1} is not a path of the grid")
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
+    below, mate = v - 1, list(masks)
+    mate[i] = (masks[i] & below) | (masks[j] & ~below)
+    mate[j] = (masks[j] & below) | (masks[i] & ~below)
+    return tuple(mate)
+
+
+def _type_of(masks: tuple[int, ...], end_of: dict[int, int]) -> tuple[int, ...]:
+    """The type of a swapped pattern, from its paths' ends; a mask that is
+    no path of the grid is a ``UsageError`` naming its index."""
+    sigma = tuple(end_of.get(m) for m in masks)
+    if None in sigma:
+        raise UsageError(f"swapped path {sigma.index(None) + 1} is not a path of the grid")
+    return sigma
+
+
+def tail_swap(pat: Pattern) -> Pattern:
+    """The standard sign-reversing involution on intersecting patterns.
+
+    Swap the tails of the two smallest-indexed paths through the
+    lexicographically smallest shared vertex (``_swap``); the new masks'
+    ends give the mate's type.  A new path that is no path of the grid (a
+    hand-built pattern may leave it) is a ``UsageError`` naming its index.
+    """
+    _, end_of = _grid(pat.shape, pat.n, pat.kind)
+    mate = _swap(tuple(p._mask for p in pat.paths))
+    sigma = _type_of(mate, end_of)
+    paths = _grid_paths(pat.shape, pat.n, pat.kind)
+    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths[m] for m in mate), sigma)
 
 
 @dataclass(frozen=True)
@@ -369,40 +378,39 @@ def verify_cancellation(
 ) -> CancellationReport:
     """Check that intersecting patterns cancel in signed pairs, exactly.
 
-    A pair is checked from its first-enumerated member: swapping the mate's
-    tails gives it back, the mate has the opposite sign and, when enumerated,
-    the same weight.  No mate may be left unenumerated at the end.
+    A pair is checked from its first-enumerated member: both swapped masks
+    are grid paths, swapping the mate gives the pattern back, the mate's
+    type (from its ends) has the opposite sign and, when enumerated, the
+    same weight.  No mate may be left unenumerated at the end.
     """
     if not (is_diagonal_constant(s) and is_diagonal_constant(x)):
-        raise UsageError(
-            "the cancellation involution needs diagonal-constant exponents "
-            "and shifts"
-        )
-    weigh, den = _pattern_weigher(s, x, n)
-    # Weight numerators over den: signed over all patterns and over the
-    # intersecting ones, and summed over the nonintersecting ones.
+        raise UsageError("the cancellation involution needs diagonal-constant exponents and shifts")
+    tables, den = exact_tables(shape, s, x, n)
+    types, end_of = _grid(shape, n, kind)
+    # Numerators over den: signed over all and over intersecting patterns,
+    # and summed over nonintersecting ones; pending maps a mate's masks to
+    # its partner's weight (masks hold starts, which the swap keeps).
     signed = crossing = free = 0
-    # A mate's path masks -> its partner's weight (a mask holds the path's
-    # start, and ``tail_swap`` keeps starts).
     pending: dict[tuple[int, ...], int] = {}
     count, nfree, involution_ok = 0, 0, True
-    for pat in enumerate_patterns(shape, n, kind):
-        count += 1
-        w = weigh(pat)
-        sgn = pat.sign
-        signed += sgn * w
-        if pat.is_nonintersecting():
-            nfree += 1
-            free += w
-            continue
-        crossing += sgn * w
-        partner = pending.pop(tuple([p._mask for p in pat.paths]), None)
-        if partner is None:
-            mate = tail_swap(pat)
-            involution_ok &= tail_swap(mate).paths == pat.paths and mate.sign == -sgn
-            pending[tuple([p._mask for p in mate.paths])] = w
-        elif partner != w:
-            involution_ok = False
+    for sigma, choices in types:
+        sgn = _type_sign(sigma)
+        for masks, shared, w in _product(_weigh(shape, kind, sigma, choices, tables), free=False):
+            count += 1
+            signed += sgn * w
+            if not shared:
+                nfree += 1
+                free += w
+                continue
+            crossing += sgn * w
+            partner = pending.pop(masks, None)
+            if partner is None:
+                # The grid lookup comes first, so it runs for every mate.
+                mate = _swap(masks)
+                involution_ok &= _type_sign(_type_of(mate, end_of)) == -sgn and _swap(mate) == masks
+                pending[mate] = w
+            elif partner != w:
+                involution_ok = False
     return CancellationReport(
         shape, n, kind, count, nfree, Fraction(signed, den), Fraction(free, den),
         Fraction(crossing, den), involution_ok and not pending,

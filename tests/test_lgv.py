@@ -12,7 +12,6 @@ from shzeta.lgv import (
     CancellationReport,
     LatticePath,
     Pattern,
-    _pattern_weigher,
     count_patterns,
     enumerate_patterns,
     nonintersecting_patterns,
@@ -29,7 +28,7 @@ from shzeta.shapes import (
     e_rim_decompositions,
     h_rim_decompositions,
 )
-from shzeta.tableaux import Tableau, constant_tableau
+from shzeta.tableaux import Tableau, constant_tableau, exact_tables
 
 
 def diag_tableaux(shape, z_by_content, y_by_content):
@@ -81,6 +80,29 @@ def tail_swap_oracle(pat):
     sigma = list(pat.type)
     sigma[i], sigma[j] = sigma[j], sigma[i]
     return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
+
+
+def pattern_level_report(shape, n, s, x, kind):
+    """The cancellation report built pattern by pattern, from Pattern
+    objects: ``enumerate_patterns``, vertex sets, ``tail_swap_oracle`` and
+    ``pattern_weight``."""
+    weight = {p: pattern_weight(p, s, x) for p in enumerate_patterns(shape, n, kind)}
+    free, crossing = [], []
+    for p in weight:
+        sets = [set(path.points()) for path in p.paths]
+        (crossing if any(a & b for a, b in combinations(sets, 2)) else free).append(p)
+    involution = True
+    for p in crossing:
+        q = tail_swap_oracle(p)
+        involution &= tail_swap_oracle(q) == p and q.sign == -p.sign
+        involution &= weight.get(q) == weight[p]
+    return CancellationReport(
+        shape, n, kind, len(weight), len(free),
+        sum((p.sign * w for p, w in weight.items()), Fraction(0)),
+        sum((weight[p] for p in free), Fraction(0)),
+        sum((p.sign * weight[p] for p in crossing), Fraction(0)),
+        involution,
+    )
 
 
 def small_partitions(cells):
@@ -154,15 +176,16 @@ class TestCancellation:
         assert rep.signed_total == rep.nonintersecting_total
 
     def test_weight_check_catches_weights_that_depend_on_the_type(self, monkeypatch):
-        # Mates differ in type, so scaling by sigma(1) breaks only the weight
-        # check: the swaps and signs are those of the real involution.
-        real = lgv._pattern_weigher
+        # Mates differ in type, so scaling path 1's weights by sigma(1)
+        # breaks only the weight check: the swaps and signs are those of
+        # the real involution.
+        real = lgv._weigh
 
-        def by_type(s, x, n):
-            weigh, den = real(s, x, n)
-            return (lambda pat: weigh(pat) * pat.type[0]), den
+        def by_type(shape, kind, sigma, choices, tables):
+            lists = real(shape, kind, sigma, choices, tables)
+            return [[(m, w * sigma[0]) for m, w in lists[0]], *lists[1:]]
 
-        monkeypatch.setattr(lgv, "_pattern_weigher", by_type)
+        monkeypatch.setattr(lgv, "_weigh", by_type)
         shape = Partition((2, 2))
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
@@ -205,15 +228,17 @@ class TestEnumeration:
         assert list(nonintersecting_patterns(shape, n, kind)) == filtered
 
     def test_cancellation_draws_patterns_through_the_module(self, monkeypatch):
-        # A tracer counts patterns by replacing lgv.enumerate_patterns.
+        # A tracer counts patterns by replacing lgv._product, the one place
+        # the cancellation draws its mask tuples from.
         drawn = []
+        real = lgv._product
 
-        def counting(*args):
-            for p in enumerate_patterns(*args):
-                drawn.append(p)
-                yield p
+        def counting(*args, **kwargs):
+            for choice in real(*args, **kwargs):
+                drawn.append(choice)
+                yield choice
 
-        monkeypatch.setattr(lgv, "enumerate_patterns", counting)
+        monkeypatch.setattr(lgv, "_product", counting)
         shape = Partition((3, 2))
         rep = verify_cancellation(shape, 4, *diag_data(shape), "E")
         assert rep.passes
@@ -236,6 +261,49 @@ class TestEnumeration:
             truncated_schur_via_paths(shape, 12, s, x, "H")
         with pytest.raises(UsageError, match="bits"):
             verify_cancellation(shape, 12, s, x, "H")
+
+
+class TestMaskRoute:
+    @pytest.mark.parametrize("kind", ["H", "E"])
+    @pytest.mark.parametrize("parts", small_partitions(5))
+    def test_oracles_match_the_pattern_level_reference(self, parts, kind):
+        # Every grid of at most 5 cells at heights 1-4, diagonal-constant
+        # data: the mask route's report, field for field, and its path
+        # truncation.
+        shape = Partition(parts)
+        s, x = diag_data(shape)
+        for n in range(1, 5):
+            ref = pattern_level_report(shape, n, s, x, kind)
+            assert verify_cancellation(shape, n, s, x, kind) == ref
+            assert truncated_schur_via_paths(shape, n, s, x, kind) == ref.nonintersecting_total
+
+    @pytest.mark.parametrize("parts,n,kind", [((2, 2, 2), 4, "H"), ((3, 2, 1), 5, "E")])
+    def test_oracles_build_no_pattern_and_walk_each_path_once(self, parts, n, kind, monkeypatch):
+        # Counts, not timings: the oracles work on masks, so no Pattern is
+        # built and a path's points are walked only when the grid is.
+        built, walked = [], []
+        post_init, points = Pattern.__post_init__, LatticePath.points
+        monkeypatch.setattr(Pattern, "__post_init__", lambda p: built.append(p) or post_init(p))
+        monkeypatch.setattr(LatticePath, "points", lambda p: walked.append(p) or points(p))
+        lgv._grid.cache_clear()
+        shape = Partition(parts)
+        s, x = diag_data(shape)
+        assert verify_cancellation(shape, n, s, x, kind).passes
+        assert truncated_schur_via_paths(shape, n, s, x, kind) == schur_truncated_exact(shape, s, x, n)
+        _, end_of = lgv._grid(shape, n, kind)
+        assert not built
+        assert len(walked) == len(set(walked)) <= len(end_of)
+
+    @pytest.mark.parametrize("parts,n,kind", [((2, 2, 2), 3, "H"), ((3, 2, 1), 4, "H"), ((3, 2), 5, "E")])
+    def test_truncation_weighs_only_types_with_free_patterns(self, parts, n, kind, monkeypatch):
+        weighed = []
+        real = lgv._weigh
+        monkeypatch.setattr(lgv, "_weigh", lambda *args: weighed.append(args[2]) or real(*args))
+        shape = Partition(parts)
+        s, x = diag_data(shape)
+        assert truncated_schur_via_paths(shape, n, s, x, kind) == schur_truncated_exact(shape, s, x, n)
+        assert weighed == list(dict.fromkeys(p.type for p in nonintersecting_patterns(shape, n, kind)))
+        assert len(weighed) < len(lgv._grid(shape, n, kind)[0])
 
 
 class TestTailSwap:
@@ -273,50 +341,88 @@ class TestTailSwap:
     def test_swaps_once_per_intersecting_pattern(self, monkeypatch):
         # Each pair is checked from one member: two swaps per pair.
         calls = []
+        real = lgv._swap
 
-        def counting(pat):
-            calls.append(pat)
-            return tail_swap(pat)
+        def counting(masks):
+            calls.append(masks)
+            return real(masks)
 
-        monkeypatch.setattr(lgv, "tail_swap", counting)
+        monkeypatch.setattr(lgv, "_swap", counting)
         shape = Partition((2, 2, 2))
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert rep.passes
         assert len(calls) == rep.total_patterns - rep.nonintersecting
 
     def test_mutant_keeping_the_type_fails_the_sign_check(self, monkeypatch):
-        def same_type(pat):
-            mate = tail_swap(pat)
-            return Pattern(pat.shape, pat.n, pat.kind, mate.paths, pat.type)
+        # The real mates, with each mate's type read as its partner's: the
+        # swaps, the grid lookups, the weights and the pairing are those of
+        # the real involution, so only the sign check can catch it.
+        real_swap, real_type_of = lgv._swap, lgv._type_of
 
-        monkeypatch.setattr(lgv, "tail_swap", same_type)
+        def same_type(masks, end_of):
+            real_type_of(masks, end_of)
+            return real_type_of(real_swap(masks), end_of)
+
+        monkeypatch.setattr(lgv, "_type_of", same_type)
         shape = Partition((2, 2))
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
         # The totals are right: only the involution check catches it.
         assert rep.signed_total == rep.nonintersecting_total
 
+    def test_mutant_swapping_heads_fails(self, monkeypatch):
+        # Swapping heads instead of tails is an involution whose new paths
+        # are paths of the grid, but each keeps its end, so the mate's type
+        # (read from the ends) is the pattern's own; and path i of the mate
+        # leaves start j, so no mate is enumerated.
+        real = lgv._swap
+
+        def heads(masks):
+            mate = real(masks)
+            i, j = [k for k, (a, b) in enumerate(zip(masks, mate)) if a != b]
+            swapped = list(masks)
+            swapped[i], swapped[j] = mate[j], mate[i]
+            return tuple(swapped)
+
+        shape = Partition((2, 2))
+        _, end_of = lgv._grid(shape, 3, "H")
+        for p in enumerate_patterns(shape, 3, "H"):
+            if not p.is_nonintersecting():
+                masks = tuple(q._mask for q in p.paths)
+                mate = heads(masks)
+                assert heads(mate) == masks != mate
+                assert lgv._type_of(mate, end_of) == p.type
+        monkeypatch.setattr(lgv, "_swap", heads)
+        rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
+        assert not rep.involution_verified and not rep.passes
+        assert rep.signed_total == rep.nonintersecting_total
+
     def test_mutant_whose_mates_are_not_patterns_fails(self, monkeypatch):
         # Swapping whole paths is an involution that reverses the type's
         # sign, but path i of the mate leaves start j: no pattern does.
-        def whole_paths(pat):
-            mate = tail_swap(pat)
-            i, j = [k for k, (a, b) in enumerate(zip(pat.type, mate.type)) if a != b]
-            paths, sigma = list(pat.paths), list(pat.type)
-            paths[i], paths[j] = paths[j], paths[i]
-            sigma[i], sigma[j] = sigma[j], sigma[i]
-            return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
+        real = lgv._swap
+
+        def whole_paths(masks):
+            mate = real(masks)
+            i, j = [k for k, (a, b) in enumerate(zip(masks, mate)) if a != b]
+            swapped = list(masks)
+            swapped[i], swapped[j] = masks[j], masks[i]
+            return tuple(swapped)
 
         shape = Partition((2, 2))
+        _, end_of = lgv._grid(shape, 3, "H")
         crossing = [
             p for p in enumerate_patterns(shape, 3, "H") if not p.is_nonintersecting()
         ]
-        # It passes the swap-twice and sign checks, so only the check that
-        # every mate is enumerated can catch it.
+        # Its masks are paths of the grid and it passes the swap-twice and
+        # sign checks, so only the check that every mate is enumerated can
+        # catch it.
         for p in crossing:
-            mate = whole_paths(p)
-            assert whole_paths(mate).paths == p.paths and mate.sign == -p.sign
-        monkeypatch.setattr(lgv, "tail_swap", whole_paths)
+            masks = tuple(q._mask for q in p.paths)
+            mate = whole_paths(masks)
+            assert whole_paths(mate) == masks
+            assert lgv._type_sign(lgv._type_of(mate, end_of)) == -p.sign
+        monkeypatch.setattr(lgv, "_swap", whole_paths)
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
 
@@ -356,6 +462,15 @@ class TestTailSwap:
         with pytest.raises(UsageError, match="swapped path 2 is not a path of the grid"):
             tail_swap(pat)
 
+    def test_paths_ending_on_different_rows_are_refused(self):
+        # Their masks have different strides, so they would miss the two
+        # shared vertices.
+        up = LatticePath((2, 1), ("U",))
+        bent = LatticePath((1, 1), ("R", "U", "U"))
+        assert set(up.points()) & set(bent.points()) == {(2, 1), (2, 2)}
+        with pytest.raises(UsageError, match="must all end on one row"):
+            Pattern(Partition((2, 1)), 2, "H", (up, bent), (1, 2))
+
     def test_path_off_the_quadrant_is_a_usage_error(self):
         # A mask has no bit for a negative coordinate.
         with pytest.raises(UsageError, match="off the quadrant"):
@@ -381,22 +496,28 @@ class TestWeights:
     def test_pattern_weight_matches_edge_by_edge(self, parts, n, kind):
         # Cell-wise (not diagonal-constant) exponents 1-3 and shifts, on
         # every pattern of every type.  With such data a path's weight
-        # depends on its ribbon walk, so one weigher shared by all types
-        # (as within one call) must tell the walks apart.
+        # depends on its ribbon walk, so the (mask, weight) lists of one
+        # call (``_weigh``, once per type) must tell the walks apart.
         shape = Partition(parts)
         cells = shape.cells()
         s = Tableau(shape, {(i, j): 1 + (i + 2 * j) % 3 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction((3 * i + j) % 5, 7) for i, j in cells})
-        shared, den = _pattern_weigher(s, x, n)
+        tables, den = exact_tables(shape, s, x, n)
+        listed = {
+            (sigma, masks): Fraction(w, den)
+            for sigma, choices in lgv._grid(shape, n, kind)[0]
+            for masks, _, w in lgv._product(lgv._weigh(shape, kind, sigma, choices, tables), free=False)
+        }
         free = Fraction(0)
         types = set()
         for p in enumerate_patterns(shape, n, kind):
             w = edge_weight_oracle(p, s, x)
-            assert pattern_weight(p, s, x) == Fraction(shared(p), den) == w
+            key = p.type, tuple(q._mask for q in p.paths)
+            assert pattern_weight(p, s, x) == listed.pop(key) == w
             types.add(p.type)
             if p.is_nonintersecting():
                 free += w
-        assert len(types) > 1
+        assert not listed and len(types) > 1
         assert truncated_schur_via_paths(shape, n, s, x, kind) == free
 
     @pytest.mark.parametrize("parts,n,kind", [((2, 2), 3, "H"), ((3, 2), 3, "E")])
@@ -407,9 +528,8 @@ class TestWeights:
         s = Tableau(shape, {(i, j): (i + 2 * j) % 5 - 1 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction(3 * i + j, 4) for i, j in cells})
         assert {-1, 0} <= set(s.entries.values())
-        weigh, den = _pattern_weigher(s, x, n)
         for p in enumerate_patterns(shape, n, kind):
-            assert Fraction(weigh(p), den) == edge_weight_oracle(p, s, x)
+            assert pattern_weight(p, s, x) == edge_weight_oracle(p, s, x)
 
     def test_one_rim_lookup_per_type(self, monkeypatch):
         looked_up = []

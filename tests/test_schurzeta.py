@@ -296,6 +296,9 @@ class TestExactBadInput:
                           UsageError, "exponent/shift tableaux must match the shape"),
         "same-size-shape": (3, *(constant_tableau(Partition((3,)), v) for v in (2, 0)),
                             UsageError, "exponent/shift tableaux must match the shape"),
+        # N = 1 is below the row count: no pattern is nonintersecting.
+        "larger-shape-short-grid": (1, *(constant_tableau(Partition((2, 2)), v) for v in (2, 0)),
+                                    UsageError, "exponent/shift tableaux must match the shape"),
         "non-integer-exponent": (3, constant_tableau(SHAPE_21, 2.5),
                                  constant_tableau(SHAPE_21, 0), UsageError,
                                  "exact arithmetic needs integer exponents, got 2.5"),
