@@ -32,14 +32,14 @@ from .errors import DomainError, UsageError
 from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
 from .lgv import (
     enumerate_patterns,
-    nonintersecting_patterns,
     patterns_by_type,
     render_pattern,
+    shared_vertices,
     verify_cancellation,
 )
 from .rootzeta import check_reductions
 from .schurzeta import SchurInstance, dp_states, instance_from_spec, schur_eval
-from .shapes import Partition, parse_partition, parse_shape
+from .shapes import Partition, parse_partition, parse_shape, perm_sign
 from .tableaux import (
     ContentSpec,
     Tableau,
@@ -424,18 +424,19 @@ def cmd_paths(args: argparse.Namespace) -> int:
         "".join(map(str, sigma)): ways
         for sigma, ways in patterns_by_type(shape, args.n, args.kind).items()
     }
-    nonintersecting = sum(1 for _ in nonintersecting_patterns(shape, args.n, args.kind))
+    nonintersecting = sum(1 for _ in enumerate_patterns(shape, args.n, args.kind, free=True))
+    top = args.n + (args.kind == "E")  # the row every path ends on
     drawn = enumerate_patterns(shape, args.n, args.kind)
     shown = itertools.islice(drawn, args.max_render if args.render else 0)
     pattern_lines = [
         {
             "index": idx,
-            "type": list(pat.type),
-            "sign": pat.sign,
-            "nonintersecting": pat.is_nonintersecting(),
-            "render": render_pattern(pat),
+            "type": list(sigma),
+            "sign": perm_sign(sigma),
+            "nonintersecting": not shared_vertices(masks),
+            "render": render_pattern(masks, top),
         }
-        for idx, pat in enumerate(shown)
+        for idx, (sigma, masks) in enumerate(shown)
     ]
     total = sum(by_type.values())
     _emit(

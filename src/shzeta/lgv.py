@@ -9,28 +9,33 @@ matches (``rim_for_type``): the k-th horizontal (resp. northeast) edge of
 path i, sitting on row j, contributes 1/(j + x_pq)^(s_pq) where (p, q) is
 the k-th cell of that decomposition's walk i, ribbon i in the order its
 builder added the cells.  So a pattern's weight is the product of its path
-weights, and one call weighs each (walk, path) pair once.
+weights.
+
+A path is one int mask of its vertices: point (x, y) is bit x(top+1) + y,
+where top is the grid's top row (N for H, N+1 for E), so bit order is the
+lexicographic order of points.  A pattern is its type and a tuple of masks,
+one per path.  Each grid's paths are computed once, from their step
+positions, into a bounded cache (``_grid``): per type with patterns, one
+tuple per path index of the (mask, weighted rows) pairs of the paths from
+start i to end sigma(i), and each path's end index by its mask.
 
 Everything here is exact for integer exponents and rational shifts, so the
 cancellation lemma and the truncated-series identity can be asserted with
 zero tolerance.  One call puts every weight over one denominator: its tables
 come from ``tableaux.exact_tables`` on the call's own shape (the builder,
 shape check and bit cap that ``schurzeta``'s truncations share), integer
-numerators over each cell's denominator for every row, and every pattern
-reads each cell once.  So weights are ints, compared with ``==`` and added
-into int totals (as in ``schurzeta``'s exact truncations).  A path's
-vertices are one int mask, and a grid's paths are walked once into a table
-of masks shared by calls (``_grid``, bounded).  The two oracles build no
-path or pattern: a pattern is a tuple of masks from the product of per-type
-(mask, weight) lists (``_product``), pruning ANDs masks, and a tail swap
-(``_swap``) is two mask operations.  The public pattern functions are thin
-wrappers over the same helpers.
+numerators over each cell's denominator for every row.  ``pattern_weight``
+turns a type's tuples into (mask, weight) lists, each (walk, path) pair
+weighed once per call; ``_product`` draws patterns from such lists with a
+running OR of the masks, the shared bits and the weight product; and
+``tail_swap`` is two mask operations.  Weights are ints, compared with
+``==`` and added into int totals (as in ``schurzeta``'s exact truncations).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -52,67 +57,6 @@ _type_sign = lru_cache(maxsize=None)(perm_sign)  # the sign of a pattern type
 
 # The enumeration refuses more patterns than PATTERN_CAP.
 PATTERN_CAP = 10**6
-_MOVES = {"R": (1, 0), "U": (0, 1), "NE": (1, 1)}  # step letter -> (dx, dy)
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A monotone path given by its start point and step letters.
-
-    Steps are "R" (right), "U" (up), or "NE" (diagonal up-right).  The
-    vertices are one int, ``_mask``: point (x, y) is bit x(h+1) + y, where h
-    is the row the path ends on (every path of a grid ends on its top row).
-    Bit order is the lexicographic order of points.  ``_rows`` holds the
-    row of each weighted (non-"U") step: the y of the vertex it leaves.
-    """
-
-    start: Point
-    steps: tuple[str, ...]
-    _mask: int = field(init=False, repr=False, compare=False)
-    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if min(self.start) < 0:
-            raise UsageError(f"path starts at {self.start}, off the quadrant x, y >= 0")
-        pts = self.points()
-        stride = pts[-1][1] + 1
-        object.__setattr__(self, "_mask", sum(1 << (x * stride + y) for x, y in pts))
-        object.__setattr__(self, "_rows", tuple(y for (_, y), s in zip(pts, self.steps) if s != "U"))
-
-    def points(self) -> tuple[Point, ...]:
-        """The vertices in step order, walked from the start."""
-        x, y = self.start
-        pts = [(x, y)]
-        for s in self.steps:
-            if s not in _MOVES:
-                raise UsageError(f"unknown step {s!r}")
-            x, y = x + _MOVES[s][0], y + _MOVES[s][1]
-            pts.append((x, y))
-        return tuple(pts)
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """A tuple of paths realizing some endpoint permutation.  The paths must
-    all end on one row, as enumerated ones do: masks compare only then."""
-
-    shape: Partition
-    n: int
-    kind: str  # "H" or "E"
-    paths: tuple[LatticePath, ...]
-    type: tuple[int, ...]  # sigma as (sigma(1), ..., sigma(t)), 1-indexed
-
-    def __post_init__(self) -> None:
-        # A path ends on its start row plus its U and NE steps.
-        if len({p.start[1] + len(p.steps) - p.steps.count("R") for p in self.paths}) > 1:
-            raise UsageError("the paths of a pattern must all end on one row")
-
-    @property
-    def sign(self) -> int:
-        return _type_sign(self.type)
-
-    def is_nonintersecting(self) -> bool:
-        return not _shared([p._mask for p in self.paths])
 
 
 def _endpoints(shape: Partition, n: int, kind: str) -> tuple[list[Point], list[Point]]:
@@ -135,17 +79,27 @@ def _steps(start: Point, end: Point, kind: str) -> tuple[int, int] | None:
     return (dy, dx) if 0 <= dx <= dy else None
 
 
-def _paths_between(start: Point, end: Point, kind: str) -> Iterator[LatticePath]:
+def _paths_between(start: Point, end: Point, kind: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, weighted rows) of every path from start to end, in the order
+    of its weighted steps' positions: the rows are the y of the vertex each
+    right (H) or northeast (E) step leaves."""
     counts = _steps(start, end, kind)
     if counts is None:
-        return
+        return ()
     total, weighted = counts
-    letter = "R" if kind == "H" else "NE"
+    stride, rise = end[1] + 1, int(kind == "E")  # an E path's weighted step also rises
+    paths = []
     for positions in itertools.combinations(range(total), weighted):
-        steps = ["U"] * total
-        for p in positions:
-            steps[p] = letter
-        yield LatticePath(start, tuple(steps))
+        (x, y), mask, rows = start, 0, []
+        for k in range(total):
+            mask |= 1 << (x * stride + y)
+            if k in positions:
+                rows.append(y)
+                x, y = x + 1, y + rise
+            else:
+                y += 1
+        paths.append((mask | 1 << (x * stride + y), tuple(rows)))
+    return tuple(paths)
 
 
 def patterns_by_type(shape: Partition, n: int, kind: str) -> dict[tuple[int, ...], int]:
@@ -165,30 +119,19 @@ def patterns_by_type(shape: Partition, n: int, kind: str) -> dict[tuple[int, ...
     return by_type
 
 
-def count_patterns(shape: Partition, n: int, kind: str) -> int:
-    return sum(patterns_by_type(shape, n, kind).values())
-
-
 @lru_cache(maxsize=32)
 def _grid(shape: Partition, n: int, kind: str) -> tuple[tuple, dict[int, int]]:
     """The types with patterns, each with one tuple per path index i of the
-    (mask, ``_rows``) pairs of the paths from start i to end sigma(i); and
-    each path's end index by its mask (which holds its start).  No paths
-    are kept; built once per grid, within the cap."""
+    (mask, weighted rows) pairs of the paths from start i to end sigma(i);
+    and each path's end index by its mask (which holds its start).  Built
+    once per grid, within the cap."""
     by_type = patterns_by_type(shape, n, kind)
     if sum(by_type.values()) > PATTERN_CAP:
         raise UsageError("pattern count exceeds the enumeration cap (10^6)")
     starts, ends = _endpoints(shape, n, kind)
-    between = [[tuple((p._mask, p._rows) for p in _paths_between(a, b, kind)) for b in ends] for a in starts]
+    between = [[_paths_between(a, b, kind) for b in ends] for a in starts]
     end_of = {m: k for row in between for k, ps in enumerate(row, 1) for m, _ in ps}
     return tuple((sigma, [row[k - 1] for row, k in zip(between, sigma)]) for sigma in by_type), end_of
-
-
-@lru_cache(maxsize=32)
-def _grid_paths(shape: Partition, n: int, kind: str) -> dict[int, LatticePath]:
-    """Every path of the grid by its mask, for the pattern functions (after ``_grid``)."""
-    starts, ends = _endpoints(shape, n, kind)
-    return {p._mask: p for a in starts for b in ends for p in _paths_between(a, b, kind)}
 
 
 def _product(lists: list, free: bool) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -210,26 +153,15 @@ def _product(lists: list, free: bool) -> Iterator[tuple[tuple[int, ...], int, in
     return grow(0, (), 0, 0, 1) if lists else iter([((), 0, 1)])
 
 
-def _patterns(shape: Partition, n: int, kind: str, free: bool) -> Iterator[Pattern]:
-    """Patterns type by type, in permutation order, from the grid's paths
-    between each (start, end) pair; only nonintersecting ones if free."""
-    types, _ = _grid(shape, n, kind)
-    paths = _grid_paths(shape, n, kind)
-    for sigma, choices in types:
+def enumerate_patterns(
+    shape: Partition, n: int, kind: str = "H", free: bool = False
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every pattern of the height-``n`` grid as (type, masks), type by type
+    in permutation order; with ``free``, only the nonintersecting ones (the
+    product is pruned, not filtered)."""
+    for sigma, choices in _grid(shape, n, kind)[0]:
         for masks, _, _ in _product([[(m, 1) for m, _ in ps] for ps in choices], free):
-            yield Pattern(shape, n, kind, tuple(paths[m] for m in masks), sigma)
-
-
-def enumerate_patterns(shape: Partition, n: int, kind: str = "H") -> Iterator[Pattern]:
-    """Every pattern of the given kind on the height-``n`` grid."""
-    yield from _patterns(shape, n, kind, free=False)
-
-
-def nonintersecting_patterns(
-    shape: Partition, n: int, kind: str = "H"
-) -> Iterator[Pattern]:
-    """The nonintersecting patterns, in ``enumerate_patterns`` order."""
-    yield from _patterns(shape, n, kind, free=True)
+            yield sigma, masks
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +199,13 @@ def _path_weight(i: int, rows: tuple[int, ...], walk: tuple[Cell, ...], tables: 
     return prod(tables[cell][j] for j, cell in zip(rows, walk))
 
 
-def _weigh(shape: Partition, kind: str, sigma: tuple[int, ...], choices: list, tables: dict) -> list:
+def pattern_weight(shape: Partition, kind: str, sigma: tuple[int, ...], choices: list, tables: dict) -> list:
     """Per path index i, the (mask, weight) pairs of a ``_grid`` type: each
-    path read along walk i of the type's rim decomposition, once per call."""
+    path read along walk i of the type's rim decomposition, once per call.
+    A pattern's weight is the product of one weight from each list."""
     walks = rim_for_type(shape, sigma, kind).walks
     return [[(m, _path_weight(i, rows, walk, tables)) for m, rows in paths]
             for i, (walk, paths) in enumerate(zip(walks, choices), start=1)]
-
-
-def pattern_weight(pat: Pattern, s: Tableau, x: Tableau) -> Fraction:
-    """Exact weight of a pattern for integer exponents and rational shifts:
-    the product of its path weights, as one ``Fraction``.  The oracles weigh
-    each path once per call instead of calling this per pattern."""
-    tables, den = exact_tables(pat.shape, s, x, pat.n)
-    walks = rim_for_type(pat.shape, pat.type, pat.kind).walks
-    w = 1
-    for i, (walk, path) in enumerate(zip(walks, pat.paths), start=1):
-        w *= _path_weight(i, path._rows, walk, tables)
-    return Fraction(w, den)
 
 
 def truncated_schur_via_paths(
@@ -297,7 +218,7 @@ def truncated_schur_via_paths(
     total = 0
     for sigma, choices in _grid(shape, n, kind)[0]:
         if next(_product([[(m, 1) for m, _ in ps] for ps in choices], free=True), None):
-            total += sum(w for _, _, w in _product(_weigh(shape, kind, sigma, choices, tables), free=True))
+            total += sum(w for _, _, w in _product(pattern_weight(shape, kind, sigma, choices, tables), free=True))
     return Fraction(total, den)
 
 
@@ -305,7 +226,7 @@ def truncated_schur_via_paths(
 # Cancellation
 
 
-def _shared(masks: list[int] | tuple[int, ...]) -> int:
+def shared_vertices(masks: tuple[int, ...]) -> int:
     """The union of the pairwise ANDs of the masks: the shared vertices."""
     seen = shared = 0
     for m in masks:
@@ -314,10 +235,15 @@ def _shared(masks: list[int] | tuple[int, ...]) -> int:
     return shared
 
 
-def _swap(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """The tail swap on masks: the first two paths through the lowest shared
-    bit v trade their bits from v on, as (a & (v-1)) | (b & ~(v-1))."""
-    shared = _shared(masks)
+def tail_swap(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The standard sign-reversing involution on intersecting patterns.
+
+    The two smallest-indexed paths through the lexicographically smallest
+    shared vertex, the lowest shared bit v, trade their tails: their bits
+    from v on, as (a & (v-1)) | (b & ~(v-1)).  The swap keeps each path's
+    start; the new masks' ends give the mate's type (``_type_of``).
+    """
+    shared = shared_vertices(masks)
     if not shared:
         raise UsageError("pattern is nonintersecting")
     v = shared & -shared
@@ -335,21 +261,6 @@ def _type_of(masks: tuple[int, ...], end_of: dict[int, int]) -> tuple[int, ...]:
     if None in sigma:
         raise UsageError(f"swapped path {sigma.index(None) + 1} is not a path of the grid")
     return sigma
-
-
-def tail_swap(pat: Pattern) -> Pattern:
-    """The standard sign-reversing involution on intersecting patterns.
-
-    Swap the tails of the two smallest-indexed paths through the
-    lexicographically smallest shared vertex (``_swap``); the new masks'
-    ends give the mate's type.  A new path that is no path of the grid (a
-    hand-built pattern may leave it) is a ``UsageError`` naming its index.
-    """
-    _, end_of = _grid(pat.shape, pat.n, pat.kind)
-    mate = _swap(tuple(p._mask for p in pat.paths))
-    sigma = _type_of(mate, end_of)
-    paths = _grid_paths(pat.shape, pat.n, pat.kind)
-    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths[m] for m in mate), sigma)
 
 
 @dataclass(frozen=True)
@@ -395,7 +306,7 @@ def verify_cancellation(
     count, nfree, involution_ok = 0, 0, True
     for sigma, choices in types:
         sgn = _type_sign(sigma)
-        for masks, shared, w in _product(_weigh(shape, kind, sigma, choices, tables), free=False):
+        for masks, shared, w in _product(pattern_weight(shape, kind, sigma, choices, tables), free=False):
             count += 1
             signed += sgn * w
             if not shared:
@@ -406,8 +317,8 @@ def verify_cancellation(
             partner = pending.pop(masks, None)
             if partner is None:
                 # The grid lookup comes first, so it runs for every mate.
-                mate = _swap(masks)
-                involution_ok &= _type_sign(_type_of(mate, end_of)) == -sgn and _swap(mate) == masks
+                mate = tail_swap(masks)
+                involution_ok &= _type_sign(_type_of(mate, end_of)) == -sgn and tail_swap(mate) == masks
                 pending[mate] = w
             elif partner != w:
                 involution_ok = False
@@ -421,12 +332,18 @@ def verify_cancellation(
 # Text rendering
 
 
-def render_pattern(pat: Pattern) -> str:
-    """A fixed-width grid with each path's vertices marked by its index."""
+def render_pattern(masks: tuple[int, ...], top: int) -> str:
+    """A fixed-width grid with each path's vertices marked by its index (a
+    vertex of two paths by ``*``); ``top`` is the grid's top row, so bit b
+    is point (b // (top + 1), b % (top + 1)).  No path draws ``""``."""
     pts: dict[Point, str] = {}
-    for i, p in enumerate(pat.paths, start=1):
-        for v in p.points():
+    for i, m in enumerate(masks, start=1):
+        while m:
+            v = divmod((m & -m).bit_length() - 1, top + 1)
             pts[v] = str(i) if v not in pts else "*"
+            m &= m - 1
+    if not pts:
+        return ""
     x0, x1 = min(x for x, _ in pts), max(x for x, _ in pts)
     y0, y1 = min(y for _, y in pts), max(y for _, y in pts)
     lines = []

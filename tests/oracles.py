@@ -1,0 +1,132 @@
+"""Lattice-path references for the tests, sharing no code with ``shzeta.lgv``.
+
+A path is the tuple of its points, enumerated here with itertools over the
+positions of its weighted steps; two paths meet when their point sets do.
+Weights follow the model's definition edge by edge, in ``Fraction``s, along
+the rim walks that ``shapes`` builds.  Only the mask encoding of a path is
+shared with ``lgv`` (point (x, y) is bit x(top + 1) + y, top the row every
+path of the grid ends on), so that the two can be compared.
+"""
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations, product
+
+from shzeta.shapes import e_rim_decompositions, h_rim_decompositions
+
+
+def grid(shape, n, kind):
+    """(starts, ends, top) of the height-n grid: an H path per row of the
+    shape, from (t + 1 - i, 1) to (t + 1 - i + lambda_i, n); an E path per
+    column, the same for the conjugate's rows, ending on row n + 1."""
+    parts = shape.parts if kind == "H" else shape.conjugate().parts
+    top = n if kind == "H" else n + 1
+    t = len(parts)
+    return [(t - i, 1) for i in range(t)], [(t - i + lam, top) for i, lam in enumerate(parts)], top
+
+
+def paths(start, end, kind):
+    """Every path from start to end, as its points: H paths step right or
+    up, E paths northeast or up (so an E path rises one row per step)."""
+    (x0, y0), (x1, y1) = start, end
+    dx, dy = x1 - x0, y1 - y0
+    right = (1, 0) if kind == "H" else (1, 1)
+    total = dx + dy if kind == "H" else dy
+    if dx < 0 or dy < 0 or dx > total:
+        return []
+    found = []
+    for at in combinations(range(total), dx):
+        points = [start]
+        for k in range(total):
+            step = right if k in at else (0, 1)
+            points.append((points[-1][0] + step[0], points[-1][1] + step[1]))
+        found.append(tuple(points))
+    return found
+
+
+def patterns(shape, n, kind):
+    """Every pattern as (type, paths): types in permutation order, then the
+    paths in ``itertools.product`` order of each (start, end) pair's paths."""
+    starts, ends, _ = grid(shape, n, kind)
+    between = [[paths(a, b, kind) for b in ends] for a in starts]
+    for sigma in permutations(range(len(ends))):
+        for chosen in product(*(between[i][k] for i, k in enumerate(sigma))):
+            yield tuple(k + 1 for k in sigma), chosen
+
+
+def crossing(chosen):
+    return any(set(a) & set(b) for a, b in combinations(chosen, 2))
+
+
+def masks(chosen, top):
+    return tuple(sum(1 << (x * (top + 1) + y) for x, y in path) for path in chosen)
+
+
+def sign(sigma):
+    return (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+
+
+def tail_swap_oracle(sigma, chosen):
+    """Swap tails at the least shared point, between its first two owners."""
+    v = min(set().union(*(set(a) & set(b) for a, b in combinations(chosen, 2))))
+    i, j = [k for k, path in enumerate(chosen) if v in path][:2]
+    cut_i, cut_j = chosen[i].index(v), chosen[j].index(v)
+    mate, swapped = list(chosen), list(sigma)
+    mate[i] = chosen[i][:cut_i] + chosen[j][cut_j:]
+    mate[j] = chosen[j][:cut_j] + chosen[i][cut_i:]
+    swapped[i], swapped[j] = sigma[j], sigma[i]
+    return tuple(swapped), tuple(mate)
+
+
+def rim_walks(shape, kind):
+    """The ribbon walks of each rim decomposition, by its type."""
+    build = h_rim_decompositions if kind == "H" else e_rim_decompositions
+    return {d.type: d.walks for d in build(shape)}
+
+
+def edge_weight_oracle(walk, path, s, x):
+    """A path's weight along a rim walk: its k-th right (H) or northeast (E)
+    edge, leaving row j, gives 1/(j + x_c)^s_c for the k-th cell c of the walk."""
+    rows = [p[1] for p, q in zip(path, path[1:]) if q[0] > p[0]]
+    assert len(rows) == len(walk)
+    weight = Fraction(1)
+    for j, cell in zip(rows, walk):
+        weight /= (j + Fraction(x[cell])) ** s[cell]
+    return weight
+
+
+def weights(shape, n, s, x, kind):
+    """Every pattern's weight by (type, paths): path i read along walk i of
+    the rim decomposition of the pattern's type."""
+    walks = rim_walks(shape, kind)
+    along = cache(lambda walk, path: edge_weight_oracle(walk, path, s, x))
+    found = {}
+    for sigma, chosen in patterns(shape, n, kind):
+        weight = Fraction(1)
+        for walk, path in zip(walks[sigma], chosen, strict=True):
+            weight *= along(walk, path)
+        found[sigma, chosen] = weight
+    return found
+
+
+def cancellation_report(shape, n, s, x, kind):
+    """The fields of a cancellation report after shape, n and kind, pattern
+    by pattern: the pattern count, the nonintersecting count, the signed
+    total, the nonintersecting total, the intersecting signed total, and
+    whether each intersecting pattern's mate swaps back to it, has the
+    opposite sign and is enumerated with the same weight."""
+    weight = weights(shape, n, s, x, kind)
+    free = [p for p in weight if not crossing(p[1])]
+    meeting = [p for p in weight if crossing(p[1])]
+    involution = True
+    for p in meeting:
+        q = tail_swap_oracle(*p)
+        involution &= tail_swap_oracle(*q) == p and sign(q[0]) == -sign(p[0])
+        involution &= weight.get(q) == weight[p]
+    return (
+        len(weight), len(free),
+        sum((sign(p[0]) * w for p, w in weight.items()), Fraction(0)),
+        sum((weight[p] for p in free), Fraction(0)),
+        sum((sign(p[0]) * weight[p] for p in meeting), Fraction(0)),
+        involution,
+    )

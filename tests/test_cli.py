@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from shzeta import ezzeta, identities
 from shzeta.cli import (
     _NO_SPEC,
@@ -21,7 +22,6 @@ from shzeta.cli import (
 )
 from shzeta.errors import DomainError
 from shzeta.ezzeta import Approx, EvalConfig, hurwitz
-from shzeta.lgv import enumerate_patterns
 from shzeta.shapes import Partition
 from shzeta.tableaux import content_spec_from_json
 
@@ -209,17 +209,39 @@ class TestPaths:
     @pytest.mark.parametrize("parts,n,kind", [((3, 2), 4, "E"), ((2, 2, 1), 3, "H")])
     def test_counts_are_those_of_the_enumeration(self, capsys, parts, n, kind):
         # The summary is counted from path counts and the pruned
-        # enumeration; walking every pattern must give the same numbers.
+        # enumeration; walking every pattern of the reference must give
+        # the same numbers.
         shape = ",".join(map(str, parts))
         code, out, _ = run(capsys, "paths", "--shape", shape, "--n", str(n), "--kind", kind)
         assert code == 0
-        pats = list(enumerate_patterns(Partition(parts), n, kind))
-        types = Counter("".join(map(str, p.type)) for p in pats)
+        pats = list(oracles.patterns(Partition(parts), n, kind))
+        types = Counter("".join(map(str, sigma)) for sigma, _ in pats)
         assert json_lines(out)[0] == {
             "shape": shape, "n": n, "kind": kind, "patterns": len(pats),
-            "nonintersecting": sum(p.is_nonintersecting() for p in pats),
+            "nonintersecting": sum(not oracles.crossing(chosen) for _, chosen in pats),
             "types": dict(types),
         }
+
+    def test_rendered_records_are_the_patterns(self, capsys):
+        # Type, sign and intersection of each rendered pattern, in
+        # enumeration order, against the reference.
+        code, out, _ = run(capsys, "paths", "--shape", "2,2,1", "--n", "3", "--kind", "E",
+                           "--render", "--max-render", "1000")
+        assert code == 0
+        recs = json_lines(out)[1:]
+        pats = list(oracles.patterns(Partition((2, 2, 1)), 3, "E"))
+        assert [(r["index"], tuple(r["type"]), r["sign"], r["nonintersecting"]) for r in recs] == [
+            (k, sigma, oracles.sign(sigma), not oracles.crossing(chosen))
+            for k, (sigma, chosen) in enumerate(pats)
+        ]
+
+    def test_empty_shape_renders_an_empty_pattern(self, capsys):
+        code, out, err = run(capsys, "paths", "--shape", "0", "--n", "2", "--render")
+        assert code == 0
+        summary, pattern = json_lines(out)
+        assert (summary["patterns"], summary["nonintersecting"], summary["types"]) == (1, 1, {"": 1})
+        assert pattern == {"index": 0, "nonintersecting": True, "render": "", "sign": 1, "type": []}
+        assert err == "1 patterns, 1 nonintersecting, 1 endpoint types\n"
 
     def test_over_the_cap_is_refused(self, capsys):
         code, out, err = run(capsys, "paths", "--shape", "4,3,2,1", "--n", "30")

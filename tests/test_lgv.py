@@ -1,23 +1,22 @@
 """Lattice-path model: signed patterns, the cancellation involution, and
-agreement with the tableau truncation (all in exact rational arithmetic)."""
+agreement with the tableau truncation (all in exact rational arithmetic).
+The references live in ``oracles``, which shares no code with ``lgv``."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
+import oracles
 from shzeta.errors import UsageError
 from shzeta import lgv
 from shzeta.lgv import (
     CancellationReport,
-    LatticePath,
-    Pattern,
-    count_patterns,
     enumerate_patterns,
-    nonintersecting_patterns,
     pattern_weight,
+    patterns_by_type,
     render_pattern,
     rim_for_type,
+    shared_vertices,
     tail_swap,
     truncated_schur_via_paths,
     verify_cancellation,
@@ -27,6 +26,7 @@ from shzeta.shapes import (
     Partition,
     e_rim_decompositions,
     h_rim_decompositions,
+    perm_sign,
 )
 from shzeta.tableaux import Tableau, constant_tableau, exact_tables
 
@@ -47,62 +47,28 @@ def diag_data(shape):
     )
 
 
-def edge_weight_oracle(pat, s, x):
-    """The module docstring's weight, edge by edge: the k-th horizontal
-    (H) or northeast (E) edge of path i, on row j, gives 1/(j + x_c)^s_c
-    for the k-th cell c of walk i of the decomposition of the pattern's type."""
-    decomp = rim_for_type(pat.shape, pat.type, pat.kind)
-    letter = "R" if pat.kind == "H" else "NE"
-    weight = Fraction(1)
-    for path, walk in zip(pat.paths, decomp.walks, strict=True):
-        rows, row = [], path.start[1]
-        for step in path.steps:
-            if step == letter:
-                rows.append(row)
-            if step != "R":
-                row += 1
-        assert len(rows) == len(walk)
-        for j, cell in zip(rows, walk):
-            weight /= (j + Fraction(x[cell])) ** s[cell]
-    return weight
+def reference_report(shape, n, s, x, kind):
+    return CancellationReport(shape, n, kind, *oracles.cancellation_report(shape, n, s, x, kind))
 
 
-def tail_swap_oracle(pat):
-    """Swap tails at the least shared vertex, between its first two owners."""
-    pts = [p.points() for p in pat.paths]
-    v = sorted({v for a, b in combinations(pts, 2) for v in set(a) & set(b)})[0]
-    i, j = [k for k, ps in enumerate(pts) if v in ps][:2]
-    paths = list(pat.paths)
-    cut_i, cut_j = pts[i].index(v), pts[j].index(v)
-    steps_i, steps_j = paths[i].steps, paths[j].steps
-    paths[i] = LatticePath(paths[i].start, steps_i[:cut_i] + steps_j[cut_j:])
-    paths[j] = LatticePath(paths[j].start, steps_j[:cut_j] + steps_i[cut_i:])
-    sigma = list(pat.type)
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return Pattern(pat.shape, pat.n, pat.kind, tuple(paths), tuple(sigma))
+def reference_patterns(shape, n, kind):
+    """The reference's patterns as (type, paths, masks)."""
+    top = oracles.grid(shape, n, kind)[2]
+    return [(sigma, chosen, oracles.masks(chosen, top)) for sigma, chosen in oracles.patterns(shape, n, kind)]
 
 
-def pattern_level_report(shape, n, s, x, kind):
-    """The cancellation report built pattern by pattern, from Pattern
-    objects: ``enumerate_patterns``, vertex sets, ``tail_swap_oracle`` and
-    ``pattern_weight``."""
-    weight = {p: pattern_weight(p, s, x) for p in enumerate_patterns(shape, n, kind)}
-    free, crossing = [], []
-    for p in weight:
-        sets = [set(path.points()) for path in p.paths]
-        (crossing if any(a & b for a, b in combinations(sets, 2)) else free).append(p)
-    involution = True
-    for p in crossing:
-        q = tail_swap_oracle(p)
-        involution &= tail_swap_oracle(q) == p and q.sign == -p.sign
-        involution &= weight.get(q) == weight[p]
-    return CancellationReport(
-        shape, n, kind, len(weight), len(free),
-        sum((p.sign * w for p, w in weight.items()), Fraction(0)),
-        sum((weight[p] for p in free), Fraction(0)),
-        sum((p.sign * weight[p] for p in crossing), Fraction(0)),
-        involution,
-    )
+def intersecting(shape, n, kind):
+    return [p for p in reference_patterns(shape, n, kind) if oracles.crossing(p[1])]
+
+
+def listed_weights(shape, n, s, x, kind):
+    """Every pattern's weight as ``lgv`` lists it, by (type, masks)."""
+    tables, den = exact_tables(shape, s, x, n)
+    return {
+        (sigma, masks): Fraction(w, den)
+        for sigma, choices in lgv._grid(shape, n, kind)[0]
+        for masks, _, w in lgv._product(pattern_weight(shape, kind, sigma, choices, tables), free=False)
+    }
 
 
 def small_partitions(cells):
@@ -128,13 +94,13 @@ class TestPatternCounts:
     ])
     def test_counts(self, parts, n, kind, total, free):
         shape = Partition(parts)
-        assert count_patterns(shape, n, kind) == total
+        assert sum(patterns_by_type(shape, n, kind).values()) == total
         assert len(list(enumerate_patterns(shape, n, kind))) == total
-        assert len(list(nonintersecting_patterns(shape, n, kind))) == free
+        assert len(list(enumerate_patterns(shape, n, kind, free=True))) == free
 
     def test_bad_kind(self):
         with pytest.raises(UsageError):
-            count_patterns(Partition((2, 1)), 2, "X")
+            patterns_by_type(Partition((2, 1)), 2, "X")
 
 
 class TestPathTableauAgreement:
@@ -179,13 +145,13 @@ class TestCancellation:
         # Mates differ in type, so scaling path 1's weights by sigma(1)
         # breaks only the weight check: the swaps and signs are those of
         # the real involution.
-        real = lgv._weigh
+        real = lgv.pattern_weight
 
         def by_type(shape, kind, sigma, choices, tables):
             lists = real(shape, kind, sigma, choices, tables)
             return [[(m, w * sigma[0]) for m, w in lists[0]], *lists[1:]]
 
-        monkeypatch.setattr(lgv, "_weigh", by_type)
+        monkeypatch.setattr(lgv, "pattern_weight", by_type)
         shape = Partition((2, 2))
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
@@ -203,12 +169,9 @@ class TestCancellation:
         shape = Partition((2, 2))
         s = Tableau(shape, {(1, 1): 3, (1, 2): 2, (2, 1): 2, (2, 2): 2})
         x = constant_tableau(shape, 0)
-        signed = sum(
-            (p.sign * pattern_weight(p, s, x) for p in enumerate_patterns(shape, 3, "H")),
-            Fraction(0),
-        )
+        _, _, signed, free, _, involution = oracles.cancellation_report(shape, 3, s, x, "H")
         direct = schur_truncated_exact(shape, s, x, 3)
-        assert signed != direct
+        assert free == direct != signed and not involution
 
 
 class TestEnumeration:
@@ -222,10 +185,11 @@ class TestEnumeration:
     def test_pruned_enumeration_is_the_filter(self, parts, n, kind):
         shape = Partition(parts)
         filtered = [
-            p for p in enumerate_patterns(shape, n, kind) if p.is_nonintersecting()
+            (sigma, masks) for sigma, chosen, masks in reference_patterns(shape, n, kind)
+            if not oracles.crossing(chosen)
         ]
         assert filtered
-        assert list(nonintersecting_patterns(shape, n, kind)) == filtered
+        assert list(enumerate_patterns(shape, n, kind, free=True)) == filtered
 
     def test_cancellation_draws_patterns_through_the_module(self, monkeypatch):
         # A tracer counts patterns by replacing lgv._product, the one place
@@ -269,61 +233,73 @@ class TestMaskRoute:
     def test_oracles_match_the_pattern_level_reference(self, parts, kind):
         # Every grid of at most 5 cells at heights 1-4, diagonal-constant
         # data: the mask route's report, field for field, and its path
-        # truncation.
+        # truncation, against the reference built pattern by pattern.
         shape = Partition(parts)
         s, x = diag_data(shape)
         for n in range(1, 5):
-            ref = pattern_level_report(shape, n, s, x, kind)
+            ref = reference_report(shape, n, s, x, kind)
             assert verify_cancellation(shape, n, s, x, kind) == ref
             assert truncated_schur_via_paths(shape, n, s, x, kind) == ref.nonintersecting_total
 
+    def test_reference_catches_a_walk_read_backwards(self, monkeypatch):
+        # Reading each ribbon walk backwards keeps every count, swap and
+        # sign; only a reference that weighs paths on its own sees it.
+        real = lgv._path_weight
+        monkeypatch.setattr(lgv, "_path_weight", lambda i, rows, walk, tables: real(i, rows, walk[::-1], tables))
+        shape = Partition((3, 2))
+        s, x = diag_data(shape)
+        for kind in ("H", "E"):
+            ref = reference_report(shape, 3, s, x, kind)
+            rep = verify_cancellation(shape, 3, s, x, kind)
+            assert (rep.total_patterns, rep.nonintersecting) == (ref.total_patterns, ref.nonintersecting)
+            assert rep != ref
+            assert truncated_schur_via_paths(shape, 3, s, x, kind) != ref.nonintersecting_total
+
     @pytest.mark.parametrize("parts,n,kind", [((2, 2, 2), 4, "H"), ((3, 2, 1), 5, "E")])
     def test_oracles_build_no_pattern_and_walk_each_path_once(self, parts, n, kind, monkeypatch):
-        # Counts, not timings: the oracles work on masks, so no Pattern is
-        # built and a path's points are walked only when the grid is.
-        built, walked = [], []
-        post_init, points = Pattern.__post_init__, LatticePath.points
-        monkeypatch.setattr(Pattern, "__post_init__", lambda p: built.append(p) or post_init(p))
-        monkeypatch.setattr(LatticePath, "points", lambda p: walked.append(p) or points(p))
+        # Counts, not timings: the oracles draw mask tuples, not patterns
+        # from ``enumerate_patterns``, and each (start, end) pair's paths
+        # are walked once, when the grid is built.
+        walked = []
+        paths_between = lgv._paths_between
+        monkeypatch.setattr(lgv, "_paths_between", lambda a, b, kind: walked.append((a, b)) or paths_between(a, b, kind))
+        monkeypatch.setattr(lgv, "enumerate_patterns", None)
         lgv._grid.cache_clear()
         shape = Partition(parts)
         s, x = diag_data(shape)
-        assert verify_cancellation(shape, n, s, x, kind).passes
-        assert truncated_schur_via_paths(shape, n, s, x, kind) == schur_truncated_exact(shape, s, x, n)
-        _, end_of = lgv._grid(shape, n, kind)
-        assert not built
-        assert len(walked) == len(set(walked)) <= len(end_of)
+        for _ in range(2):
+            assert verify_cancellation(shape, n, s, x, kind).passes
+            assert truncated_schur_via_paths(shape, n, s, x, kind) == schur_truncated_exact(shape, s, x, n)
+        t = len(oracles.grid(shape, n, kind)[0])
+        assert len(walked) == len(set(walked)) == t * t
 
     @pytest.mark.parametrize("parts,n,kind", [((2, 2, 2), 3, "H"), ((3, 2, 1), 4, "H"), ((3, 2), 5, "E")])
     def test_truncation_weighs_only_types_with_free_patterns(self, parts, n, kind, monkeypatch):
         weighed = []
-        real = lgv._weigh
-        monkeypatch.setattr(lgv, "_weigh", lambda *args: weighed.append(args[2]) or real(*args))
+        real = lgv.pattern_weight
+        monkeypatch.setattr(lgv, "pattern_weight", lambda *args: weighed.append(args[2]) or real(*args))
         shape = Partition(parts)
         s, x = diag_data(shape)
         assert truncated_schur_via_paths(shape, n, s, x, kind) == schur_truncated_exact(shape, s, x, n)
-        assert weighed == list(dict.fromkeys(p.type for p in nonintersecting_patterns(shape, n, kind)))
+        free = [sigma for sigma, chosen, _ in reference_patterns(shape, n, kind) if not oracles.crossing(chosen)]
+        assert weighed == list(dict.fromkeys(free))
         assert len(weighed) < len(lgv._grid(shape, n, kind)[0])
 
 
 class TestTailSwap:
-    def intersecting(self, shape, n, kind):
-        return [
-            p for p in enumerate_patterns(shape, n, kind)
-            if not p.is_nonintersecting()
-        ]
-
     @pytest.mark.parametrize("parts,kind", [((2, 1), "H"), ((2, 2), "E")])
     def test_involution_without_fixed_points(self, parts, kind):
         shape = Partition(parts)
         s = constant_tableau(shape, 2)
         x = constant_tableau(shape, Fraction(1, 3))
-        for p in self.intersecting(shape, 3, kind):
+        weight = {masks: w for (_, masks), w in listed_weights(shape, 3, s, x, kind).items()}
+        _, end_of = lgv._grid(shape, 3, kind)
+        for sigma, _, p in intersecting(shape, 3, kind):
             q = tail_swap(p)
             assert tail_swap(q) == p
             assert q != p
-            assert q.sign == -p.sign
-            assert pattern_weight(q, s, x) == pattern_weight(p, s, x)
+            assert perm_sign(lgv._type_of(q, end_of)) == -perm_sign(sigma)
+            assert weight[q] == weight[p]
 
     @pytest.mark.parametrize("parts,n,kind", [
         ((3, 2, 1), 3, "H"),
@@ -332,22 +308,36 @@ class TestTailSwap:
     ])
     def test_matches_its_definition(self, parts, n, kind):
         # Involution and sign are not enough: swapping at the largest
-        # shared vertex, or between its last two owners, has both.
-        pats = self.intersecting(Partition(parts), n, kind)
+        # shared vertex has both.  (Its last two owners are its first two
+        # here; ``test_swaps_the_first_two_owners`` tells them apart.)
+        shape = Partition(parts)
+        _, end_of = lgv._grid(shape, n, kind)
+        top = oracles.grid(shape, n, kind)[2]
+        pats = intersecting(shape, n, kind)
         assert pats
-        for p in pats:
-            assert tail_swap(p) == tail_swap_oracle(p)
+        for sigma, chosen, masks in pats:
+            mate_type, mate = oracles.tail_swap_oracle(sigma, chosen)
+            assert tail_swap(masks) == oracles.masks(mate, top)
+            assert lgv._type_of(tail_swap(masks), end_of) == mate_type
+
+    def test_swaps_the_first_two_owners(self):
+        # Three paths through the least shared point: the first two trade
+        # tails.  No grid the other tests walk has such a point.
+        chosen = (((1, 2), (2, 2), (3, 2)), ((2, 1), (2, 2), (2, 3)), ((2, 2), (3, 3)))
+        _, mate = oracles.tail_swap_oracle((1, 2, 3), chosen)
+        assert mate[2] == chosen[2] and mate != chosen
+        assert tail_swap(oracles.masks(chosen, 3)) == oracles.masks(mate, 3)
 
     def test_swaps_once_per_intersecting_pattern(self, monkeypatch):
         # Each pair is checked from one member: two swaps per pair.
         calls = []
-        real = lgv._swap
+        real = lgv.tail_swap
 
         def counting(masks):
             calls.append(masks)
             return real(masks)
 
-        monkeypatch.setattr(lgv, "_swap", counting)
+        monkeypatch.setattr(lgv, "tail_swap", counting)
         shape = Partition((2, 2, 2))
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert rep.passes
@@ -357,7 +347,7 @@ class TestTailSwap:
         # The real mates, with each mate's type read as its partner's: the
         # swaps, the grid lookups, the weights and the pairing are those of
         # the real involution, so only the sign check can catch it.
-        real_swap, real_type_of = lgv._swap, lgv._type_of
+        real_swap, real_type_of = lgv.tail_swap, lgv._type_of
 
         def same_type(masks, end_of):
             real_type_of(masks, end_of)
@@ -375,7 +365,7 @@ class TestTailSwap:
         # are paths of the grid, but each keeps its end, so the mate's type
         # (read from the ends) is the pattern's own; and path i of the mate
         # leaves start j, so no mate is enumerated.
-        real = lgv._swap
+        real = lgv.tail_swap
 
         def heads(masks):
             mate = real(masks)
@@ -386,13 +376,11 @@ class TestTailSwap:
 
         shape = Partition((2, 2))
         _, end_of = lgv._grid(shape, 3, "H")
-        for p in enumerate_patterns(shape, 3, "H"):
-            if not p.is_nonintersecting():
-                masks = tuple(q._mask for q in p.paths)
-                mate = heads(masks)
-                assert heads(mate) == masks != mate
-                assert lgv._type_of(mate, end_of) == p.type
-        monkeypatch.setattr(lgv, "_swap", heads)
+        for sigma, _, masks in intersecting(shape, 3, "H"):
+            mate = heads(masks)
+            assert heads(mate) == masks != mate
+            assert lgv._type_of(mate, end_of) == sigma
+        monkeypatch.setattr(lgv, "tail_swap", heads)
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
         assert rep.signed_total == rep.nonintersecting_total
@@ -400,7 +388,7 @@ class TestTailSwap:
     def test_mutant_whose_mates_are_not_patterns_fails(self, monkeypatch):
         # Swapping whole paths is an involution that reverses the type's
         # sign, but path i of the mate leaves start j: no pattern does.
-        real = lgv._swap
+        real = lgv.tail_swap
 
         def whole_paths(masks):
             mate = real(masks)
@@ -411,24 +399,20 @@ class TestTailSwap:
 
         shape = Partition((2, 2))
         _, end_of = lgv._grid(shape, 3, "H")
-        crossing = [
-            p for p in enumerate_patterns(shape, 3, "H") if not p.is_nonintersecting()
-        ]
         # Its masks are paths of the grid and it passes the swap-twice and
         # sign checks, so only the check that every mate is enumerated can
         # catch it.
-        for p in crossing:
-            masks = tuple(q._mask for q in p.paths)
+        for sigma, _, masks in intersecting(shape, 3, "H"):
             mate = whole_paths(masks)
             assert whole_paths(mate) == masks
-            assert lgv._type_sign(lgv._type_of(mate, end_of)) == -p.sign
-        monkeypatch.setattr(lgv, "_swap", whole_paths)
+            assert perm_sign(lgv._type_of(mate, end_of)) == -perm_sign(sigma)
+        monkeypatch.setattr(lgv, "tail_swap", whole_paths)
         rep = verify_cancellation(shape, 3, *diag_data(shape), "H")
         assert not rep.involution_verified and not rep.passes
 
     def test_rejects_nonintersecting(self):
         shape = Partition((2, 1))
-        free = next(nonintersecting_patterns(shape, 2, "H"))
+        _, free = next(enumerate_patterns(shape, 2, "H", free=True))
         with pytest.raises(UsageError):
             tail_swap(free)
 
@@ -436,55 +420,47 @@ class TestTailSwap:
     @pytest.mark.parametrize("parts", small_partitions(5))
     def test_masks_match_the_vertex_sets(self, parts, kind):
         # Every grid of at most 5 cells at heights 1-4, against the
-        # frozenset definitions: intersection, tail swap and pruning.
+        # reference's point sets: enumeration order, intersection, tail
+        # swap and pruning.
         shape = Partition(parts)
         for n in range(1, 5):
+            top = oracles.grid(shape, n, kind)[2]
+            ref = reference_patterns(shape, n, kind)
+            assert list(enumerate_patterns(shape, n, kind)) == [(sigma, masks) for sigma, _, masks in ref]
             free = []
-            for p in enumerate_patterns(shape, n, kind):
-                sets = [frozenset(path.points()) for path in p.paths]
-                crossing = any(a & b for a, b in combinations(sets, 2))
-                assert p.is_nonintersecting() is not crossing
+            for sigma, chosen, masks in ref:
+                crossing = oracles.crossing(chosen)
+                assert bool(shared_vertices(masks)) is crossing
                 if not crossing:
-                    free.append(p)
+                    free.append((sigma, masks))
                     continue
-                mate, oracle = tail_swap(p), tail_swap_oracle(p)
-                assert mate == oracle
-                assert [q._mask for q in mate.paths] == [q._mask for q in oracle.paths]
-            assert list(nonintersecting_patterns(shape, n, kind)) == free
+                assert tail_swap(masks) == oracles.masks(oracles.tail_swap_oracle(sigma, chosen)[1], top)
+            assert list(enumerate_patterns(shape, n, kind, free=True)) == free
 
     def test_mate_off_the_grid_is_a_usage_error(self):
         # Path 1 runs past every end of the 2,1 grid of height 2; the swap
         # gives its tail to path 2, and no path of the grid has that tail.
         shape = Partition((2, 1))
-        off = LatticePath((2, 1), ("R", "R", "R", "R", "U"))
-        pat = Pattern(shape, 2, "H", (off, LatticePath((1, 1), ("R", "U"))), (1, 2))
-        assert not pat.is_nonintersecting()
+        off = ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (6, 2))
+        masks = oracles.masks((off, ((1, 1), (2, 1), (2, 2))), 2)
+        assert shared_vertices(masks)
+        _, end_of = lgv._grid(shape, 2, "H")
         with pytest.raises(UsageError, match="swapped path 2 is not a path of the grid"):
-            tail_swap(pat)
-
-    def test_paths_ending_on_different_rows_are_refused(self):
-        # Their masks have different strides, so they would miss the two
-        # shared vertices.
-        up = LatticePath((2, 1), ("U",))
-        bent = LatticePath((1, 1), ("R", "U", "U"))
-        assert set(up.points()) & set(bent.points()) == {(2, 1), (2, 2)}
-        with pytest.raises(UsageError, match="must all end on one row"):
-            Pattern(Partition((2, 1)), 2, "H", (up, bent), (1, 2))
-
-    def test_path_off_the_quadrant_is_a_usage_error(self):
-        # A mask has no bit for a negative coordinate.
-        with pytest.raises(UsageError, match="off the quadrant"):
-            LatticePath((-1, 1), ("R", "U"))
+            lgv._type_of(tail_swap(masks), end_of)
 
     @pytest.mark.parametrize("parts,n,kind", [((3, 2, 1), 3, "H"), ((3, 2), 4, "E")])
     def test_joined_paths_carry_their_walked_points(self, parts, n, kind):
-        # Pattern equality ignores the masks, so compare them with a walk:
-        # the next swap reads the masks of the paths this one looked up.
-        for p in self.intersecting(Partition(parts), n, kind):
-            for path in tail_swap(p).paths:
-                walked = LatticePath(path.start, path.steps)
-                assert path.points() == walked.points()
-                assert path._mask == walked._mask
+        # Each joined mask is the mask of a path the reference walks from
+        # the same start to some end of the grid: the next swap and the
+        # grid lookup read it as a path.
+        shape = Partition(parts)
+        starts, ends, top = oracles.grid(shape, n, kind)
+        walked = [
+            {oracles.masks([p], top)[0] for b in ends for p in oracles.paths(a, b, kind)} for a in starts
+        ]
+        for _, _, masks in intersecting(shape, n, kind):
+            for start_paths, joined in zip(walked, tail_swap(masks), strict=True):
+                assert joined in start_paths
 
 
 class TestWeights:
@@ -497,25 +473,19 @@ class TestWeights:
         # Cell-wise (not diagonal-constant) exponents 1-3 and shifts, on
         # every pattern of every type.  With such data a path's weight
         # depends on its ribbon walk, so the (mask, weight) lists of one
-        # call (``_weigh``, once per type) must tell the walks apart.
+        # call (``pattern_weight``, once per type) must tell the walks apart.
         shape = Partition(parts)
         cells = shape.cells()
         s = Tableau(shape, {(i, j): 1 + (i + 2 * j) % 3 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction((3 * i + j) % 5, 7) for i, j in cells})
-        tables, den = exact_tables(shape, s, x, n)
-        listed = {
-            (sigma, masks): Fraction(w, den)
-            for sigma, choices in lgv._grid(shape, n, kind)[0]
-            for masks, _, w in lgv._product(lgv._weigh(shape, kind, sigma, choices, tables), free=False)
-        }
+        listed = listed_weights(shape, n, s, x, kind)
+        top = oracles.grid(shape, n, kind)[2]
         free = Fraction(0)
         types = set()
-        for p in enumerate_patterns(shape, n, kind):
-            w = edge_weight_oracle(p, s, x)
-            key = p.type, tuple(q._mask for q in p.paths)
-            assert pattern_weight(p, s, x) == listed.pop(key) == w
-            types.add(p.type)
-            if p.is_nonintersecting():
+        for (sigma, chosen), w in oracles.weights(shape, n, s, x, kind).items():
+            assert listed.pop((sigma, oracles.masks(chosen, top))) == w
+            types.add(sigma)
+            if not oracles.crossing(chosen):
                 free += w
         assert not listed and len(types) > 1
         assert truncated_schur_via_paths(shape, n, s, x, kind) == free
@@ -528,8 +498,12 @@ class TestWeights:
         s = Tableau(shape, {(i, j): (i + 2 * j) % 5 - 1 for i, j in cells})
         x = Tableau(shape, {(i, j): Fraction(3 * i + j, 4) for i, j in cells})
         assert {-1, 0} <= set(s.entries.values())
-        for p in enumerate_patterns(shape, n, kind):
-            assert pattern_weight(p, s, x) == edge_weight_oracle(p, s, x)
+        top = oracles.grid(shape, n, kind)[2]
+        ref = {
+            (sigma, oracles.masks(chosen, top)): w
+            for (sigma, chosen), w in oracles.weights(shape, n, s, x, kind).items()
+        }
+        assert listed_weights(shape, n, s, x, kind) == ref
 
     def test_one_rim_lookup_per_type(self, monkeypatch):
         looked_up = []
@@ -625,9 +599,18 @@ class TestRendering:
     def test_deterministic_and_indexed(self):
         shape = Partition((2, 1))
         pats = list(enumerate_patterns(shape, 3, "H"))
-        p = pats[0]
-        out = render_pattern(p)
-        assert out == render_pattern(p)
+        _, masks = pats[0]
+        out = render_pattern(masks, 3)
+        assert out == render_pattern(masks, 3)
         # Every path index appears in the drawing.
-        for i in range(1, len(p.paths) + 1):
+        for i in range(1, len(masks) + 1):
             assert str(i) in out
+
+    def test_drawn_points_are_the_paths(self):
+        # Rows top down, columns from the least x; a shared point is "*".
+        # Both drawings were recorded from the point-walking renderer.
+        pats = list(enumerate_patterns(Partition((2, 1)), 3, "H"))
+        (_, first), (_, last) = pats[0], pats[-1]
+        assert render_pattern(first, 3) == " 3 | . 2 . 1\n 2 | . 2 . 1\n 1 | 2 * 1 1"
+        assert render_pattern(last, 3) == " 3 | 2 * 2 2\n 2 | 2 1 . .\n 1 | 2 1 . ."
+        assert render_pattern((), 2) == ""

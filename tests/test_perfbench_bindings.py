@@ -12,9 +12,12 @@ import inspect
 import random
 import sys
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 from shzeta import ezzeta, identities, rootzeta
+from shzeta.shapes import Partition
+from shzeta.tableaux import constant_tableau
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +57,28 @@ def test_counted_parameters_exist():
     spans._count_eval_nested(rootzeta._eval_nested)(counts, (e, 0.0, 0, cfg), {}, None)
     assert counts["ezzeta.dp_cells"] == 2 * 11
     assert counts["rootzeta.loop_iters"] == 10 * 10
+
+
+def test_traced_lattice_path_names_are_called():
+    # The tracer is installed as ``run.py`` installs it, over the package
+    # and the workloads module, and the two oracles run through the names
+    # the workloads bind: the swap and the per-type weighing they call
+    # must show up as spans, not read 0.
+    spans, workloads = load("spans"), load("workloads")
+    shape = Partition((2, 2))
+    s, x = constant_tableau(shape, 2), constant_tableau(shape, Fraction(1, 2))
+    tracer = spans.Tracer()
+    tracer.install(extra=(workloads,))
+    try:
+        tracer.active = True
+        assert workloads.verify_cancellation(shape, 3, s, x, "H").passes
+        assert workloads.truncated_schur_via_paths(shape, 3, s, x, "H") > 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["lgv.tail_swap.calls"] > 0
+    assert metrics["lgv.pattern_weight.calls"] > 0
 
 
 def test_workloads_import_and_warm_up():

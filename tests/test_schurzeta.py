@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import EvalConfig, ez_zeta, hurwitz
-from shzeta.lgv import (
-    enumerate_patterns,
-    pattern_weight,
-    truncated_schur_via_paths,
-    verify_cancellation,
-)
+from shzeta.lgv import truncated_schur_via_paths, verify_cancellation
 from shzeta.schurzeta import (
     SchurInstance,
     chain_decomposition,
@@ -311,16 +306,12 @@ class TestExactBadInput:
 
     @pytest.mark.parametrize("row", REFUSED)
     def test_every_exact_entry_point_refuses_alike(self, row):
-        # The three truncations, the cancellation and ``pattern_weight``
-        # (which needs a pattern, so a max entry >= 1) raise the same error.
+        # The three truncations and the cancellation raise the same error.
         n, s, x, error, message = self.REFUSED[row]
         shape = self.SHAPE_21
         runs = self.truncations(shape, s, x, n) + (
             lambda: verify_cancellation(shape, n, s, x, "H"),
         )
-        if n >= 1:
-            pat = next(enumerate_patterns(shape, n, "H"))
-            runs += (lambda: pattern_weight(pat, s, x),)
         for run in runs:
             with pytest.raises(Exception) as caught:
                 run()
