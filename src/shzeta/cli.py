@@ -353,8 +353,10 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     """Run one manifest entry through the registry and return its record.
 
     ``cutoff`` is the flag or environment override; without one the
-    entry's ``cfg.cutoff`` applies, else the default.  The record's kernel
-    calls share one power-table store; ``work.tables_built`` is its size.
+    entry's ``cfg.cutoff`` applies, else the default.  Every float series
+    of the record (the chain kernel, ``rootzeta``, the Dirichlet weights)
+    reads its power tables from one store; ``work.tables_built`` is its
+    size, the number of tables the record built.
     """
     spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
     manifest_cfg = entry.get("cfg", {})

@@ -19,6 +19,11 @@ any mixed strict/weak relations, is its chain case; the Schur-series module
 runs it on the cell poset of a shape.  ``chain_tails`` gives a chain's tails
 for every shift m = 1..N at once (Re s > 1 in every slot), from reverse
 cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
+
+``power_tables`` builds every array (k + y)^(-s) a float series reads: this
+kernel's, ``rootzeta``'s factor tables and the Dirichlet-series weights of
+``identities``.  Its tables are shared per ``power_table_scope`` and
+read-only; ``neg_power`` has no other caller.
 """
 
 from __future__ import annotations
@@ -130,22 +135,24 @@ def power_table_scope() -> Iterator[dict]:
         _SCOPE_TABLES.reset(token)
 
 
-def _power_tables(idx: np.ndarray) -> Callable[[complex, float, bool], np.ndarray]:
-    """One read-only table (idx + y)^(-e) per (length, exponent, shift, pass):
-    per ``power_table_scope`` if one is open, else per call.  ``idx`` is
-    always arange(length).  A tiny base may overflow, so each caller zeroes
-    or skips the entries below its least index in its own arrays.  The pass
-    (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables differ in
-    the last bit."""
+def power_tables() -> Callable[..., np.ndarray]:
+    """The table builder: ``table(length, e, y, absolute=False)`` is the
+    read-only array (k + y)^(-e), k = 0..length - 1, one per (length,
+    exponent, shift, pass), per ``power_table_scope`` if one is open, else
+    per call.  This is the one place a float series builds such an array.
+    A tiny base may overflow, so each caller zeroes or skips the entries
+    below its least index in its own arrays, and writes into no table.  The
+    pass (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables
+    differ in the last bit."""
     scoped = _SCOPE_TABLES.get()
     tables = {} if scoped is None else scoped
 
-    def table(e: complex, y: float, absolute: bool) -> np.ndarray:
-        key = (len(idx), e, y, absolute)
+    def table(length: int, e: complex, y: float, absolute: bool = False) -> np.ndarray:
+        key = (length, e, y, absolute)
         a = tables.get(key)
         if a is None:
             with np.errstate(over="ignore"):
-                a = tables[key] = neg_power(idx + y, e)
+                a = tables[key] = neg_power(np.arange(length, dtype=np.float64) + y, e)
             a.flags.writeable = False
         return a
 
@@ -252,10 +259,9 @@ def eval_layers(
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
     tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
-    idx = np.arange(0, m + 1, dtype=np.float64)
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
     exps = {False: [complex(v) for v in s], True: sigmas}  # per pass
-    table = _power_tables(idx)
+    table = power_tables()
     steps = _strict_steps(layers)
 
     # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
@@ -274,7 +280,7 @@ def eval_layers(
                     prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
                 out = []
                 for c, preds in layer:
-                    a = table(exps[absolute][c], y[c], absolute)
+                    a = table(m + 1, exps[absolute][c], y[c], absolute)
                     # Keep the operand order: with fused multiply-adds,
                     # complex products do not commute bitwise, and numpy
                     # would evaluate ``a * temporary`` as ``temporary *= a``.
@@ -445,11 +451,11 @@ def chain_tails(
         raise DomainError(f"chain_tails needs Re s > 1 in every slot; got {sig}")
     big = cfg.cutoff + count
     tails = [tail_integral(sg, big, yc) for sg, yc in zip(sig, y)]
-    table = _power_tables(np.arange(big + 1, dtype=np.float64))
+    table = power_tables()
     # The passes run over k = lo(1)..K, so index m - 1 is lo(m); no sum reads
     # a lower k, where a tiny base may overflow.
     start, size = 1 + first_min, big - first_min
-    a = [table(complex(v), yc, False)[start:] for v, yc in zip(s, y)]
+    a = [table(big + 1, complex(v), yc)[start:] for v, yc in zip(s, y)]
     values = _reverse_pass(a, strict, size)[:count]
     prefix = _reverse_pass(a[:-1], strict, size)[:count]
     em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
@@ -457,7 +463,7 @@ def chain_tails(
         # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
         n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
-        absolute = [table(sig[i], y[i], True)[start:] for i in range(n)]
+        absolute = [table(big + 1, sig[i], y[i], True)[start:] for i in range(n)]
         hbar = _reverse_pass(absolute, strict, size, consts)[:count]
         em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
     return values + em_value, em_remainder

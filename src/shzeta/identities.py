@@ -34,7 +34,7 @@ from .ezzeta import (
     ez_zeta,
     ez_zeta_star,
     majorant,
-    neg_power,
+    power_tables,
     tail_integral,
 )
 from .schurzeta import SchurInstance, instance_from_spec, schur_eval
@@ -427,7 +427,7 @@ def dirichlet_series_expr(
                               f"z = {spec.z_at(k)}")
     lhs = schur_eval(instance_from_spec(spec, shape), cfg)
     z0, y0, m_top = complex(spec.z_at(0)), spec.y_at(0), outer_cutoff
-    w = neg_power(np.arange(1, m_top + 1) + y0, z0)
+    w = power_tables()(m_top + 1, z0, y0)[1:]
     outer_tail = tail_integral(z0.real, m_top, y0)
 
     def bound(z: list[complex], y: list[float], b: int) -> float:

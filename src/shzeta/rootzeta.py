@@ -14,8 +14,9 @@ prevents singular terms).  So the primed rule holds exactly when x == 0.
 Evaluation is a direct nested sum (no reindexing to Euler-Zagier chains, so
 the reduction identities remain genuine cross-checks against the chain
 evaluator).  Every summed level builds one numpy vector of its factors from
-one power table per root factor, built once per call; outer levels iterate
-over its entries.  The last variable is summed analytically, from the
+one power table per root factor, read from the kernel's table builder
+(``ezzeta.power_tables``, so shared per ``power_table_scope``); outer levels
+iterate over its entries.  The last variable is summed analytically, from the
 reverse cumulative sum of its factor's table, whenever it appears in
 exactly one factor with nonzero exponent — in particular for all reduced
 (6.5)/(6.6) configurations — and the remaining truncation tails are
@@ -41,7 +42,7 @@ from .ezzeta import (
     ez_zeta,
     ez_zeta_star_star,
     majorant,
-    neg_power,
+    power_tables,
 )
 
 MAX_DEPTH = 4
@@ -123,9 +124,12 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
     only on a block of zero-started variables) is omitted, i.e. counts as 1.
 
     Each factor (i, j) reads a table (x + k)^(-s(i, j)), k = 0..(j-i)*M,
-    built once per call.  Level l, carrying the partial sums
-    m_i + ... + m_{l-1}, builds one numpy vector over m_l = 0..M: its weight
-    times the table slices of the factors (i, l+1), zeroed below the start.
+    from ``power_tables``; it writes into none, so a primed factor (x == 0
+    on a zero-started block) takes a copy with index 0 set to 1.  Level l,
+    carrying the partial sums m_i + ... + m_{l-1}, builds one numpy vector
+    over m_l = 0..M: its weight times the table slices of the factors
+    (i, l+1), zeroed below the start after the products, so a tiny x's
+    overflow at index 0 never meets a 0.
     An outer level recurses on each entry; the innermost summed level v adds
     its vector up.  When the last variable r appears only in the factor
     (1, r+1), v = r - 1 and the vector is dotted with the reverse cumulative
@@ -143,14 +147,14 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
     analytic_last = all(e.s[(i, r + 1)] == 0 for i in range(2, r + 1))
     vec = r - 1 if analytic_last else r
 
+    table = power_tables()
+
     def power_table(i: int, j: int, top: int) -> np.ndarray:
-        with np.errstate(over="ignore"):  # x^(-s) at k = 0 for a tiny x
-            table = neg_power(np.arange(0, top + 1, dtype=np.float64) + x, e.s[(i, j)])
-        if j > d + 1:
-            table[0] = 0.0  # only meets a masked 0: variable j - 1 starts at 1
-        elif x == 0:
-            table[0] = 1.0  # primed: the zero-base factor is omitted
-        return table
+        t = table(top + 1, e.s[(i, j)], x)
+        if x == 0 and j <= d + 1:  # primed: the zero-base factor is omitted
+            t = t.copy()
+            t[0] = 1.0
+        return t
 
     em_err = 0.0
     if analytic_last:
@@ -173,10 +177,10 @@ def _eval_nested(e: RootExponents, x: float, d: int, cfg: EvalConfig) -> Approx:
         # (i, level + 1) before m_level is added.
         nonlocal total, em_weight
         w = np.full(m + 1, weight, dtype=np.complex128)
-        w[: starts[level - 1]] = 0.0
         for i, c in enumerate(sums, start=1):
             if (i, level + 1) in tables:
                 w = w * tables[(i, level + 1)][c : c + m + 1]
+        w[: starts[level - 1]] = 0.0
         if level < vec:
             for m_l in range(starts[level - 1], m + 1):
                 rec(level + 1, [c + m_l for c in sums] + [0], w[m_l])

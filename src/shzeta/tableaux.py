@@ -188,25 +188,6 @@ def int_exponent(v: Any) -> int:
     return int(c.real)
 
 
-def exact_powers(cell: Cell, e: int, p: int, q: int, n: int) -> tuple[list[int], int]:
-    """1/(m + p/q)^e for m = 1..n as integer numerators over one denominator:
-    ``nums[m] / den``, for a cell with integer exponent e and shift p/q
-    (q > 0); ``nums[0]`` is unused.
-
-    For e > 0 the denominator is lcm(mq + p)^e and nums[m] is
-    (q lcm / (mq + p))^e; for e <= 0 it is q^-e and nums[m] is (mq + p)^-e.
-    A zero base with e > 0 is a ``DomainError`` naming the cell and the
-    first such m, raised before any power is taken.
-    """
-    bases = [m * q + p for m in range(1, n + 1)]
-    if e <= 0:
-        return [0] + [b**-e for b in bases], q**-e
-    if 0 in bases:
-        raise DomainError(f"cell {cell}: the base m + x is 0 at m = {bases.index(0) + 1}")
-    common = lcm(*bases)
-    return [0] + [(q * (common // b)) ** e for b in bases], common**e
-
-
 # ``exact_tables`` refuses, before any power, data whose tables could need
 # more bits than this.
 WEIGHT_BIT_CAP = 10**5
@@ -214,32 +195,44 @@ WEIGHT_BIT_CAP = 10**5
 
 def exact_tables(shape: Shape, s: Tableau, x: Tableau, n: int) -> tuple[dict[Cell, list[int]], int]:
     """Per cell c of the shape, 1/(m + x_c)^s_c for m = 1..n as integer
-    numerators over that cell's denominator (``exact_powers``), and the
+    numerators over that cell's denominator (``nums[0]`` is unused), and the
     product of the cells' denominators: the denominator of every term of a
     rational oracle's call.
+
+    With e = s_c and x_c = p/q (q > 0): for e > 0 the denominator is
+    lcm(mq + p)^e and nums[m] is (q lcm / (mq + p))^e; for e <= 0 it is
+    q^-e and nums[m] is (mq + p)^-e.
 
     Refuses, in this order: n < 1; exponent or shift tableaux whose cells
     are not the shape's; a non-integer exponent; and, before any power is
     taken, data whose tables could need more than ``WEIGHT_BIT_CAP`` bits.
-    A zero base is then ``exact_powers``'s ``DomainError``.
+    A zero base with e > 0 is then a ``DomainError`` naming the first such
+    cell and m.
     """
     if n < 1:
         raise UsageError("max_entry must be >= 1")
     cells = shape.cells()
     if not s.entries.keys() == x.entries.keys() == set(cells):
         raise UsageError("exponent/shift tableaux must match the shape")
-    data = {c: (int_exponent(s[c]), *Fraction(x[c]).as_integer_ratio()) for c in cells}
-    # A cell's numerators and denominator have at most |e| times the bits of
-    # q and of the lcm of its nonzero bases mq + p.
-    bits = 0
-    for e, p, q in data.values():
-        common = lcm(*[m * q + p for m in range(1, n + 1) if m * q + p])
+    data, bits = {}, 0
+    for c in cells:
+        e, (p, q) = int_exponent(s[c]), Fraction(x[c]).as_integer_ratio()
+        bases = [m * q + p for m in range(1, n + 1)]
+        common = lcm(*filter(None, bases))
+        # The numerators and denominator have at most |e| times the bits of
+        # q and of the lcm of the nonzero bases.
         bits += abs(e) * (common.bit_length() + q.bit_length())
+        data[c] = e, q, bases, common
     if bits > WEIGHT_BIT_CAP:
         raise UsageError(f"exact weights could need {bits} bits, beyond the cap (10^5)")
     tables, den = {}, 1
-    for c, (e, p, q) in data.items():
-        tables[c], d = exact_powers(c, e, p, q, n)
+    for c, (e, q, bases, common) in data.items():
+        if e <= 0:
+            tables[c], d = [0] + [b**-e for b in bases], q**-e
+        elif 0 in bases:
+            raise DomainError(f"cell {c}: the base m + x is 0 at m = {bases.index(0) + 1}")
+        else:
+            tables[c], d = [0] + [(q * (common // b)) ** e for b in bases], common**e
         den *= d
     return tables, den
 

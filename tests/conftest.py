@@ -1,9 +1,13 @@
 """Shared strategies and helpers for the test suite."""
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import shzeta
 from shzeta import ezzeta
 from shzeta.shapes import Partition
 
@@ -33,7 +37,8 @@ def partitions(draw, max_size: int = 12, max_rows: int = 5, max_cols: int = 6):
 @pytest.fixture
 def built(monkeypatch):
     """Counts the power tables built, by pass: a value table has a complex
-    exponent, a |.| table the real part."""
+    exponent, a |.| table the real part.  Every ``neg_power`` call in the
+    package counts, in whichever module binds the name."""
     counts = {"value": 0, "abs": 0}
     neg_power = ezzeta.neg_power
 
@@ -41,5 +46,8 @@ def built(monkeypatch):
         counts["value" if isinstance(s, complex) else "abs"] += 1
         return neg_power(base, s)
 
-    monkeypatch.setattr(ezzeta, "neg_power", spy)
+    for info in pkgutil.iter_modules(shzeta.__path__):
+        module = importlib.import_module(f"shzeta.{info.name}")
+        if getattr(module, "neg_power", None) is neg_power:
+            monkeypatch.setattr(module, "neg_power", spy)
     return counts

@@ -367,6 +367,19 @@ class TestTableScope:
         run_alone(JT_32)  # per call, the same work builds 18 tables
         assert sum(built.values()) == 6 + 18
 
+    def test_tables_built_counts_every_build(self, built):
+        # Every float series (the kernel, rootzeta, the Dirichlet weights)
+        # builds its tables in the record's store, so on each record the
+        # counter equals the tables built.
+        miss = []
+        for entry in builtin_suite("all"):
+            before = sum(built.values())
+            rec = run_one(entry, None)
+            builds = sum(built.values()) - before
+            if rec["work"]["tables_built"] != builds:
+                miss.append((rec["identity_id"], rec["shape"], rec["work"]["tables_built"], builds))
+        assert miss == []
+
     def test_no_state_survives_a_record(self, built):
         counts = []
         for _ in range(2):

@@ -413,7 +413,7 @@ class TestOneTablePerPair:
         assert built == {"value": 1, "abs": 1}
 
     def test_tables_are_read_only(self):
-        a = ezzeta._power_tables(np.arange(10.0))(2.5 + 0j, 0.3, False)
+        a = ezzeta.power_tables()(10, 2.5 + 0j, 0.3)
         with pytest.raises(ValueError):
             a[3] = 0.0
 

@@ -6,12 +6,22 @@ evaluator from ``ezzeta``, which uses a different algorithm, so agreement
 is a genuine cross-check rather than a tautology.
 """
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from shzeta.errors import DomainError, UsageError
-from shzeta.ezzeta import Approx, EvalConfig, ez_zeta, ez_zeta_star, hurwitz
+from shzeta.ezzeta import (
+    Approx,
+    EvalConfig,
+    ez_zeta,
+    ez_zeta_star,
+    hurwitz,
+    neg_power,
+    power_table_scope,
+)
 from shzeta.rootzeta import (
     MAX_DEPTH,
     ReductionReport,
@@ -213,3 +223,23 @@ class TestReductions:
         tiny = ReductionReport("strict", Approx(1e-12, 1e-20), Approx(0, 1e-20))
         assert not tiny.passes()
         assert tiny.passes(slack=2.0)
+
+
+class TestSharedTables:
+    """The factor tables come from the kernel's store, and no call writes
+    into one: the primed rule takes a copy, and a tiny shift's overflow at
+    index 0 is zeroed in the level's own vector."""
+
+    def test_tables_stay_as_built(self):
+        e = RootExponents.from_flat(2, [2.5, complex(2.0, 0.5), 3.0])
+        cfg = EvalConfig(50)
+        with power_table_scope() as store:
+            for d in (1, 2):
+                zeta_bullet(e, d, cfg)
+            assert cmath.isfinite(zeta_H(e, 1e-200, cfg).value)
+        assert store
+        for (length, s, y, absolute), table in store.items():
+            with np.errstate(over="ignore"):
+                fresh = neg_power(np.arange(length, dtype=np.float64) + y, s)
+            assert table.tobytes() == fresh.tobytes()
+            assert not table.flags.writeable

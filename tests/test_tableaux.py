@@ -25,7 +25,7 @@ from shzeta.tableaux import (
     decompose_sigma_tableau,
     diagonal_orbit,
     diagonal_sets,
-    exact_powers,
+    exact_tables,
     expand_content,
     in_I_theta,
     in_W_lambda,
@@ -300,21 +300,28 @@ def test_ssyt_iter_always_valid_and_complete(p, n):
 
 
 class TestExactFactor:
-    # The factors 1/(m + shift)^e of one cell, from ``exact_powers``'s
-    # numerators over its one denominator.
+    # The factors 1/(m + shift)^e of one cell, from ``exact_tables``'s
+    # numerators over its one denominator, on a one-cell shape.
+    ONE = Partition((1,))
+
+    def table(self, e, shift, n):
+        tables, den = exact_tables(
+            self.ONE, constant_tableau(self.ONE, e), constant_tableau(self.ONE, shift), n
+        )
+        return tables[(1, 1)], den
+
     @pytest.mark.parametrize("e", [-2, -1, 0, 1, 2, 3])
     @pytest.mark.parametrize("shift", [Fraction(0), Fraction(3, 7), Fraction(-5, 2), Fraction(4)])
     def test_is_the_inverse_power(self, e, shift):
-        p, q = shift.as_integer_ratio()
-        nums, den = exact_powers((1, 1), e, p, q, 4)
+        nums, den = self.table(e, shift, 4)
         for m in range(1, 5):
             assert Fraction(nums[m], den) == 1 / (m + shift) ** e
 
     def test_zero_base_names_the_cell_and_m(self):
-        # The base 2m - 4 is 0 at m = 2 only; with e > 0 the whole table
+        # The base m - 2 is 0 at m = 2 only; with e > 0 the whole table
         # is refused, naming the cell and that m.
-        with pytest.raises(DomainError, match=r"cell \(2, 3\).* m = 2"):
-            exact_powers((2, 3), 1, -4, 2, 3)
+        with pytest.raises(DomainError, match=r"cell \(1, 1\).* m = 2"):
+            self.table(1, Fraction(-2), 3)
         # e <= 0 puts the zero base on top (or drops it): no division.
-        assert exact_powers((2, 3), 0, -4, 2, 3) == ([0, 1, 1, 1], 1)
-        assert exact_powers((2, 3), -2, -4, 2, 3) == ([0, 4, 0, 4], 4)
+        assert self.table(0, Fraction(-2), 3) == ([0, 1, 1, 1], 1)
+        assert self.table(-2, Fraction(-2), 3) == ([0, 1, 0, 1], 1)
