@@ -18,6 +18,7 @@ error.  The series cutoff comes from the ``--cutoff`` flag, else the
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import itertools
 import json
@@ -29,7 +30,7 @@ from typing import Any, Callable, NoReturn
 
 from . import identities
 from .errors import DomainError, UsageError
-from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope
+from .ezzeta import DEFAULT_CONFIG, EvalConfig, power_table_scope, table_reads
 from .lgv import (
     enumerate_patterns,
     patterns_by_type,
@@ -355,8 +356,9 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     ``cutoff`` is the flag or environment override; without one the
     entry's ``cfg.cutoff`` applies, else the default.  Every float series
     of the record (the chain kernel, ``rootzeta``, the Dirichlet weights)
-    reads its power tables from one store; ``work.tables_built`` is its
-    size, the number of tables the record built.
+    reads its power tables from the store of the open ``power_table_scope``
+    (the run's, else one of its own); ``work.tables_built`` is the number of
+    distinct tables the record read, the tables it would build alone.
     """
     spec = content_spec_from_json(entry["spec"]) if "spec" in entry else _NO_SPEC
     manifest_cfg = entry.get("cfg", {})
@@ -367,7 +369,7 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
     cfg = EvalConfig(cutoff=cutoff)
     ident = entry["identity_id"]
     t0 = time.perf_counter()
-    with power_table_scope() as tables:
+    with power_table_scope(), table_reads() as reads:
         record = {
             "identity_id": ident,
             "shape": entry.get("shape", ""),
@@ -375,7 +377,7 @@ def run_one(entry: dict, cutoff: int | None) -> dict:
         }
     record["runtime_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     record["cutoffs"] = {"series": cfg.cutoff, **record.get("cutoffs", {})}
-    record["work"] = {"tables_built": len(tables)}
+    record["work"] = {"tables_built": len(reads)}
     return record
 
 
@@ -392,11 +394,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     def run(entry: dict) -> dict:
         return run_one(entry, args.cutoff)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, entries))
-    else:
-        results = [run(e) for e in entries]
+    # One store for the run: records share every table and kernel sum.
+    with power_table_scope():
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                contexts = [contextvars.copy_context() for _ in entries]
+                results = list(pool.map(lambda c, e: c.run(run, e), contexts, entries))
+        else:
+            results = [run(e) for e in entries]
 
     failures = 0
     for out in results:

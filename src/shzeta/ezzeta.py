@@ -23,7 +23,8 @@ cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
 ``power_tables`` builds every array (k + y)^(-s) a float series reads: this
 kernel's, ``rootzeta``'s factor tables and the Dirichlet-series weights of
 ``identities``.  Its tables are shared per ``power_table_scope`` and
-read-only; ``neg_power`` has no other caller.
+read-only; ``neg_power`` has no other caller.  The same scope keeps each
+``eval_layers`` result, so an identical call is summed once per scope.
 """
 
 from __future__ import annotations
@@ -119,20 +120,39 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
-# The power-table store of the active ``power_table_scope``, if any.
-_SCOPE_TABLES: ContextVar[dict | None] = ContextVar("power_tables", default=None)
+# The store of the active ``power_table_scope``, if any: its power tables and
+# its ``eval_layers`` results.
+_SCOPE_TABLES: ContextVar[tuple[dict, dict] | None] = ContextVar("power_tables", default=None)
+# The keys of the power tables read in the active ``table_reads`` block.
+_READS: ContextVar[set | None] = ContextVar("table_reads", default=None)
 
 
 @contextmanager
 def power_table_scope() -> Iterator[dict]:
-    """One power-table store shared by every kernel call in the block (the
-    command line opens one per check record and one per eval), keyed by
-    (table length, exponent, shift, |.| pass); dropped when the block ends."""
-    token = _SCOPE_TABLES.set(store := {})
+    """One store shared by every float series in the block, dropped when the
+    block ends: the power tables, keyed by (table length, exponent, shift,
+    |.| pass), which the block yields, and the ``eval_layers`` results.  The
+    command line opens one per ``check`` run and one per ``eval``; a scope
+    opened inside another shares its store.  Threads share it through
+    ``contextvars.copy_context``: two may build one table or sum at once,
+    to the same bits."""
+    token = _SCOPE_TABLES.set(_SCOPE_TABLES.get() or ({}, {}))
     try:
-        yield store
+        yield _SCOPE_TABLES.get()[0]
     finally:
         _SCOPE_TABLES.reset(token)
+
+
+@contextmanager
+def table_reads() -> Iterator[set]:
+    """The keys of the power tables read in the block, built there or
+    before; an ``eval_layers`` call reports the reads of its sum, kept or
+    not, and a nested block keeps its own."""
+    token = _READS.set(reads := set())
+    try:
+        yield reads
+    finally:
+        _READS.reset(token)
 
 
 def power_tables() -> Callable[..., np.ndarray]:
@@ -144,11 +164,13 @@ def power_tables() -> Callable[..., np.ndarray]:
     below its least index in its own arrays, and writes into no table.  The
     pass (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables
     differ in the last bit."""
-    scoped = _SCOPE_TABLES.get()
-    tables = {} if scoped is None else scoped
+    scoped, reads = _SCOPE_TABLES.get(), _READS.get()
+    tables = {} if scoped is None else scoped[0]
 
     def table(length: int, e: complex, y: float, absolute: bool = False) -> np.ndarray:
         key = (length, e, y, absolute)
+        if reads is not None:
+            reads.add(key)
         a = tables.get(key)
         if a is None:
             with np.errstate(over="ignore"):
@@ -251,11 +273,36 @@ def eval_layers(
 
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
-    table per pass, built once per ``power_table_scope`` (one per check
-    record), else per call; each state multiplies it by its inflow into a
-    new array (a first-layer state copies it) and zeroes that below its
-    least entry.
+    table per pass, built once per ``power_table_scope``, else per call;
+    each state multiplies it by its inflow into a new array (a first-layer
+    state copies it) and zeroes that below its least entry.
+
+    Inside a ``power_table_scope`` the result is kept with the keys of the
+    tables it read, so an identical call, as the kernel reads its
+    arguments, returns it unsummed; either call reports those reads to the
+    enclosing ``table_reads``.
     """
+    scoped = _SCOPE_TABLES.get()
+    if scoped is None:
+        return _sum_layers(layers, s, y, cfg, first_min)
+    key = (layers, tuple(map(complex, s)), tuple(y), cfg.cutoff, first_min)
+    outer, kept = _READS.get(), scoped[1].get(key)
+    if kept is None:
+        token = _READS.set(reads := set())  # as ``table_reads``, at less cost
+        try:
+            kept = scoped[1][key] = _sum_layers(layers, s, y, cfg, first_min), reads
+        finally:
+            _READS.reset(token)
+    if outer is not None:
+        outer |= kept[1]
+    return kept[0]
+
+
+def _sum_layers(
+    layers: Layers, s: Sequence[complex], y: Sequence[float], cfg: EvalConfig,
+    first_min: int,
+) -> Approx:
+    """The DP of ``eval_layers``, run on every call: no store."""
     r, m = len(layers), cfg.cutoff
     sigmas = [complex(v).real for v in s]
     tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Cell = tuple[int, int]
@@ -223,6 +224,9 @@ class SkewShape:
             outer.append(hi)
         return cls(Partition(tuple(outer[::-1])), Partition(tuple(inner[::-1])))
 
+    # Tableaux, instances and the domain checks ask again for each shape's
+    # cells and corners; both are immutable, so each is kept per shape.
+    @lru_cache(maxsize=1024)
     def cells(self) -> tuple[Cell, ...]:
         return tuple(
             (i, j)
@@ -238,6 +242,7 @@ class SkewShape:
         i, j = cell
         return cell in self.outer and j > self.inner.part(i)
 
+    @lru_cache(maxsize=1024)
     def corners(self) -> frozenset[Cell]:
         """Cells with no right neighbor and no down neighbor in the shape."""
         cs = set(self.cells())

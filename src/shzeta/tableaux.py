@@ -19,6 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Any, Iterator, Mapping
 
@@ -34,6 +35,7 @@ from .shapes import (
 Shape = Partition | SkewShape
 
 
+@lru_cache(maxsize=1024)
 def as_skew(shape: Shape) -> SkewShape:
     return shape if isinstance(shape, SkewShape) else SkewShape(shape)
 

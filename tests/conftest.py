@@ -51,3 +51,13 @@ def built(monkeypatch):
         if getattr(module, "neg_power", None) is neg_power:
             monkeypatch.setattr(module, "neg_power", spy)
     return counts
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    """The arguments of every kernel sum run (``ezzeta._sum_layers``), one
+    tuple per run: a result kept in a ``power_table_scope`` runs none."""
+    calls = []
+    body = ezzeta._sum_layers
+    monkeypatch.setattr(ezzeta, "_sum_layers", lambda *a: calls.append(a) or body(*a))
+    return calls

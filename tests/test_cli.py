@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from collections import Counter
 
 import mpmath
@@ -117,7 +118,7 @@ class TestCheck:
                            "--cutoff", "400", "--jobs", "2")
         assert code == 0
         assert all(r["pass"] for r in json_lines(out))
-        # Each worker thread opens its own table store per record.
+        # Worker threads share the run's store.
         outs = [run(capsys, "check", "--builtin", "all", "--cutoff", "400",
                     "--jobs", jobs)[1] for jobs in ("1", "2")]
         assert timeless(outs[0]) == timeless(outs[1])
@@ -359,7 +360,8 @@ def float_bits(rec):
 
 
 class TestTableScope:
-    """One power-table store per check record, dropped when it ends."""
+    """One store per check run, shared by its records and dropped when the
+    run ends; a record run alone opens its own."""
 
     def test_tables_built_counts_the_builds(self, built):
         rec = run_one(JT_32, None)
@@ -367,26 +369,71 @@ class TestTableScope:
         run_alone(JT_32)  # per call, the same work builds 18 tables
         assert sum(built.values()) == 6 + 18
 
-    def test_tables_built_counts_every_build(self, built):
-        # Every float series (the kernel, rootzeta, the Dirichlet weights)
-        # builds its tables in the record's store, so on each record the
-        # counter equals the tables built.
-        miss = []
+    def test_tables_built_counts_every_build(self, capsys, built):
+        # On every record of a run, the counter equals the tables the record
+        # builds when run alone in its own store: the distinct tables its
+        # float series (the kernel, rootzeta, the Dirichlet weights) read.
+        alone = []
         for entry in builtin_suite("all"):
             before = sum(built.values())
-            rec = run_one(entry, None)
-            builds = sum(built.values()) - before
-            if rec["work"]["tables_built"] != builds:
-                miss.append((rec["identity_id"], rec["shape"], rec["work"]["tables_built"], builds))
-        assert miss == []
+            run_one(entry, None)
+            alone.append(sum(built.values()) - before)
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "check", "--builtin", "all", "--jobs", jobs)
+            assert code == 0
+            assert [r["work"]["tables_built"] for r in json_lines(out)] == alone
+
+    def test_a_run_builds_each_table_and_sum_once(self, capsys, built, summed):
+        code, out, _ = run(capsys, "check", "--builtin", "all")
+        assert code == 0
+        # 252 tables and 200 kernel sums with one store per record.
+        assert sum(built.values()) == 51 and len(summed) == 96
+        assert sum(r["work"]["tables_built"] for r in json_lines(out)) == 252
+        # Worker threads share the store too; two may sum one key at once.
+        # (A store per record would sum 197 times.)
+        summed.clear()
+        assert run(capsys, "check", "--builtin", "all", "--jobs", "2")[0] == 0
+        assert 96 <= len(summed) < 150
 
     def test_no_state_survives_a_record(self, built):
+        # A record run outside a check run opens, and drops, its own store.
         counts = []
         for _ in range(2):
             before = sum(built.values())
             tables_built = run_one(JT_32, None)["work"]["tables_built"]
             counts.append((tables_built, sum(built.values()) - before))
         assert counts[0] == counts[1] == (6, 6)
+
+    def test_no_state_survives_a_run(self, capsys, built):
+        counts = []
+        for _ in range(2):
+            before = sum(built.values())
+            run(capsys, "check", "--builtin", "jacobi-trudi")
+            counts.append(sum(built.values()) - before)
+        assert counts[0] == counts[1] == 6
+        assert ezzeta._SCOPE_TABLES.get() is None
+
+    def test_threads_share_the_store(self, capsys):
+        # More workers than cores, switching often: a table or sum lost or
+        # read half-built would change a record.
+        serial = timeless(run(capsys, "check", "--builtin", "all")[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, out, _ = run(capsys, "check", "--builtin", "all", "--jobs", "4")
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0 and timeless(out) == serial
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scope_unset_after_a_run_that_raises(self, capsys, tmp_path, jobs):
+        # The second record overflows after the first has filled the store.
+        f = tmp_path / "m.jsonl"
+        f.write_text(json.dumps(JT_32) + "\n" + json.dumps(
+            {"identity_id": "root_reductions", "z": [2, 3], "m": 1e-200}) + "\n")
+        code, out, err = run(capsys, "check", "--manifest", str(f), "--jobs", jobs)
+        assert (code, out) == (3, "") and "overflows" in err
+        assert ezzeta._SCOPE_TABLES.get() is None
 
     def test_scope_unset_after_a_domain_error(self):
         entry = {"identity_id": "root_reductions", "z": [2, 3], "m": 1e-200}

@@ -441,3 +441,47 @@ class TestOneTablePerPair:
         alone = [f(*args, EvalConfig(200)) for f in calls]
         with ezzeta.power_table_scope():
             assert [f(*args, EvalConfig(200)) for f in calls] == alone
+
+
+# Pairs of chain calls (s, y, strict, cutoff, first_min) that the kernel
+# tells apart; each differs from the first in one argument.
+_CHAIN = ((2.5, 3.0), (0.3, 0.5), (True,), 2000, 0)
+_APART = {
+    "first_min": (_CHAIN, (*_CHAIN[:4], 1)),
+    "cutoff": (_CHAIN, (*_CHAIN[:3], 2001, 0)),
+    "strict-weak": (_CHAIN, (*_CHAIN[:2], (False,), *_CHAIN[3:])),
+    "shift-ulp": (_CHAIN, (_CHAIN[0], (0.1 + 0.2, 0.5), *_CHAIN[2:])),
+    "exponent-imag": (_CHAIN, ((2.5 + 1e-12j, 3.0), *_CHAIN[1:])),
+}
+
+
+def _chain_call(s, y, strict, cutoff, first_min):
+    return eval_chain(s, y, strict, EvalConfig(cutoff), first_min)
+
+
+class TestKeptSums:
+    """A scope keeps each kernel result under a key that tells apart every
+    pair of calls the kernel tells apart."""
+
+    @pytest.mark.parametrize("pair", _APART.values(), ids=_APART)
+    def test_calls_apart_keep_apart(self, pair):
+        fresh = [_bits(_chain_call(*args)) for args in pair]
+        assert fresh[0] != fresh[1]
+        with ezzeta.power_table_scope():
+            for _ in range(2):  # a miss, then a hit
+                assert [_bits(_chain_call(*args)) for args in pair] == fresh
+
+    def test_exponents_read_alike_share_a_sum(self, summed):
+        fresh = _bits(_chain_call((2, 3), *_CHAIN[1:]))
+        with ezzeta.power_table_scope():
+            for s in ((2, 3), (2.0, 3.0), (2 + 0j, 3 + 0j)):
+                assert _bits(_chain_call(s, *_CHAIN[1:])) == fresh
+        assert len(summed) == 2  # one fresh, one in the scope
+
+    def test_a_kept_sum_reports_its_reads(self):
+        with ezzeta.power_table_scope() as store:
+            with ezzeta.table_reads() as first:
+                _chain_call(*_CHAIN)
+            with ezzeta.table_reads() as again:
+                _chain_call(*_CHAIN)
+        assert first == again == set(store) and len(store) == 2
