@@ -127,7 +127,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             _parse_assignments(args.y, float) if args.y else {},
         )
         inst = instance_from_spec(spec, shape)
-    with power_table_scope() as tables:
+    with power_table_scope(), table_reads() as tables:
         approx = schur_eval(inst, cfg)
     _emit(
         {

@@ -22,15 +22,17 @@ cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
 
 ``power_tables`` builds every array (k + y)^(-s) a float series reads: this
 kernel's, ``rootzeta``'s factor tables and the Dirichlet-series weights of
-``identities``.  Its tables are shared per ``power_table_scope`` and
-read-only; ``neg_power`` has no other caller.  The same scope keeps each
-``eval_layers`` result, so an identical call is summed once per scope.
+``identities``.  Its tables are shared per ``power_table_scope``, up to a
+byte budget, and read-only; ``neg_power`` has no other caller.  The same
+scope keeps each ``eval_layers`` result, so an identical call is summed
+once per scope.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,26 @@ def majorant(sigma: float, lo: int, y: float, cutoff: int) -> float:
 
 
 def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
-    """Elementwise base^(-s), with 0 wherever base <= 0."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.where(base > 0, base, 1.0))
-    out = np.exp(-s * logs)
-    out[base <= 0] = 0.0
+    """Elementwise base^(-s) as exp(-s log base), with 0 wherever base <= 0.
+
+    ``base`` must be finite and ascending, so those entries form a prefix,
+    and it is scratch: the logarithms overwrite it, and for a real s the
+    powers too.  The result is the one array allocated (none for a real s).
+    """
+    zeros = int(np.searchsorted(base, 0.0, side="right"))
+    base[:zeros] = 1.0  # log 1 = 0, overwritten below
+    logs = np.log(base, out=base)
+    real = np.result_type(s, logs) == logs.dtype
+    out = np.multiply(-s, logs, out=logs if real else None)
+    np.exp(out, out=out)
+    out[:zeros] = 0.0
     return out
 
 
 # The store of the active ``power_table_scope``, if any: its power tables and
-# its ``eval_layers`` results.
+# its ``eval_layers`` results.  The tables it keeps hold at most
+# ``TABLE_BUDGET`` bytes; past it the least recently used are dropped.
+TABLE_BUDGET = 32 << 20
 _SCOPE_TABLES: ContextVar[tuple[dict, dict] | None] = ContextVar("power_tables", default=None)
 # The keys of the power tables read in the active ``table_reads`` block.
 _READS: ContextVar[set | None] = ContextVar("table_reads", default=None)
@@ -135,7 +147,14 @@ def power_table_scope() -> Iterator[dict]:
     command line opens one per ``check`` run and one per ``eval``; a scope
     opened inside another shares its store.  Threads share it through
     ``contextvars.copy_context``: two may build one table or sum at once,
-    to the same bits."""
+    to the same bits.
+
+    The kept tables hold at most ``TABLE_BUDGET`` bytes (32 MiB), or the
+    newest alone if it is larger: a build that goes past the budget drops
+    the least recently used, and a later read builds such a table again,
+    to the same bits.  The kept sums stay, so a run's memory is bounded by
+    the budget plus the arrays of the sums in progress, whatever its
+    number of records."""
     token = _SCOPE_TABLES.set(_SCOPE_TABLES.get() or ({}, {}))
     try:
         yield _SCOPE_TABLES.get()[0]
@@ -163,22 +182,43 @@ def power_tables() -> Callable[..., np.ndarray]:
     A tiny base may overflow, so each caller zeroes or skips the entries
     below its least index in its own arrays, and writes into no table.  The
     pass (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables
-    differ in the last bit."""
+    differ in the last bit.  A builder holds every table it served, so a
+    table the scope drops while a sum runs is not built twice for it."""
     scoped, reads = _SCOPE_TABLES.get(), _READS.get()
-    tables = {} if scoped is None else scoped[0]
+    kept = {} if scoped is None else scoped[0]  # outside a scope, the call's own
+    served: dict = {}
 
     def table(length: int, e: complex, y: float, absolute: bool = False) -> np.ndarray:
         key = (length, e, y, absolute)
         if reads is not None:
             reads.add(key)
-        a = tables.get(key)
+        a = served.get(key)
         if a is None:
-            with np.errstate(over="ignore"):
-                a = tables[key] = neg_power(np.arange(length, dtype=np.float64) + y, e)
-            a.flags.writeable = False
+            # Popped and put back, a kept table becomes the most recently used.
+            a = kept.pop(key, None)
+            if a is None:
+                base = np.arange(length, dtype=np.float64)
+                base += y
+                with np.errstate(over="ignore"):
+                    a = neg_power(base, e)
+                a.flags.writeable = False
+                _evict(kept, TABLE_BUDGET - a.nbytes)
+            served[key] = kept[key] = a
         return a
 
     return table
+
+
+def _evict(store: dict, budget: int) -> None:
+    """Drop the least recently used tables until the rest fit in
+    ``budget`` bytes; another thread may have dropped one already."""
+    kept = list(store.items())  # oldest first, as another thread may add
+    excess = sum(a.nbytes for _, a in kept) - budget
+    for key, a in kept:
+        if excess <= 0:
+            break
+        store.pop(key, None)
+        excess -= a.nbytes
 
 
 def cpow(base: float, s: complex) -> complex:
@@ -233,19 +273,41 @@ def _strict_steps(layers: Layers) -> tuple[int, ...]:
     return tuple(least[c] for c in range(len(least)))
 
 
-def _inflow(cums: list[np.ndarray], preds: Sequence[tuple[int, bool]]) -> np.ndarray:
-    # h[n] = sum over preds of their partial sums through n (strict: n - 1).
+@lru_cache(maxsize=256)
+def _sole_readers(layers: Layers) -> tuple[tuple[bool, ...], ...]:
+    """Per layer and state: whether the state has one predecessor, a weak
+    step, and no other state of its layer reads that predecessor."""
+    plan = []
+    for layer in layers:
+        readers = Counter(p for _, preds in layer for p, _ in preds)
+        plan.append(tuple(
+            len(preds) == 1 and not preds[0][1] and readers[preds[0][0]] == 1
+            for _, preds in layer
+        ))
+    return tuple(plan)
+
+
+def _times_inflow(
+    a: np.ndarray, cums: list[np.ndarray], preds: Sequence[tuple[int, bool]],
+) -> np.ndarray:
+    """A new array a * h, h[n] the sum over preds of their partial sums
+    through n (strict: n - 1, and 0 at n = 0)."""
     if len(preds) == 1:
         ((p, strict),) = preds
         c = cums[p]
-        return np.concatenate((np.zeros(1, c.dtype), c[:-1])) if strict else c
+        if not strict:
+            return np.multiply(a, c)
+        out = np.empty_like(c)
+        np.multiply(a[:1], np.zeros(1, c.dtype), out=out[:1])
+        np.multiply(a[1:], c[:-1], out=out[1:])
+        return out
     h = np.zeros_like(cums[preds[0][0]])
     for p, strict in preds:
         if strict:
             h[1:] += cums[p][:-1]
         else:
             h += cums[p]
-    return h
+    return np.multiply(a, h, out=h)
 
 
 def eval_layers(
@@ -273,9 +335,14 @@ def eval_layers(
 
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
-    table per pass, built once per ``power_table_scope``, else per call;
-    each state multiplies it by its inflow into a new array (a first-layer
-    state copies it) and zeroes that below its least entry.
+    table per pass, built once per ``power_table_scope``, else per call.
+    No table is written to, and no step allocates an array it does not
+    keep: a first-layer state copies its table; a state that is the one
+    reader of its one weak predecessor multiplies into that array; any
+    other state writes the product of table and inflow into one new array
+    (a merged inflow is that array).  Each state zeroes its array below its
+    least entry, and the next layer cumulates it in place.  Each operation
+    and its order are those of the out-of-place form, so are the bits.
 
     Inside a ``power_table_scope`` the result is kept with the keys of the
     tables it read, so an identical call, as the kernel reads its
@@ -309,7 +376,7 @@ def _sum_layers(
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
     exps = {False: [complex(v) for v in s], True: sigmas}  # per pass
     table = power_tables()
-    steps = _strict_steps(layers)
+    steps, sole = _strict_steps(layers), _sole_readers(layers)
 
     # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
     carry_layer = -1 if n_eps else r - 2
@@ -321,17 +388,22 @@ def _sum_layers(
         for i, layer in enumerate(layers):
             for absolute in (False, True) if i < carry_layer else (False,):
                 cums = arrs[absolute]  # only two layers of arrays are alive
-                for k, a in enumerate(cums):
-                    cums[k] = np.cumsum(a)
+                for a in cums:
+                    np.add.accumulate(a, out=a)  # np.cumsum's bits
                 if i == r - 1 and i and not absolute:  # strict final step too
                     prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
                 out = []
-                for c, preds in layer:
+                for own, (c, preds) in zip(sole[i], layer):
                     a = table(m + 1, exps[absolute][c], y[c], absolute)
-                    # Keep the operand order: with fused multiply-adds,
-                    # complex products do not commute bitwise, and numpy
-                    # would evaluate ``a * temporary`` as ``temporary *= a``.
-                    a = np.multiply(a, _inflow(cums, preds)) if i else a.copy()
+                    # Keep the table the first operand: with fused
+                    # multiply-adds, complex products do not commute bitwise.
+                    if not i:
+                        a = a.copy()
+                    elif own:
+                        h = cums[preds[0][0]]
+                        a = np.multiply(a, h, out=h)
+                    else:
+                        a = _times_inflow(a, cums, preds)
                     # Below its least entry a cell sums nothing, but the shared
                     # table holds powers there, which may overflow (tiny base;
                     # 0 * inf is NaN).
@@ -404,6 +476,7 @@ def _check_chain(
     s: Sequence[complex], y: Sequence[float], strict: Sequence[bool], least: int,
 ) -> list[float]:
     """Check a chain's arguments; return the real parts of its exponents.
+    Every exponent and shift must be a finite number (else UsageError),
     Re s must be > 1 at the last slot and >= 1 before, and every base
     positive: cell i's least base is ``least`` (the least first index) +
     the strict steps before it + y_i.  An empty chain needs empty y and
@@ -412,6 +485,9 @@ def _check_chain(
         raise ValueError("length mismatch between s, y, strict")
     if not s:
         return []
+    for what, values in (("exponent", s), ("shift", y)):
+        for v in values:
+            _check_finite(v, what)
     sig = [complex(v).real for v in s]
     if not (sig[-1] > 1.0 and min(sig) >= 1.0):
         raise DomainError(
@@ -422,6 +498,11 @@ def _check_chain(
     if min(bases) <= 0:
         raise DomainError(f"every base must be positive; the least bases are {bases}")
     return sig
+
+
+def _check_finite(v: complex, what: str) -> None:
+    if not cmath.isfinite(v):
+        raise UsageError(f"{what} must be a finite number, got {v!r}")
 
 
 def eval_chain(
@@ -554,6 +635,7 @@ def ez_zeta_star_star(
 
 def hurwitz(s: complex, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Approx:
     """The Hurwitz zeta sum_{m >= 0} (m + x)^(-s), Re s > 1, x > 0."""
+    _check_finite(x, "shift")  # -inf is malformed, not a DomainError
     if x <= 0:
         raise DomainError("Hurwitz shift must be positive")
     return ez_zeta_star_star((s,), (x,), cfg)

@@ -21,6 +21,7 @@ and adds int numerators.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +54,11 @@ class SchurInstance:
         cells = set(as_skew(self.shape).cells())
         if set(self.exponents.entries) != cells or set(self.shifts.entries) != cells:
             raise UsageError("exponent/shift tableaux must match the shape")
+        for what, tableau in (("exponent", self.exponents), ("shift", self.shifts)):
+            for c, v in tableau.entries.items():
+                # Exact entries (int, Fraction) are finite; a float may not be.
+                if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                    raise UsageError(f"{what} at cell {c} must be a finite number, got {v!r}")
         for c, v in self.shifts.entries.items():
             if float(v) < 0:
                 raise DomainError(f"negative shift at cell {c}")

@@ -425,6 +425,21 @@ class TestTableScope:
             sys.setswitchinterval(interval)
         assert code == 0 and timeless(out) == serial
 
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_a_store_over_budget_changes_no_record(self, capsys, monkeypatch, jobs):
+        # With no byte budget each build drops every kept table, so tables
+        # are built again, to the same bits and the same counts, while
+        # worker threads drop tables that others read.
+        serial = timeless(run(capsys, "check", "--builtin", "all")[1])
+        monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, out, _ = run(capsys, "check", "--builtin", "all", "--jobs", jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0 and timeless(out) == serial
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_scope_unset_after_a_run_that_raises(self, capsys, tmp_path, jobs):
         # The second record overflows after the first has filled the store.

@@ -7,6 +7,7 @@ code with this package.  Convention: in ``ez_zeta(s, y)`` the exponent
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shzeta import ezzeta
-from shzeta.errors import DomainError
+from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import (
     APPROX_ONE,
     APPROX_ZERO,
@@ -160,6 +161,26 @@ class TestConventions:
         # Cell i's least base, first_min + strict steps before it + y_i,
         # must be positive: a base <= 0 has no power to sum.
         with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ez_zeta([2, 3], [math.nan, 0.1]),
+            lambda: ez_zeta([math.inf, 3], [0.1, 0.1]),
+            lambda: ez_zeta_star([complex(2, math.nan)]),
+            lambda: eval_chain([2, 3], [0.3, -math.inf], [True]),
+            lambda: chain_tails([2.5, 3], [0.3, math.nan], [True], EvalConfig(), 2, 0),
+            lambda: hurwitz(2.5, math.inf),
+            lambda: hurwitz(2.5, -math.inf),
+            lambda: hurwitz(math.nan, 0.5),
+        ],
+        ids=["nan-shift", "inf-exponent", "nan-imag", "-inf-shift", "chain_tails",
+             "hurwitz-inf", "hurwitz--inf", "hurwitz-nan"],
+    )
+    def test_non_finite_data_is_refused(self, call):
+        # Unrefused, such data summed to a value with a nan or 0 bound.
+        with pytest.raises(UsageError, match="must be a finite number"):
             call()
 
     def test_negative_shift_with_positive_bases(self):
@@ -377,7 +398,9 @@ def test_tiny_base_after_a_strict_step_bits(s, y2, first_min, bits):
 SPECS = {
     "3,2": ({-1: 2, 0: 2.5 + 0.5j, 1: 2, 2: 3}, {0: 0.25, 1: 0.5}),
     "4,3,2,1": ({k: 2 + 0.125 * (k + 3) for k in range(-3, 4)}, {-1: 0.5, 2: 0.75}),
+    "3,3,1": ({-2: 2.5, -1: 2 + 0.5j, 0: 3, 1: 2.25, 2: 2.5}, {0: 0.25, 1: 0.5}),
 }
+SPECS["4,3,2/2,1"] = SPECS["4,3,2,1"]
 
 
 def _instance(shape):
@@ -391,6 +414,54 @@ def _instance(shape):
 ])
 def test_schur_eval_bits(shape, bits):
     assert _bits(schur_eval(_instance(shape))) == bits
+
+
+# Bits recorded before the DP multiplied into its own arrays and cumulated
+# in place: states that feed two successors (3,3,1), a skew shape, and a
+# strict chain from 0 whose zero-shift tables start with a zero base.
+# Together they run every branch: in place, strict, shared weak and merged.
+@pytest.mark.parametrize("shape,bits", [
+    ("3,3,1", ("0x1.9e5e52057d62fp-12", "-0x1.3d6bc63de2d3cp-13", "0x1.e41fa9eabd3bcp-37")),
+    ("4,3,2/2,1", ("0x1.a67ef1f65e159p-5", "0x0.0p+0", "0x1.0b42e34e6d488p-29")),
+])
+def test_in_place_dp_bits(shape, bits):
+    assert _bits(schur_eval(_instance(shape), EvalConfig(2000))) == bits
+
+
+def test_zero_base_prefix_bits():
+    a = eval_chain((3, 2.5 + 0.5j, 2.25), (0.25, 0.0, 0.0), (True, True), EvalConfig(2000), 0)
+    assert _bits(a) == ("0x1.0880bcdf94686p+5", "-0x1.b213b5d082bf9p+0", "0x1.f43d84071049dp-26")
+
+
+class TestInPlace:
+    def test_a_sum_writes_into_no_table(self):
+        # Every sum below reads the tables of the first: a weak chain from
+        # 0 (in place), a strict chain, and a constant shape (merged inflows).
+        args = [2.25] * 3, [0.3] * 3
+        spec = ContentSpec({k: 2.25 for k in range(-2, 3)}, {k: 0.3 for k in range(-2, 3)})
+        with ezzeta.power_table_scope() as store:
+            ez_zeta_star(*args, EvalConfig(200))
+            before = {key: a.tobytes() for key, a in store.items()}
+            ez_zeta_star_star(*args, EvalConfig(200))
+            ez_zeta(*args, EvalConfig(200))
+            schur_eval(instance_from_spec(spec, parse_shape("3,3,1")), EvalConfig(200))
+            assert {key: a.tobytes() for key, a in store.items()} == before
+
+    @pytest.mark.parametrize("call,arrays", [
+        (lambda cfg: hurwitz(2.5 + 0.5j, 0.3, cfg), 2),
+        (lambda cfg: ez_zeta([2.5 + 0.5j] * 6, None, cfg), 4),
+    ], ids=["hurwitz", "depth-6"])
+    def test_peak_memory(self, call, arrays):
+        # The table, a scratch real array while it is built, then one array
+        # per live layer and pass: no step allocates an array it drops.
+        cfg = EvalConfig(200000)
+        tracemalloc.start()
+        try:
+            call(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * (cfg.cutoff + 1) * 16 + 2**20
 
 
 class TestOneTablePerPair:
@@ -441,6 +512,44 @@ class TestOneTablePerPair:
         alone = [f(*args, EvalConfig(200)) for f in calls]
         with ezzeta.power_table_scope():
             assert [f(*args, EvalConfig(200)) for f in calls] == alone
+
+
+class TestStoreBudget:
+    """A scope keeps at most ``TABLE_BUDGET`` bytes of tables and drops the
+    least recently used first; a sum holds the tables it read."""
+
+    def test_least_recently_used_goes_first(self, monkeypatch, built):
+        monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 2 * 201 * 16)
+        with ezzeta.power_table_scope() as store:
+            def read(e):
+                return ezzeta.power_tables()(201, e, 0.3)  # a builder per read
+            first = read(2.5 + 0j).tobytes()
+            read(3 + 0j)
+            read(2.5 + 0j)  # now the most recent
+            read(4 + 0j)  # drops 3
+            assert [e for _, e, *_ in store] == [2.5 + 0j, 4 + 0j]
+            assert built["value"] == 3
+            assert read(2.5 + 0j).tobytes() == first and built["value"] == 3
+            read(3 + 0j)  # built again
+            assert built["value"] == 4
+
+    def test_a_sum_builds_each_table_once(self, monkeypatch, built):
+        monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 0)
+        args = [2.25] * 6, [0.3] * 6
+        alone = ez_zeta(*args, EvalConfig(200))
+        with ezzeta.power_table_scope():
+            assert ez_zeta(*args, EvalConfig(200)) == alone
+        assert built == {"value": 2, "abs": 2}
+
+    def test_a_table_dropped_elsewhere_is_skipped(self):
+        # Another thread may drop a table between the listing and the pop.
+        class Stale(dict):
+            def items(self):
+                return [("gone", np.zeros(4)), *super().items()]
+
+        store = Stale({"older": np.zeros(4), "newer": np.zeros(4)})
+        ezzeta._evict(store, 4 * 8)
+        assert list(store) == ["newer"]
 
 
 # Pairs of chain calls (s, y, strict, cutoff, first_min) that the kernel

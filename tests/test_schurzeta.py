@@ -5,6 +5,7 @@ Hurwitz-zeta partial sums with integral tails, independently of this
 package's code.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -129,6 +130,16 @@ class TestSchurEval:
     def test_domain_enforced(self):
         with pytest.raises(DomainError):
             schur_eval(instance_from_spec(ContentSpec({0: 1}, {}), Partition((1,))))
+
+    @pytest.mark.parametrize("z,y", [
+        ({-1: 2, 0: 2, 1: 2}, {0: math.nan}),
+        ({-1: 2, 0: math.inf, 1: 2}, {}),
+        ({-1: 2, 0: complex(2, math.nan), 1: 2}, {}),
+    ], ids=["nan-shift", "inf-exponent", "nan-imag"])
+    def test_non_finite_data_is_refused(self, z, y):
+        # A NaN shift used to reach the kernel and read as an overflow.
+        with pytest.raises(UsageError, match="must be a finite number"):
+            instance_from_spec(ContentSpec(z, y), Partition((2, 1)))
 
     def test_missing_content_raises(self):
         with pytest.raises(UsageError):
