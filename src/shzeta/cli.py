@@ -138,7 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             "work": {
                 "dp_states": dp_states(inst.shape),
-                "power_tables": sum(not absolute for *_, absolute in tables),
+                "power_tables": sum(not real for *_, real in tables),
                 "array_len": cfg.cutoff + 1,
             },
         }

@@ -22,10 +22,10 @@ cumulative sums.  ``tail_integral`` and ``majorant`` bound one-variable tails.
 
 ``power_tables`` builds every array (k + y)^(-s) a float series reads: this
 kernel's, ``rootzeta``'s factor tables and the Dirichlet-series weights of
-``identities``.  Its tables are shared per ``power_table_scope``, up to a
-byte budget, and read-only; ``neg_power`` has no other caller.  The same
-scope keeps each ``eval_layers`` result, so an identical call is summed
-once per scope.
+``identities``.  Its tables are read-only and shared per
+``power_table_scope``, whose nested scopes trim them to a byte budget;
+``neg_power`` has no other caller.  The same scope keeps each
+``eval_layers`` result, so an identical call is summed once per scope.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ContextManager, Sequence
 
 import numpy as np
 
@@ -131,94 +130,85 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
 
 
 # The store of the active ``power_table_scope``, if any: its power tables and
-# its ``eval_layers`` results.  The tables it keeps hold at most
-# ``TABLE_BUDGET`` bytes; past it the least recently used are dropped.
+# its ``eval_layers`` results.  A nested scope opening on more than
+# ``TABLE_BUDGET`` bytes of tables first drops them all.
 TABLE_BUDGET = 32 << 20
 _SCOPE_TABLES: ContextVar[tuple[dict, dict] | None] = ContextVar("power_tables", default=None)
 # The keys of the power tables read in the active ``table_reads`` block.
 _READS: ContextVar[set | None] = ContextVar("table_reads", default=None)
 
 
-@contextmanager
-def power_table_scope() -> Iterator[dict]:
+def power_table_scope() -> ContextManager[dict]:
     """One store shared by every float series in the block, dropped when the
     block ends: the power tables, keyed by (table length, exponent, shift,
-    |.| pass), which the block yields, and the ``eval_layers`` results.  The
-    command line opens one per ``check`` run and one per ``eval``; a scope
-    opened inside another shares its store.  Threads share it through
+    real exponent), which the block yields, and the ``eval_layers`` results.
+    The command line opens one per ``check`` run and one per ``eval``; a
+    scope opened inside another shares its store.  Threads share it through
     ``contextvars.copy_context``: two may build one table or sum at once,
     to the same bits.
 
-    The kept tables hold at most ``TABLE_BUDGET`` bytes (32 MiB), or the
-    newest alone if it is larger: a build that goes past the budget drops
-    the least recently used, and a later read builds such a table again,
-    to the same bits.  The kept sums stay, so a run's memory is bounded by
-    the budget plus the arrays of the sums in progress, whatever its
-    number of records."""
-    token = _SCOPE_TABLES.set(_SCOPE_TABLES.get() or ({}, {}))
-    try:
-        yield _SCOPE_TABLES.get()[0]
-    finally:
-        _SCOPE_TABLES.reset(token)
+    A scope opened inside another first drops every kept table if they
+    hold more than ``TABLE_BUDGET`` bytes (32 MiB); the kept sums stay.  A
+    ``check`` run opens one per record, so a run's memory is bounded by the
+    budget plus the tables and arrays of the records in progress, whatever
+    its number of records.  No sum is in progress in the thread that trims,
+    so none of its sums builds a table twice; a table another thread drops
+    while a sum runs is built again for it, to the same bits."""
+    store = _SCOPE_TABLES.get() or ({}, {})
+    if sum(a.nbytes for a in list(store[0].values())) > TABLE_BUDGET:
+        store[0].clear()  # a new store is empty
+    return _Bound(_SCOPE_TABLES, store, store[0])
 
 
-@contextmanager
-def table_reads() -> Iterator[set]:
+def table_reads() -> ContextManager[set]:
     """The keys of the power tables read in the block, built there or
     before; an ``eval_layers`` call reports the reads of its sum, kept or
     not, and a nested block keeps its own."""
-    token = _READS.set(reads := set())
-    try:
-        yield reads
-    finally:
-        _READS.reset(token)
+    return _Bound(_READS, reads := set(), reads)
+
+
+class _Bound:
+    """``var`` set to ``value`` for the block, which yields ``out``."""
+
+    def __init__(self, var: ContextVar, value, out) -> None:
+        self.var, self.value, self.out = var, value, out
+
+    def __enter__(self):
+        self.token = self.var.set(self.value)
+        return self.out
+
+    def __exit__(self, *exc) -> None:
+        self.var.reset(self.token)
 
 
 def power_tables() -> Callable[..., np.ndarray]:
-    """The table builder: ``table(length, e, y, absolute=False)`` is the
-    read-only array (k + y)^(-e), k = 0..length - 1, one per (length,
-    exponent, shift, pass), per ``power_table_scope`` if one is open, else
-    per call.  This is the one place a float series builds such an array.
-    A tiny base may overflow, so each caller zeroes or skips the entries
-    below its least index in its own arrays, and writes into no table.  The
-    pass (value or |.|) is in the key: 2.5 == 2.5+0j, but the two tables
-    differ in the last bit.  A builder holds every table it served, so a
-    table the scope drops while a sum runs is not built twice for it."""
+    """The table builder: ``table(length, e, y)`` is the read-only array
+    (k + y)^(-e), k = 0..length - 1, one per (length, exponent, shift,
+    real exponent), per ``power_table_scope`` if one is open, else per call.
+    This is the one place a float series builds such an array.  A tiny base
+    may overflow, so each caller zeroes or skips the entries below its
+    least index in its own arrays, and writes into no table.  Whether the
+    exponent is a float (the |.| pass) or a complex (the value pass) is in
+    the key, as ``neg_power`` takes its route from it: 2.5 == 2.5+0j, but
+    the two tables differ in the last bit."""
     scoped, reads = _SCOPE_TABLES.get(), _READS.get()
     kept = {} if scoped is None else scoped[0]  # outside a scope, the call's own
-    served: dict = {}
 
-    def table(length: int, e: complex, y: float, absolute: bool = False) -> np.ndarray:
-        key = (length, e, y, absolute)
+    def table(length: int, e: complex, y: float) -> np.ndarray:
+        key = (length, e, y, not isinstance(e, complex))
         if reads is not None:
             reads.add(key)
-        a = served.get(key)
+        a = kept.get(key)
         if a is None:
-            # Popped and put back, a kept table becomes the most recently used.
-            a = kept.pop(key, None)
-            if a is None:
-                base = np.arange(length, dtype=np.float64)
-                base += y
-                with np.errstate(over="ignore"):
-                    a = neg_power(base, e)
-                a.flags.writeable = False
-                _evict(kept, TABLE_BUDGET - a.nbytes)
-            served[key] = kept[key] = a
+            base = np.arange(length, dtype=np.float64)
+            base += y
+            with np.errstate(over="ignore"):
+                a = neg_power(base, e)
+            a.flags.writeable = False
+            kept[key] = a
         return a
 
     return table
-
-
-def _evict(store: dict, budget: int) -> None:
-    """Drop the least recently used tables until the rest fit in
-    ``budget`` bytes; another thread may have dropped one already."""
-    kept = list(store.items())  # oldest first, as another thread may add
-    excess = sum(a.nbytes for _, a in kept) - budget
-    for key, a in kept:
-        if excess <= 0:
-            break
-        store.pop(key, None)
-        excess -= a.nbytes
 
 
 def cpow(base: float, s: complex) -> complex:
@@ -243,10 +233,30 @@ def em_tail(c: complex, s: complex, base: float) -> tuple[complex, float]:
     """
     sigma = s.real
     value = c * (cpow(base, 1.0 - s) / (s - 1.0) + 0.5 * cpow(base, -s))
-    err = (
-        abs(c) * abs(s * (s + 1.0)) * base ** (-sigma - 1.0) / (12.0 * (sigma + 1.0))
+    return value, product_bound(
+        lambda: abs(c) * abs(s * (s + 1.0)) * base ** (-sigma - 1.0) / (12.0 * (sigma + 1.0)),
+        lambda: np.log(abs(c)) + math.log(abs(s)) + math.log(abs(s + 1.0))
+        - (sigma + 1.0) * math.log(base) - math.log(12.0 * (sigma + 1.0)),
     )
-    return value, err
+
+
+def product_bound(product: Callable, log: Callable):
+    """``product()``, a bound computed as a product of nonnegative floats,
+    where it is finite.  Elsewhere a factor overflowed, maybe against one
+    that underflowed (inf * 0 is NaN), or Python's ``abs`` raised: there
+    the bound is exp(``log()``), the sum of the factors' logs, with an
+    underflow rounded up to the least positive float.  Both may return
+    arrays, whose caller silences numpy's overflow and invalid warnings;
+    a scalar stays a float."""
+    try:
+        p = product()
+    except OverflowError:
+        p = math.inf
+    if not (isinstance(p, float) and math.isfinite(p) or np.isfinite(p).all()):
+        with np.errstate(all="ignore"):
+            p = np.where(np.isfinite(p), p, np.maximum(np.exp(log()), math.ulp(0.0)))
+        p = p if p.ndim else float(p)
+    return p
 
 
 # A P-partition state graph: layer i holds a state ``(cell, preds)`` per
@@ -335,19 +345,20 @@ def eval_layers(
 
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
-    table per pass, built once per ``power_table_scope``, else per call.
-    No table is written to, and no step allocates an array it does not
-    keep: a first-layer state copies its table; a state that is the one
-    reader of its one weak predecessor multiplies into that array; any
-    other state writes the product of table and inflow into one new array
-    (a merged inflow is that array).  Each state zeroes its array below its
-    least entry, and the next layer cumulates it in place.  Each operation
-    and its order are those of the out-of-place form, so are the bits.
+    table per pass, built once per ``power_table_scope`` (again after a
+    nested scope trims the store), else per call.  No table is written
+    to, and no step allocates an array it does not keep: a first-layer
+    state copies its table; a state that is the one reader of its one weak
+    predecessor multiplies into that array; any other state writes the
+    product of table and inflow into one new array (a merged inflow is
+    that array).  Each state zeroes its array below its least entry, and
+    the next layer cumulates it in place.  Each operation and its order
+    are those of the out-of-place form, so are the bits.
 
     Inside a ``power_table_scope`` the result is kept with the keys of the
-    tables it read, so an identical call, as the kernel reads its
-    arguments, returns it unsummed; either call reports those reads to the
-    enclosing ``table_reads``.
+    tables it read (its own ``table_reads``), trimmed tables or not, so an
+    identical call, as the kernel reads its arguments, returns it unsummed;
+    either call reports those reads to the enclosing ``table_reads``.
     """
     scoped = _SCOPE_TABLES.get()
     if scoped is None:
@@ -355,11 +366,8 @@ def eval_layers(
     key = (layers, tuple(map(complex, s)), tuple(y), cfg.cutoff, first_min)
     outer, kept = _READS.get(), scoped[1].get(key)
     if kept is None:
-        token = _READS.set(reads := set())  # as ``table_reads``, at less cost
-        try:
+        with table_reads() as reads:
             kept = scoped[1][key] = _sum_layers(layers, s, y, cfg, first_min), reads
-        finally:
-            _READS.reset(token)
     if outer is not None:
         outer |= kept[1]
     return kept[0]
@@ -394,7 +402,7 @@ def _sum_layers(
                     prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
                 out = []
                 for own, (c, preds) in zip(sole[i], layer):
-                    a = table(m + 1, exps[absolute][c], y[c], absolute)
+                    a = table(m + 1, exps[absolute][c], y[c])
                     # Keep the table the first operand: with fused
                     # multiply-adds, complex products do not commute bitwise.
                     if not i:
@@ -534,12 +542,19 @@ def _reverse_pass(
         S_i(k) = sum_{k <= j <= K} a_i(j) S_{i+1}(j + strict_i) + c_i,
 
     with S_i(K + 1) = c_i (``consts``, default 0).  No levels give 1.
+
+    Each level allocates one array of size + 1 entries, writes the product
+    of a_i and S_{i+1} into it, drops S_{i+1} and cumulates the product in
+    place from the far end.  The operations and their order are those of
+    a reversed ``np.cumsum``, so are the bits.
     """
     acc = np.ones(size + 1)
     for i in reversed(range(len(arrays))):
         st = int(strict[i]) if i + 1 < len(arrays) else 0
-        a = arrays[i] * acc[st:st + size]
-        acc = np.append(np.cumsum(a[::-1])[::-1], 0.0)
+        out = np.zeros(size + 1, np.result_type(arrays[i], acc))
+        np.multiply(arrays[i], acc[st:st + size], out=out[:size])
+        acc = out  # drops S_{i+1}
+        np.add.accumulate(acc[-2::-1], out=acc[-2::-1])  # np.cumsum's bits
         if consts is not None:
             acc += consts[i]
     return acc
@@ -586,12 +601,13 @@ def chain_tails(
     a = [table(big + 1, complex(v), yc)[start:] for v, yc in zip(s, y)]
     values = _reverse_pass(a, strict, size)[:count]
     prefix = _reverse_pass(a[:-1], strict, size)[:count]
-    em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # mended by ``product_bound``
+        em_value, em_remainder = em_tail(prefix, complex(s[-1]), big + 1 + y[-1])
     if r > 1:
         # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
         n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
-        absolute = [table(big + 1, sig[i], y[i], True)[start:] for i in range(n)]
+        absolute = [table(big + 1, sig[i], y[i])[start:] for i in range(n)]
         hbar = _reverse_pass(absolute, strict, size, consts)[:count]
         em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
     return values + em_value, em_remainder

@@ -35,6 +35,7 @@ from .ezzeta import (
     ez_zeta_star,
     majorant,
     power_tables,
+    product_bound,
     tail_integral,
 )
 from .schurzeta import SchurInstance, instance_from_spec, schur_eval
@@ -524,6 +525,9 @@ def derivative_fd_check(
 
     hi, lo = at(spec.z, h), at(spec.z, -h)
     third = at({**{k: v.real for k, v in spec.z.items()}, ell: z.real + 3}, -h)
-    taylor = h * h / 6 * abs(z * (z + 1) * (z + 2)) * (abs(third.value) + third.err_bound)
+    bounded = abs(third.value) + third.err_bound
+    taylor = product_bound(
+        lambda: h * h / 6 * abs(z * (z + 1) * (z + 2)) * bounded,
+        lambda: np.log([h * h / 6, abs(z), abs(z + 1), abs(z + 2), bounded]).sum())
     lhs = (hi - lo).scale(0.5 / h) + Approx(0.0, taylor)
     return IdentityReport("derivative_fd_check", lhs, shifted.scale(-z))

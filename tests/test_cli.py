@@ -33,8 +33,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def json_lines(out):
-    return [json.loads(line) for line in out.splitlines() if line.strip()]
+    """The records of ``out``, parsed strictly: Python writes NaN and
+    Infinity, which JSON has not."""
+    return [json.loads(line, parse_constant=_not_json) for line in out.splitlines() if line.strip()]
 
 
 def timeless(out):
@@ -95,6 +101,14 @@ class TestEval:
     def test_malformed_assignment(self, capsys):
         code, _, _ = run(capsys, "eval", "--shape", "1", "--z", "0:2")
         assert code == 2
+
+    def test_huge_exponent_prints_a_finite_bound(self, capsys):
+        # |s (s + 1)| overflows in the tail remainder, against a power that
+        # underflows to 0: the bound once printed as NaN.
+        code, out, _ = run(capsys, "eval", "--shape", "1", "--z", "0=1e155")
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert rec["value_re"] == 1.0 and 0 < rec["err_bound"] < 1e-300
 
 
 class TestCheck:
@@ -183,6 +197,36 @@ class TestCheck:
                            "--cutoff", "800")
         assert code == 0
         assert all(r["pass"] for r in json_lines(out))
+
+
+class TestLargeExponents:
+    """A bound that multiplies an overflowed |s|^2 or |z|^3 by a power that
+    underflowed to 0 is taken from logs, so it stays finite."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_committed_manifest_passes(self, capsys, jobs):
+        from pathlib import Path
+
+        manifest = Path(__file__).parent / "data" / "large_exponent.manifest"
+        code, out, err = run(capsys, "check", "--manifest", str(manifest), "--jobs", jobs)
+        recs = json_lines(out)
+        assert code == 0, err
+        assert [r["identity_id"] for r in recs] == [
+            "derivative_fd_check", "dirichlet_series_expr", "hook_expansion_zeta",
+            "root_reductions",
+        ]
+        assert all(r["pass"] and math.isfinite(r["budget"]) for r in recs)
+
+    def test_fd_check_below_the_remainder_overflow(self, capsys, tmp_path):
+        # At 1e120 only the Taylor term's |z|^3 overflows.
+        f = tmp_path / "m.jsonl"
+        f.write_text(json.dumps({
+            "identity_id": "derivative_fd_check", "shape": "2,1", "ell": 1,
+            "spec": {"z": {"-1": 2, "0": 3, "1": 1e120}, "y": {"1": 0.3}},
+        }) + "\n")
+        code, out, err = run(capsys, "check", "--manifest", str(f))
+        (rec,) = json_lines(out)
+        assert code == 0 and rec["pass"] and 0 < rec["budget"] < 1e-300, err
 
 
 class TestPaths:
@@ -427,7 +471,7 @@ class TestTableScope:
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
     def test_a_store_over_budget_changes_no_record(self, capsys, monkeypatch, jobs):
-        # With no byte budget each build drops every kept table, so tables
+        # With no byte budget each record drops every kept table, so tables
         # are built again, to the same bits and the same counts, while
         # worker threads drop tables that others read.
         serial = timeless(run(capsys, "check", "--builtin", "all")[1])

@@ -6,6 +6,7 @@ code with this package.  Convention: in ``ez_zeta(s, y)`` the exponent
 ``s[0]`` sits on the *smallest* summation index.
 """
 
+import cmath
 import math
 import tracemalloc
 
@@ -284,6 +285,19 @@ def test_tiny_base_after_a_strict_step_is_finite(s, y2, first_min):
     assert abs(a.value - complex(ref)) <= a.err_bound + 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [1e155, 2 + 1e155j, 1.4e154 * cmath.exp(0.3927j)],
+                         ids=["real", "imaginary", "abs-overflow"])
+def test_huge_exponent_has_a_finite_bound(s):
+    # |s (s + 1)| in the Euler-Maclaurin remainder overflows (Python's abs
+    # raises for the last), for the first against a power that underflows
+    # to 0: the bound was NaN.  The true value is at most
+    # sum_k (k + 1.5)^-Re s: below the least float where Re s is huge, and
+    # pi^2 / 2 - 4 < 1 for Re s = 2.
+    a = hurwitz(s, 1.5)
+    assert math.isfinite(a.err_bound)
+    assert abs(a.value) + (math.ulp(0.0) if s.real > 2 else 1.0) <= a.err_bound
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         ez_zeta([2, 3], [0.1])  # mismatched shift length
@@ -450,10 +464,13 @@ class TestInPlace:
     @pytest.mark.parametrize("call,arrays", [
         (lambda cfg: hurwitz(2.5 + 0.5j, 0.3, cfg), 2),
         (lambda cfg: ez_zeta([2.5 + 0.5j] * 6, None, cfg), 4),
-    ], ids=["hurwitz", "depth-6"])
+        (lambda cfg: chain_tails([2.5 + 0.5j] * 4, [0.3] * 4, [True] * 3, cfg, 5, 1), 5),
+    ], ids=["hurwitz", "depth-6", "chain-tails"])
     def test_peak_memory(self, call, arrays):
         # The table, a scratch real array while it is built, then one array
         # per live layer and pass: no step allocates an array it drops.
+        # ``chain_tails`` holds one array per level of a reverse pass, which
+        # the level above drops, and the values while its later passes run.
         cfg = EvalConfig(200000)
         tracemalloc.start()
         try:
@@ -515,23 +532,28 @@ class TestOneTablePerPair:
 
 
 class TestStoreBudget:
-    """A scope keeps at most ``TABLE_BUDGET`` bytes of tables and drops the
-    least recently used first; a sum holds the tables it read."""
+    """A scope opened inside another first drops every kept table if they
+    hold more than ``TABLE_BUDGET`` bytes; the kept sums stay."""
 
-    def test_least_recently_used_goes_first(self, monkeypatch, built):
-        monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 2 * 201 * 16)
+    def test_a_nested_scope_trims_an_over_budget_store(self, monkeypatch, built):
+        # A value table of 201 complex entries and a |.| table of 201 floats.
+        monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 201 * 16 + 201 * 8)
+        args = [2.25] * 3, [0.3] * 3
+        alone = ez_zeta_star(*args, EvalConfig(200))
         with ezzeta.power_table_scope() as store:
-            def read(e):
-                return ezzeta.power_tables()(201, e, 0.3)  # a builder per read
-            first = read(2.5 + 0j).tobytes()
-            read(3 + 0j)
-            read(2.5 + 0j)  # now the most recent
-            read(4 + 0j)  # drops 3
-            assert [e for _, e, *_ in store] == [2.5 + 0j, 4 + 0j]
-            assert built["value"] == 3
-            assert read(2.5 + 0j).tobytes() == first and built["value"] == 3
-            read(3 + 0j)  # built again
-            assert built["value"] == 4
+            first = ez_zeta(*args, EvalConfig(200))
+            with ezzeta.power_table_scope() as inner:  # at the budget: kept
+                assert inner is store and len(store) == 2
+            ez_zeta(*args, EvalConfig(100))  # past it
+            assert len(store) == 4 and built == {"value": 3, "abs": 3}
+            with ezzeta.power_table_scope() as inner:
+                assert inner is store and not store
+                assert len(ezzeta._SCOPE_TABLES.get()[1]) == 2  # the sums stay
+                assert ez_zeta(*args, EvalConfig(200)) == first
+                assert built == {"value": 3, "abs": 3} and not store
+                # Another sum on the dropped tables builds them again.
+                assert ez_zeta_star(*args, EvalConfig(200)) == alone
+                assert built == {"value": 4, "abs": 4} and len(store) == 2
 
     def test_a_sum_builds_each_table_once(self, monkeypatch, built):
         monkeypatch.setattr(ezzeta, "TABLE_BUDGET", 0)
@@ -540,16 +562,6 @@ class TestStoreBudget:
         with ezzeta.power_table_scope():
             assert ez_zeta(*args, EvalConfig(200)) == alone
         assert built == {"value": 2, "abs": 2}
-
-    def test_a_table_dropped_elsewhere_is_skipped(self):
-        # Another thread may drop a table between the listing and the pop.
-        class Stale(dict):
-            def items(self):
-                return [("gone", np.zeros(4)), *super().items()]
-
-        store = Stale({"older": np.zeros(4), "newer": np.zeros(4)})
-        ezzeta._evict(store, 4 * 8)
-        assert list(store) == ["newer"]
 
 
 # Pairs of chain calls (s, y, strict, cutoff, first_min) that the kernel
