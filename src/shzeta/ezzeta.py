@@ -13,6 +13,10 @@ truncation-error bound valid under the stated convergence hypotheses
 
 An empty chain (depth 0) sums to exactly 1.
 
+Every certified value is an ``Approx``, a value (or an array of them) with
+its error bound, combined by its arithmetic; ``TwoSided`` holds the one
+pass rule that judges two such sides of an identity.
+
 One kernel, ``eval_layers``, sums over the P-partitions of a labelled poset
 given as its graph of (order ideal, last cell) states.  ``eval_chain``, with
 any mixed strict/weak relations, is its chain case; the Schur-series module
@@ -64,10 +68,15 @@ DEFAULT_CONFIG = EvalConfig()
 
 @dataclass(frozen=True)
 class Approx:
-    """A numeric value with a rigorous absolute-error bound."""
+    """A numeric value with a rigorous absolute-error bound.
 
-    value: complex
-    err_bound: float
+    The value may be a numpy array, its bound an array of the same shape
+    or a float; the arithmetic is then elementwise, each entry bounded by
+    the scalar rule.
+    """
+
+    value: complex | np.ndarray
+    err_bound: float | np.ndarray
 
     def __add__(self, other: "Approx") -> "Approx":
         return Approx(self.value + other.value, self.err_bound + other.err_bound)
@@ -92,6 +101,30 @@ class Approx:
 
 APPROX_ONE = Approx(1.0 + 0.0j, 0.0)
 APPROX_ZERO = Approx(0.0 + 0.0j, 0.0)
+
+DEFAULT_SLACK = 1e-9  # relative to the larger side
+
+
+class TwoSided:
+    """Two certified sides of one identity, ``lhs`` and ``rhs``: the base
+    of every two-sided check report, with its one pass rule."""
+
+    lhs: Approx
+    rhs: Approx
+
+    @property
+    def discrepancy(self) -> float:
+        return abs(self.lhs.value - self.rhs.value)
+
+    @property
+    def budget(self) -> float:
+        return self.lhs.err_bound + self.rhs.err_bound
+
+    def passes(self) -> bool:
+        """Whether the discrepancy is within the budget plus
+        ``DEFAULT_SLACK`` times the larger of |lhs| and |rhs|."""
+        scale = max(abs(self.lhs.value), abs(self.rhs.value))
+        return self.discrepancy <= self.budget + DEFAULT_SLACK * scale
 
 
 def tail_integral(sigma: float, m: int, y: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .ezzeta import (
     Approx,
     DEFAULT_CONFIG,
     EvalConfig,
+    TwoSided,
     chain_tails,
     ez_zeta,
     ez_zeta_star,
@@ -57,34 +58,22 @@ from .tableaux import (
     in_W_lambda_H,
 )
 
-DEFAULT_SLACK = 1e-9  # relative to the larger side
 OUTER_CUTOFF = 300  # diagonal entries summed by ``dirichlet_series_expr``
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(TwoSided):
     """Both sides of one identity with their certified budgets.
 
-    It passes when the discrepancy is within the combined budget plus
-    ``DEFAULT_SLACK`` times the larger of |lhs| and |rhs|.
+    ``discrepancy``, ``budget`` and the pass rule are ``TwoSided``'s; here
+    ``passes`` is a property.
     """
 
     identity_id: str
     lhs: Approx
     rhs: Approx
 
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.lhs.value - self.rhs.value)
-
-    @property
-    def budget(self) -> float:
-        return self.lhs.err_bound + self.rhs.err_bound
-
-    @property
-    def passes(self) -> bool:
-        scale = max(abs(self.lhs.value), abs(self.rhs.value))
-        return self.discrepancy <= self.budget + DEFAULT_SLACK * scale
+    passes = property(TwoSided.passes)
 
     def as_dict(self) -> dict:
         return {
@@ -343,6 +332,11 @@ def skew_giambelli_hash(
 # Hook and Frobenius expansions
 
 
+def _signed_sum(terms: Iterable[Approx]) -> Approx:
+    """The alternating sum t_0 - t_1 + t_2 - ... of a hook expansion."""
+    return sum((-t if j % 2 else t for j, t in enumerate(terms)), APPROX_ZERO)
+
+
 def hook_expansion_star(
     spec: ContentSpec, p: int, q: int, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> IdentityReport:
@@ -357,13 +351,12 @@ def hook_expansion_zeta(
 ) -> IdentityReport:
     """Companion expansion splitting the first row instead of the column."""
     lhs = schur_eval(instance_from_spec(spec, hook(p, q)), cfg)
-    total = APPROX_ZERO
-    for j in range(p + 1):
-        z1, y1 = _zy(spec, range(j, -q - 1, -1))
-        z2, y2 = _zy(spec, range(j + 1, p + 1))
-        term = ez_zeta(z1, y1, cfg) * ez_zeta_star(z2, y2, cfg)
-        total = total + term if j % 2 == 0 else total - term
-    return IdentityReport("hook_expansion_zeta", lhs, total)
+    rhs = _signed_sum(
+        ez_zeta(*_zy(spec, range(j, -q - 1, -1)), cfg)
+        * ez_zeta_star(*_zy(spec, range(j + 1, p + 1)), cfg)
+        for j in range(p + 1)
+    )
+    return IdentityReport("hook_expansion_zeta", lhs, rhs)
 
 
 def _frobenius_rhs(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Approx:
@@ -383,8 +376,7 @@ def _frobenius_rhs(spec: ContentSpec, shape: Partition, cfg: EvalConfig) -> Appr
     }
 
     def h(p: int, q: int) -> Approx:
-        terms = (weak[p][j] * strict[q][j] for j in range(q + 1))
-        return sum((-t if j % 2 else t for j, t in enumerate(terms)), APPROX_ZERO)
+        return _signed_sum(weak[p][j] * strict[q][j] for j in range(q + 1))
 
     return _strip_determinant(_hook_strips(shape), lambda a, b: h(b, -a))
 
@@ -414,7 +406,9 @@ def dirichlet_series_expr(
     is det[S(p_i, q_k)]: each entry sums over the diagonal entry m a
     zeta-star-star tail over the arm contents times a zeta tail over the leg
     contents, both shifted by m, and ``chain_tails`` gives each factor at
-    every m in one reverse pass.  The outer truncation tail takes monotone
+    every m in one reverse pass, an ``Approx`` over arrays, so the entry
+    sums their ``Approx`` product times the weight (m + y_0)^(-z_0) over
+    m <= outer_cutoff.  The outer truncation tail takes monotone
     closed-form majorants t of the chain values, so it needs Re z > 1 on
     the diagonal, arm and leg contents; each entry carries err + t, as the
     true entry lies within err + t of S.
@@ -437,17 +431,17 @@ def dirichlet_series_expr(
 
     arms = {p: _zy(spec, range(1, p + 1)) for p in fr.p}
     legs = {q: _zy(spec, range(-1, -q - 1, -1)) for q in fr.q}
-    star = {p: chain_tails(*arms[p], (False,) * (p - 1), cfg, m_top, 0) for p in arms}
-    strict = {q: chain_tails(*legs[q], (True,) * (q - 1), cfg, m_top, 1) for q in legs}
+    star = {p: Approx(*chain_tails(*arms[p], (False,) * (p - 1), cfg, m_top, 0))
+            for p in arms}
+    strict = {q: Approx(*chain_tails(*legs[q], (True,) * (q - 1), cfg, m_top, 1))
+              for q in legs}
 
     def entry(p: int, q: int) -> Approx:
-        # The outer sum over m <= m_top (Approx products elementwise); its
-        # error adds the majorant of the tail past m_top.
-        (a, ea), (b, eb) = star[p], strict[q]
-        err = np.abs(w) * (np.abs(a) * eb + np.abs(b) * ea + ea * eb)
-        # At m > m_top the arm chain starts at m, the strict leg chain at m + 1.
+        # The error adds the majorant of the tail past m_top, where the arm
+        # chain starts at m and the strict leg chain at m + 1.
+        terms = (star[p] * strict[q]).scale(w)
         tail = bound(*arms[p], m_top + 1) * bound(*legs[q], m_top + 2) * outer_tail
-        return Approx(complex(np.sum(w * a * b)), float(np.sum(err)) + tail)
+        return Approx(complex(np.sum(terms.value)), float(np.sum(terms.err_bound)) + tail)
 
     rhs = _strip_determinant(_hook_strips(shape), lambda a, b: entry(b, -a))
     return IdentityReport("dirichlet_series_expr", lhs, rhs)

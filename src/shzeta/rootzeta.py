@@ -38,6 +38,7 @@ from .ezzeta import (
     Approx,
     DEFAULT_CONFIG,
     EvalConfig,
+    TwoSided,
     em_tail,
     ez_zeta,
     ez_zeta_star_star,
@@ -296,25 +297,13 @@ def zeta_bullet_H(
 
 
 @dataclass(frozen=True)
-class ReductionReport:
-    """Both sides of a reduction identity with their discrepancy."""
+class ReductionReport(TwoSided):
+    """Both sides of a reduction identity: ``discrepancy``, ``budget`` and
+    the pass rule, ``passes()``, are ``TwoSided``'s."""
 
     kind: str  # "star_star" or "strict"
     lhs: Approx
     rhs: Approx
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.lhs.value - self.rhs.value)
-
-    @property
-    def budget(self) -> float:
-        return self.lhs.err_bound + self.rhs.err_bound
-
-    def passes(self, slack: float = 1e-9) -> bool:
-        """Within the budget plus ``slack`` times the larger |side|."""
-        scale = max(abs(self.lhs.value), abs(self.rhs.value))
-        return self.discrepancy <= self.budget + slack * scale
 
 
 def check_reductions(

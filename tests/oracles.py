@@ -1,18 +1,46 @@
-"""Lattice-path references for the tests, sharing no code with ``shzeta.lgv``.
+"""References for the tests, sharing no code with the kernels they check.
 
-A path is the tuple of its points, enumerated here with itertools over the
-positions of its weighted steps; two paths meet when their point sets do.
-Weights follow the model's definition edge by edge, in ``Fraction``s, along
-the rim walks that ``shapes`` builds.  Only the mask encoding of a path is
-shared with ``lgv`` (point (x, y) is bit x(top + 1) + y, top the row every
-path of the grid ends on), so that the two can be compared.
+Lattice paths, against ``shzeta.lgv``: a path is the tuple of its points,
+enumerated here with itertools over the positions of its weighted steps;
+two paths meet when their point sets do.  Weights follow the model's
+definition edge by edge, in ``Fraction``s, along the rim walks that
+``shapes`` builds.  Only the mask encoding of a path is shared with ``lgv``
+(point (x, y) is bit x(top + 1) + y, top the row every path of the grid
+ends on), so that the two can be compared.
+
+Constant shapes, against ``schur_eval``: ``constant_shape`` takes the
+symmetric-function route in mpmath, with no DP, chain, tail or ``Approx``.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
 
+import mpmath
+
 from shzeta.shapes import e_rim_decompositions, h_rim_decompositions
+
+
+def constant_shape(outer, inner, s, y, dps):
+    """The series of the skew shape outer/inner (part sequences) with the
+    exponent s and the shift y on every cell, to about ``dps`` digits.
+
+    It is the skew Schur function at x_n = (n + y)^(-s), n >= 1
+    (Macdonald, ch. I): the power sums p_k = zeta(k s, 1 + y) give the h_k
+    by Newton's identities, k h_k = sum_{i=1..k} p_i h_{k-i}, and the value
+    is det(h_{outer_i - inner_j - i + j}) (Jacobi-Trudi)."""
+    outer = list(outer)
+    n, top = len(outer), sum(outer)
+    inner = list(inner) + [0] * (n - len(inner))
+    with mpmath.workdps(dps):
+        s, a = mpmath.mpc(s), 1 + mpmath.mpf(y)
+        p = [None] + [mpmath.zeta(k * s, a) for k in range(1, top + 1)]
+        h = [mpmath.mpf(1)]
+        for k in range(1, top + 1):
+            h.append(sum(p[i] * h[k - i] for i in range(1, k + 1)) / k)
+        index = [[outer[i] - inner[j] - i + j for j in range(n)] for i in range(n)]
+        return complex(mpmath.det(mpmath.matrix(
+            [[h[k] if k >= 0 else 0 for k in row] for row in index])))
 
 
 def grid(shape, n, kind):

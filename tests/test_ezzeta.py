@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shzeta import ezzeta
+from shzeta import ezzeta, identities
 from shzeta.errors import DomainError, UsageError
 from shzeta.ezzeta import (
     APPROX_ONE,
@@ -31,7 +31,7 @@ from shzeta.ezzeta import (
     hurwitz,
 )
 from shzeta.schurzeta import instance_from_spec, schur_eval
-from shzeta.shapes import parse_shape
+from shzeta.shapes import Partition, parse_shape
 from shzeta.tableaux import ContentSpec
 
 ZETA2 = math.pi**2 / 6
@@ -296,6 +296,64 @@ def test_huge_exponent_has_a_finite_bound(s):
     a = hurwitz(s, 1.5)
     assert math.isfinite(a.err_bound)
     assert abs(a.value) + (math.ulp(0.0) if s.real > 2 else 1.0) <= a.err_bound
+
+
+class TestProductBoundLogRoute:
+    """``product_bound`` takes exp(sum of logs) only where the product is
+    not finite, where the other tests check only that the bound is finite.
+    Here every bound is forced onto the log route and must match the
+    product route to rounding wherever both are finite: the logs are those
+    of the factors."""
+
+    @pytest.fixture
+    def log_route(self, monkeypatch):
+        def forced(product, log):
+            with np.errstate(all="ignore"):
+                p = np.maximum(np.exp(log()), math.ulp(0.0))
+            return p if p.ndim else float(p)
+
+        def use():
+            for module in (ezzeta, identities):
+                monkeypatch.setattr(module, "product_bound", forced)
+        return use
+
+    @pytest.mark.parametrize("c,s,base", [
+        (1.0, 2.0, 2001.0),
+        (0.7 - 0.2j, 2.5 + 1j, 201.3),
+        (3.5, 1.5 - 0.7j, 1.3),
+        (1e-3 + 0j, 4.0, 50.5),
+    ])
+    def test_em_tail_scalar(self, log_route, c, s, base):
+        value, finite = ezzeta.em_tail(c, s, base)
+        log_route()
+        logged_value, logged = ezzeta.em_tail(c, s, base)
+        assert logged_value == value
+        assert 0 < finite < math.inf
+        assert logged == pytest.approx(finite, rel=1e-12)
+
+    def test_em_tail_array(self, log_route):
+        # ``chain_tails`` passes one inner sum per shift m.
+        c = np.array([1.0, 0.5 - 0.3j, 2e-8, 40.0 + 1j])
+        value, finite = ezzeta.em_tail(c, 3 + 0.5j, 2301.3)
+        log_route()
+        logged_value, logged = ezzeta.em_tail(c, 3 + 0.5j, 2301.3)
+        assert np.array_equal(logged_value, value)
+        assert np.all((0 < finite) & (finite < math.inf))
+        np.testing.assert_allclose(logged, finite, rtol=1e-12, atol=0)
+
+    def test_fd_taylor_term(self, log_route):
+        # The Taylor term of the central difference on 2,1, and every
+        # Euler-Maclaurin remainder of its series.
+        spec = ContentSpec({-1: 2, 0: 3, 1: 2.5 + 0.5j}, {-1: 0.3, 0: 0.3, 1: 0.3})
+        cfg = EvalConfig(200)
+        finite = [identities.derivative_fd_check(spec, Partition((2, 1)), ell, cfg)
+                  for ell in (0, 1)]
+        log_route()
+        for ell, rep in zip((0, 1), finite):
+            logged = identities.derivative_fd_check(spec, Partition((2, 1)), ell, cfg)
+            assert logged.lhs.value == rep.lhs.value
+            assert logged.lhs.err_bound == pytest.approx(rep.lhs.err_bound, rel=1e-12)
+            assert logged.rhs.err_bound == pytest.approx(rep.rhs.err_bound, rel=1e-12)
 
 
 def test_argument_validation():

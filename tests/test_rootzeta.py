@@ -22,6 +22,7 @@ from shzeta.ezzeta import (
     neg_power,
     power_table_scope,
 )
+from shzeta.identities import IdentityReport
 from shzeta.rootzeta import (
     MAX_DEPTH,
     ReductionReport,
@@ -220,9 +221,14 @@ class TestReductions:
         assert rep.budget == rep.lhs.err_bound + rep.rhs.err_bound
 
     def test_slack_is_relative(self):
-        tiny = ReductionReport("strict", Approx(1e-12, 1e-20), Approx(0, 1e-20))
-        assert not tiny.passes()
-        assert tiny.passes(slack=2.0)
+        # One pass rule for both report types: the identity suite's pairs,
+        # where 1e-9 absolute would exceed both tiny sides, and a big pair
+        # the relative slack covers.
+        pairs = [(Approx(1e-12, 1e-20), Approx(0, 1e-20)),
+                 (Approx(1e3, 0.0), Approx(1e3 + 1e-7, 0.0))]
+        for (lhs, rhs), verdict in zip(pairs, (False, True)):
+            assert ReductionReport("strict", lhs, rhs).passes() is verdict
+            assert IdentityReport("x", lhs, rhs).passes is verdict
 
 
 class TestSharedTables:
