@@ -138,7 +138,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             "work": {
                 "dp_states": dp_states(inst.shape),
-                "power_tables": sum(not real for *_, real in tables),
+                # Complex or mixed data: its complex tables; all-real data
+                # reads only float tables, each a value table.
+                "power_tables": sum(not real for *_, real in tables) or len(tables),
                 "array_len": cfg.cutoff + 1,
             },
         }

@@ -221,9 +221,12 @@ def power_tables() -> Callable[..., np.ndarray]:
     This is the one place a float series builds such an array.  A tiny base
     may overflow, so each caller zeroes or skips the entries below its
     least index in its own arrays, and writes into no table.  Whether the
-    exponent is a float (the |.| pass) or a complex (the value pass) is in
-    the key, as ``neg_power`` takes its route from it: 2.5 == 2.5+0j, but
-    the two tables differ in the last bit."""
+    exponent is a float or a complex is in the key, as ``neg_power`` takes
+    its route from it: 2.5 == 2.5+0j, but the two tables differ in the last
+    bit.  A float exponent's table is the |.| table of complex or mixed
+    data, and the value table of all-real data: one table per (exponent,
+    shift) pair.  The kernels' rounding term bounds the error of a float
+    exponent's entries (``_table_ops``); a complex one's is not counted."""
     scoped, reads = _SCOPE_TABLES.get(), _READS.get()
     kept = {} if scoped is None else scoped[0]  # outside a scope, the call's own
 
@@ -290,6 +293,102 @@ def product_bound(product: Callable, log: Callable):
             p = np.where(np.isfinite(p), p, np.maximum(np.exp(log()), math.ulp(0.0)))
         p = p if p.ndim else float(p)
     return p
+
+
+# The rounding term of a float sum of all-real data.  Its terms are positive,
+# so if each computed term is within a relative gamma_K of its value, gamma_K
+# = K u / (1 - K u), so is their computed sum (Higham, Accuracy and Stability
+# of Numerical Algorithms, 2nd ed., ch. 3-4).  K counts the rounded
+# operations on one term's path, each table entry's error in units of u.
+# The stated float64 error bounds, in ulps (an ulp of x is at most 2u|x|):
+# numpy's ``log`` and ``exp``, and the C library's ``pow``, ``log`` and
+# ``exp`` that Python's powers and ``math`` call.  ``tests/test_rounding.py``
+# checks them against mpmath.
+UNIT_ROUNDOFF = 2.0**-53
+LOG_ULPS = EXP_ULPS = LIBM_ULPS = 1.0
+# exp(-x) rounds to 0.0 for x > 745.14, so a power (k + y)^(-sigma) with
+# sigma log(k + y) past this is 0.0 in any table, and a nonzero entry's
+# |sigma log(k + y)| is below ``_LOG_CAP``.
+_LAST_POWER, _LOG_CAP = 746.0, 750.0
+
+
+def _table_ops(sigma: float, y: float, lo, hi: int):
+    """(t, n) for the entries (k + y)^(-sigma), k = lo..hi, of a float table
+    (``neg_power`` on a real exponent): each nonzero entry is within a
+    relative gamma_t of its value, and at most n entries are nonzero.  The
+    window starts at the least positive base; ``lo`` may be an array.
+
+    The base k + y rounds once unless y is an integer (beta = 1, else 0);
+    the logarithm is within ``LOG_ULPS`` ulps and the product with sigma
+    rounds once, so the argument of exp is off by at most
+    u (beta sigma + (2 LOG_ULPS + 1) L), L the largest |sigma log(k + y)|;
+    exp adds ``EXP_ULPS`` ulps unless its argument is 0 (log 1 = +0 and
+    exp(-0) = 1 are exact).  The factor 1.01 covers the terms of order u^2.
+    An entry that underflows, to 0.0 or to a subnormal, is not counted:
+    its absolute error is below 2^-1022."""
+    lo = np.maximum(lo, max(math.floor(-y) + 1, 0))
+    beta = 0.0 if float(y).is_integer() and abs(y) + hi < 2.0**53 else 1.0
+    if hi + y <= 0:
+        return np.zeros(np.shape(lo)), np.zeros(np.shape(lo), int)
+    # A rounded base moves sigma log b by up to sigma u.
+    edge = _LAST_POWER + 2.0**-52 * sigma * beta
+    top = hi if sigma * math.log(hi + y) <= edge else max(math.floor(math.exp(edge / sigma) - y), -1)
+    n = np.maximum(top - lo + 1, 0)
+    ends = abs(math.log(top + y)) if top + y > 0 else 0.0
+    logs = np.minimum(sigma * np.maximum(np.abs(np.log(lo + y)), ends), _LOG_CAP)
+    t = 1.01 * (sigma * beta + (2.0 * LOG_ULPS + 1.0) * logs) + 2.0 * EXP_ULPS * (logs > 0)
+    return np.where(n > 0, t, 0.0), n
+
+
+def _pow_ops(e: float, base: float) -> float:
+    """The error of ``cpow(base, -e)`` for a real e, in units of u: CPython
+    multiplies |e| times for an integer |e| <= 100, else calls ``pow``; a
+    non-finite result is taken as exp(-e log base); -e may carry the
+    rounding of 1 - s (x = |e log base| units), and the base that of
+    M + 1 + y (|e| units)."""
+    x = min(abs(e) * math.log(base), _LOG_CAP)
+    route = abs(e) + 1.0 if e.is_integer() and abs(e) <= 100 else 2.0 * LIBM_ULPS
+    fallback = (2.0 * LIBM_ULPS + 1.0) * x + 2.0 * LIBM_ULPS
+    return 1.01 * (max(route, fallback) + x + abs(e))
+
+
+def _path_ops(sigmas: tuple, y: tuple, lo, hi: int) -> tuple:
+    """The rounded operations on one term's path through a float sum over
+    the cells (sigma_c, y_c), each entry k = lo..hi, in units of u:
+    (tables, sums, exact, em).
+
+    ``tables`` adds up the cells' table errors, r - 1 products and r - 1
+    inflow merges of at most r - 1 additions each; ``sums``, per cell, the
+    additions of a cumulative (or final) sum of its at most n nonzero
+    entries.  Both depend only on the cells and the window, so a shape and
+    its chains get one count.  ``exact``: every entry the sum may read is 0
+    or exactly 1, so the sum adds small integers and rounds nothing.  ``em``:
+    an EM value's operations past its prefix (r - 1 additions of prefixes,
+    the two powers, a subtraction, a division, an addition and a product),
+    the most over the cells whose power at the EM base can be nonzero.
+    ``lo`` may be an array."""
+    r = len(sigmas)
+    ops = [_table_ops(sg, yc, lo, hi) for sg, yc in zip(sigmas, y)]
+    tables = sum(t for t, _ in ops) + r * (r - 1)
+    sums = sum(np.maximum(n - 1, 0) for _, n in ops)
+    exact = np.logical_and.reduce([(t == 0) & (n <= 1) for t, n in ops])
+    em = r - 1 + max((
+        max(_pow_ops(sg - 1.0, hi + 1 + yc) + 2.0, _pow_ops(sg, hi + 1 + yc)) + 2.0
+        for sg, yc in zip(sigmas, y) if (sg - 1.0) * math.log(hi + 1 + yc) <= _LOG_CAP
+    ), default=0.0)  # past the cap a corner's EM value underflows
+    return tables, sums, exact, em
+
+
+_cached_path_ops = lru_cache(maxsize=1024)(_path_ops)
+
+
+def _gamma_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """gamma_k |x|, gamma_k = k u / (1 - k u) (inf for k u >= 1), and 0
+    where x is 0."""
+    ku = k * UNIT_ROUNDOFF
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(ku < 1.0, ku / (1.0 - ku), math.inf)
+        return np.where(x == 0, 0.0, gamma * np.abs(x))
 
 
 # A P-partition state graph: layer i holds a state ``(cell, preds)`` per
@@ -376,6 +475,18 @@ def eval_layers(
     sums (a loose product of one-variable majorants would not).  Cells with
     Re s = 1 take ``_boundary_tail`` instead.
 
+    All-real data (Im s = 0 in every cell, whatever the type) runs the DP
+    in float64 on the float tables; its terms are positive, so its value
+    arrays are the |.| arrays Habs reads, and no separate |.| pass runs.
+    Its bound adds a rigorous rounding term gamma_K |total|, K the rounded
+    operations on one term's path (``_path_ops``): the table entry's error,
+    the products, cumulative sums and inflow merges, the 2r - 1 final
+    additions and the EM value's operations.  K depends only on the cells
+    and the cutoff, so a shape and its chains get one term, and it is 0
+    where nothing rounds.  Complex or mixed data keep the complex value
+    pass and the |.| pass, bit for bit, with no rounding term yet; nor is
+    an underflowed term's error counted (ROADMAP items 1(a) and 4).
+
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
     table per pass, built once per ``power_table_scope`` (again after a
@@ -415,19 +526,23 @@ def _sum_layers(
     sigmas = [complex(v).real for v in s]
     tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
-    exps = {False: [complex(v) for v in s], True: sigmas}  # per pass
+    # All-real data has positive terms: its value pass, on the float tables,
+    # is its |.| pass too.
+    real = all(complex(v).imag == 0 for v in s)
+    exps = {False: sigmas if real else [complex(v) for v in s], True: sigmas}  # per pass
     table = power_tables()
     steps, sole = _strict_steps(layers), _sole_readers(layers)
 
     # The frozen residual is carry = Hbar(preds) * tail on layer r - 2.
     carry_layer = -1 if n_eps else r - 2
+    passes = (False,) if real else (False, True)
     arrs: dict[bool, list[np.ndarray]] = {False: [], True: []}  # True: |.|
     hbar, carry = [1.0], [0.0]  # of the empty ideal
     prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
     # Overflow below a least entry is zeroed; any other leaves the total non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(layers):
-            for absolute in (False, True) if i < carry_layer else (False,):
+            for absolute in passes if i < carry_layer else (False,):
                 cums = arrs[absolute]  # only two layers of arrays are alive
                 for a in cums:
                     np.add.accumulate(a, out=a)  # np.cumsum's bits
@@ -454,10 +569,10 @@ def _sum_layers(
             if i <= carry_layer:
                 hbar_in = [sum(hbar[p] for p, _ in preds) for _, preds in layer]
                 carry = [h * tails[c] for h, (c, _) in zip(hbar_in, layer)]
-            if i < carry_layer:
-                hbar = [float(a.sum()) + t for a, t in zip(arrs[True], carry)]
+            if i < carry_layer:  # from the |.| arrays, on all-real data the value arrays
+                hbar = [float(a.sum()) + t for a, t in zip(arrs[passes[-1]], carry)]
 
-        total, err = 0j, 0.0
+        total, em_total, err = 0j, 0j, 0.0
         for k, (d, preds) in enumerate(layers[-1]):
             total += complex(arrs[False][k].sum())
             if n_eps:
@@ -468,9 +583,17 @@ def _sum_layers(
             em_value, em_remainder = em_tail(prefix[k], complex(s[d]), m + 1 + y[d])
             frozen_residual = sum(carry[p] for p, _ in preds) * tails[d]
             total += em_value
+            em_total += em_value
             err += em_remainder + frozen_residual
     if not cmath.isfinite(total):
         raise DomainError(f"the sum overflows the double range (least shift {min(y)})")
+    if real and total:
+        # One term's path: its cells, then the 2r - 1 additions of the corner
+        # sums and EM values; an EM value's path also runs its own operations.
+        tables, sums, exact, em_ops = _cached_path_ops(tuple(sigmas), tuple(y), first_min, m)
+        if not (exact and em_total == 0):
+            ku = float(tables + sums + 2 * r - 1 + (em_ops if em_total else 0.0)) * UNIT_ROUNDOFF
+            err += ku / (1.0 - ku) * abs(total) if ku < 1.0 else math.inf  # gamma_K |total|
     return Approx(total, err)
 
 
@@ -618,6 +741,11 @@ def chain_tails(
     the first l levels) is the pass over |a| with c_i = prod_{t >= i} T_t.
     The chain must satisfy ``eval_chain``'s conditions at m = 1, with
     Re s > 1 in every slot.
+
+    All-real data runs the passes in float64 on the float tables, the
+    Hbar pass on the value tables, and adds the rounding term of
+    ``_tails_rounding`` to each bound; complex or mixed data keep the
+    complex passes bit for bit, with no rounding term yet.
     """
     r = len(s)
     sig = _check_chain(s, y, strict, first_min + 1)  # lo(1) = 1 + first_min
@@ -631,7 +759,8 @@ def chain_tails(
     # The passes run over k = lo(1)..K, so index m - 1 is lo(m); no sum reads
     # a lower k, where a tiny base may overflow.
     start, size = 1 + first_min, big - first_min
-    a = [table(big + 1, complex(v), yc)[start:] for v, yc in zip(s, y)]
+    real = all(complex(v).imag == 0 for v in s)  # then a is its own |a|
+    a = [table(big + 1, sg if real else complex(v), yc)[start:] for v, sg, yc in zip(s, sig, y)]
     values = _reverse_pass(a, strict, size)[:count]
     prefix = _reverse_pass(a[:-1], strict, size)[:count]
     with np.errstate(over="ignore", invalid="ignore"):  # mended by ``product_bound``
@@ -640,10 +769,36 @@ def chain_tails(
         # The frozen residual Hbar_{r-2}(m) T_{r-1}(K) T_r(K).
         n = r - 2
         consts = [math.prod(tails[i:n]) for i in range(n)]
-        absolute = [table(big + 1, sig[i], y[i])[start:] for i in range(n)]
+        absolute = a[:n] if real else [table(big + 1, sig[i], y[i])[start:] for i in range(n)]
         hbar = _reverse_pass(absolute, strict, size, consts)[:count]
         em_remainder = em_remainder + hbar * tails[-2] * tails[-1]
+    if real:
+        em_remainder = em_remainder + _tails_rounding(a, strict, sig, y, start, big, values, em_value)
     return values + em_value, em_remainder
+
+
+def _tails_rounding(
+    a: list[np.ndarray], strict: Sequence[bool], sig: list[float], y: Sequence[float],
+    start: int, big: int, values: np.ndarray, em_value: np.ndarray,
+) -> np.ndarray:
+    """The rounding term of ``chain_tails`` on all-real data, per m.
+
+    A term's operations are ``_path_ops``' over each k = lo(m)..K, with r
+    additions for the levels' first and the final one, or, as the reverse
+    pass adds the small terms first, fewer: S_i(k) adds a term of index j
+    in j - k + 1 additions, so a term of last index start + J passes at most
+    J + r of them over the r levels.  The sum over the terms of J times the
+    term is one more reverse pass, its last level weighted by J; each m takes
+    the smaller bound.  The EM value's path runs ``_path_ops``' count."""
+    r, count, size = len(a), len(values), len(a[0])
+    tables, sums, exact, em_ops = _path_ops(sig, y, np.arange(start, start + count), big)
+    weighted = _reverse_pass([*a[:-1], a[-1] * np.arange(size)], strict, size)[:count]
+    # sum_t gamma_(J_t + c) x_t <= (sum_t J_t x_t + c F) gamma_K / K, K the largest J + c.
+    k_max = tables + size + r + 1
+    dp = np.minimum(_gamma_times(k_max, weighted + (tables + r + 1) * values) / k_max,
+                    _gamma_times(tables + sums + r + 1, values))
+    dp = np.where(exact & (em_value == 0), 0.0, dp)
+    return dp + _gamma_times(np.where(exact, 0.0, tables + sums) + r + 1 + em_ops, em_value)
 
 
 def _chain_zeta(

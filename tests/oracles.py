@@ -10,6 +10,11 @@ ends on), so that the two can be compared.
 
 Constant shapes, against ``schur_eval``: ``constant_shape`` takes the
 symmetric-function route in mpmath, with no DP, chain, tail or ``Approx``.
+
+The kernel's own formula, against ``ezzeta.eval_layers``: ``replay_layers``
+runs the same head DP and Euler-Maclaurin value in mpmath, so that its
+difference from the kernel is the kernel's rounding alone.  It takes the
+state graph and the strict steps from the caller and imports no kernel code.
 """
 
 from fractions import Fraction
@@ -158,3 +163,47 @@ def cancellation_report(shape, n, s, x, kind):
         sum((sign(p[0]) * weight[p] for p in meeting), Fraction(0)),
         involution,
     )
+
+
+def replay_layers(layers, steps, s, y, cutoff, first_min, dps=40):
+    """``eval_layers``' value in mpmath: the sum over the P-partitions with
+    every entry <= cutoff M, from the same state graph (``layers``, a state
+    per (ideal, last cell) with its predecessors and strict flags) and least
+    entries (first_min + ``steps[c]``), plus per corner d the Euler-Maclaurin
+    value C (b^(1-s_d) / (s_d - 1) + b^(-s_d) / 2), b = M + 1 + y_d, of the
+    outer tail on the inner sums C frozen at M.  Every Re s must be > 1."""
+    with mpmath.workdps(dps):
+        m = cutoff
+
+        def exponent(v):
+            v = complex(v)
+            return mpmath.mpf(v.real) if v.imag == 0 else mpmath.mpc(v)
+
+        @cache
+        def powers(sc, yc):  # 0 at a base <= 0, which no sum reads
+            bases = [n + mpmath.mpf(yc) for n in range(m + 1)]
+            return [mpmath.power(b, -exponent(sc)) if b > 0 else 0 for b in bases]
+
+        cums = [[mpmath.mpf(1)] * (m + 1)]  # the empty ideal
+        prefix = [mpmath.mpf(1)]
+        for layer in layers:
+            prefix = [sum(cums[p][m] for p, _ in preds) for _, preds in layer]
+            arrays = []
+            for c, preds in layer:
+                t, lo = powers(s[c], y[c]), first_min + steps[c]
+                a = [0] * (m + 1)
+                for n in range(lo, m + 1):
+                    a[n] = t[n] * sum(cums[p][n - strict] for p, strict in preds if n >= strict)
+                arrays.append(a)
+            cums = []
+            for a in arrays:
+                run, cum = 0, []
+                for v in a:
+                    run += v
+                    cum.append(run)
+                cums.append(cum)
+        total = sum(c[m] for c in cums)
+        for (d, _), c in zip(layers[-1], prefix):
+            sd, b = exponent(s[d]), m + 1 + mpmath.mpf(y[d])
+            total += c * (mpmath.power(b, 1 - sd) / (sd - 1) + mpmath.power(b, -sd) / 2)
+        return complex(total)

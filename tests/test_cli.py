@@ -408,10 +408,11 @@ class TestTableScope:
     run ends; a record run alone opens its own."""
 
     def test_tables_built_counts_the_builds(self, built):
+        # All-real data: one float table per (exponent, shift) pair.
         rec = run_one(JT_32, None)
-        assert rec["work"]["tables_built"] == sum(built.values()) == 6
-        run_alone(JT_32)  # per call, the same work builds 18 tables
-        assert sum(built.values()) == 6 + 18
+        assert rec["work"]["tables_built"] == sum(built.values()) == 3
+        run_alone(JT_32)  # per call, the same work builds 12 tables
+        assert sum(built.values()) == 3 + 12
 
     def test_tables_built_counts_every_build(self, capsys, built):
         # On every record of a run, the counter equals the tables the record
@@ -430,9 +431,9 @@ class TestTableScope:
     def test_a_run_builds_each_table_and_sum_once(self, capsys, built, summed):
         code, out, _ = run(capsys, "check", "--builtin", "all")
         assert code == 0
-        # 252 tables and 200 kernel sums with one store per record.
-        assert sum(built.values()) == 51 and len(summed) == 96
-        assert sum(r["work"]["tables_built"] for r in json_lines(out)) == 252
+        # 152 tables and 200 kernel sums with one store per record.
+        assert sum(built.values()) == 36 and len(summed) == 96
+        assert sum(r["work"]["tables_built"] for r in json_lines(out)) == 152
         # Worker threads share the store too; two may sum one key at once.
         # (A store per record would sum 197 times.)
         summed.clear()
@@ -446,7 +447,7 @@ class TestTableScope:
             before = sum(built.values())
             tables_built = run_one(JT_32, None)["work"]["tables_built"]
             counts.append((tables_built, sum(built.values()) - before))
-        assert counts[0] == counts[1] == (6, 6)
+        assert counts[0] == counts[1] == (3, 3)
 
     def test_no_state_survives_a_run(self, capsys, built):
         counts = []
@@ -454,7 +455,7 @@ class TestTableScope:
             before = sum(built.values())
             run(capsys, "check", "--builtin", "jacobi-trudi")
             counts.append(sum(built.values()) - before)
-        assert counts[0] == counts[1] == 6
+        assert counts[0] == counts[1] == 3
         assert ezzeta._SCOPE_TABLES.get() is None
 
     def test_threads_share_the_store(self, capsys):
