@@ -127,8 +127,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             _parse_assignments(args.y, float) if args.y else {},
         )
         inst = instance_from_spec(spec, shape)
-    with power_table_scope(), table_reads() as tables:
+    with power_table_scope():
         approx = schur_eval(inst, cfg)
+    # One value table per distinct (exponent, shift) pair: a float one where
+    # Im s = 0, else a complex one.
+    pairs = {(complex(v), float(inst.shifts.entries[c])) for c, v in inst.exponents.entries.items()}
     _emit(
         {
             "value_re": approx.value.real,
@@ -138,9 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
             "work": {
                 "dp_states": dp_states(inst.shape),
-                # Complex or mixed data: its complex tables; all-real data
-                # reads only float tables, each a value table.
-                "power_tables": sum(not real for *_, real in tables) or len(tables),
+                "power_tables": len(pairs),
                 "array_len": cfg.cutoff + 1,
             },
         }

@@ -151,6 +151,9 @@ def neg_power(base: np.ndarray, s: complex) -> np.ndarray:
     ``base`` must be finite and ascending, so those entries form a prefix,
     and it is scratch: the logarithms overwrite it, and for a real s the
     powers too.  The result is the one array allocated (none for a real s).
+    Each entry's error is within ``_table_ops``' bound: numpy's ``log`` and
+    ``exp`` (``LOG_ULPS``, ``EXP_ULPS``) for a real s, its complex ``exp``
+    (``CEXP_ERR``) for a complex one.
     """
     zeros = int(np.searchsorted(base, 0.0, side="right"))
     base[:zeros] = 1.0  # log 1 = 0, overwritten below
@@ -223,10 +226,12 @@ def power_tables() -> Callable[..., np.ndarray]:
     least index in its own arrays, and writes into no table.  Whether the
     exponent is a float or a complex is in the key, as ``neg_power`` takes
     its route from it: 2.5 == 2.5+0j, but the two tables differ in the last
-    bit.  A float exponent's table is the |.| table of complex or mixed
-    data, and the value table of all-real data: one table per (exponent,
-    shift) pair.  The kernels' rounding term bounds the error of a float
-    exponent's entries (``_table_ops``); a complex one's is not counted."""
+    bit.  ``eval_layers`` reads a float exponent's table as every cell's
+    |.| table and as the value table of each cell with Im s = 0, and a
+    complex exponent's only as the value table of a cell with Im s != 0:
+    one value table per (exponent, shift) pair.  Its rounding term bounds
+    the error of both kinds of entry (``_table_ops``); ``chain_tails``'
+    counts float tables only, and ``rootzeta`` none (ROADMAP item 1(a))."""
     scoped, reads = _SCOPE_TABLES.get(), _READS.get()
     kept = {} if scoped is None else scoped[0]  # outside a scope, the call's own
 
@@ -295,9 +300,10 @@ def product_bound(product: Callable, log: Callable):
     return p
 
 
-# The rounding term of a float sum of all-real data.  Its terms are positive,
-# so if each computed term is within a relative gamma_K of its value, gamma_K
-# = K u / (1 - K u), so is their computed sum (Higham, Accuracy and Stability
+# The rounding term of a float sum.  If each computed term is within a
+# relative gamma_K of its value, gamma_K = K u / (1 - K u), their computed
+# sum is within gamma_K of the sum of their moduli, which is the sum itself
+# on all-real data, whose terms are positive (Higham, Accuracy and Stability
 # of Numerical Algorithms, 2nd ed., ch. 3-4).  K counts the rounded
 # operations on one term's path, each table entry's error in units of u.
 # The stated float64 error bounds, in ulps (an ulp of x is at most 2u|x|):
@@ -306,26 +312,44 @@ def product_bound(product: Callable, log: Callable):
 # checks them against mpmath.
 UNIT_ROUNDOFF = 2.0**-53
 LOG_ULPS = EXP_ULPS = LIBM_ULPS = 1.0
+# The complex routines, each in units of u relative to the modulus of its
+# result, from the ulp bounds above.  numpy's complex ``exp`` (``CEXP_ERR``):
+# each part is exp(x) cos y or exp(x) sin y, within (2 + 2 + 1) u of that
+# part.  CPython's complex ``**`` on a positive base b and an exponent e with
+# Im e != 0 (``CPOW_ERR``): pow(b, Re e) within 2u, times the cosine and sine
+# of the phase Im e log b, 3u per part; the phase itself, a rounded log and
+# a product, adds (2 LIBM_ULPS + 1) |Im e| log b (``_cpow_ops``).  CPython's
+# complex division (``CDIV_ERR``, Smith's algorithm): within 7u of the
+# quotient's modulus per part, so sqrt(2) 7u < 10u.  A complex product is
+# within sqrt(2) gamma_2 <= gamma_(2 sqrt(2)) (Higham, Lemma 3.5); a float
+# times a complex rounds each part once.  ``tests/test_rounding.py`` checks
+# the three routines against mpmath too.
+CEXP_ERR = CPOW_ERR = 5.0
+CDIV_ERR = 10.0
+CMUL_OPS = 2.0 * math.sqrt(2.0)
 # exp(-x) rounds to 0.0 for x > 745.14, so a power (k + y)^(-sigma) with
 # sigma log(k + y) past this is 0.0 in any table, and a nonzero entry's
 # |sigma log(k + y)| is below ``_LOG_CAP``.
 _LAST_POWER, _LOG_CAP = 746.0, 750.0
 
 
-def _table_ops(sigma: float, y: float, lo, hi: int):
-    """(t, n) for the entries (k + y)^(-sigma), k = lo..hi, of a float table
-    (``neg_power`` on a real exponent): each nonzero entry is within a
-    relative gamma_t of its value, and at most n entries are nonzero.  The
-    window starts at the least positive base; ``lo`` may be an array.
+def _table_ops(e: complex, y: float, lo, hi: int):
+    """(t, n) for the entries (k + y)^(-e), k = lo..hi, of a table (``neg_power``
+    on a float exponent, or on a complex one with Im e != 0): each nonzero
+    entry is within a relative gamma_t of its value, and at most n entries
+    are nonzero.  The window starts at the least positive base; ``lo`` may
+    be an array.
 
     The base k + y rounds once unless y is an integer (beta = 1, else 0);
-    the logarithm is within ``LOG_ULPS`` ulps and the product with sigma
-    rounds once, so the argument of exp is off by at most
-    u (beta sigma + (2 LOG_ULPS + 1) L), L the largest |sigma log(k + y)|;
-    exp adds ``EXP_ULPS`` ulps unless its argument is 0 (log 1 = +0 and
-    exp(-0) = 1 are exact).  The factor 1.01 covers the terms of order u^2.
-    An entry that underflows, to 0.0 or to a subnormal, is not counted:
-    its absolute error is below 2^-1022."""
+    the logarithm is within ``LOG_ULPS`` ulps and the product with e
+    rounds once (per part), so the argument of exp is off by at most
+    u |e| (beta + (2 LOG_ULPS + 1) L), L the largest |log(k + y)|, which
+    sigma = Re e times is at most ``_LOG_CAP``; exp adds ``EXP_ULPS`` ulps
+    (``CEXP_ERR`` for a complex e) unless its argument is 0 (log 1 = +0 and
+    exp(+-0) = 1 are exact).  The factor 1.01 covers the terms of order
+    u^2.  An entry that underflows, to 0.0 or to a subnormal, is not
+    counted: its absolute error is below 2^-1022."""
+    sigma = e.real
     lo = np.maximum(lo, max(math.floor(-y) + 1, 0))
     beta = 0.0 if float(y).is_integer() and abs(y) + hi < 2.0**53 else 1.0
     if hi + y <= 0:
@@ -336,7 +360,8 @@ def _table_ops(sigma: float, y: float, lo, hi: int):
     n = np.maximum(top - lo + 1, 0)
     ends = abs(math.log(top + y)) if top + y > 0 else 0.0
     logs = np.minimum(sigma * np.maximum(np.abs(np.log(lo + y)), ends), _LOG_CAP)
-    t = 1.01 * (sigma * beta + (2.0 * LOG_ULPS + 1.0) * logs) + 2.0 * EXP_ULPS * (logs > 0)
+    exp_err = CEXP_ERR if isinstance(e, complex) else 2.0 * EXP_ULPS
+    t = 1.01 * (abs(e) * beta + (2.0 * LOG_ULPS + 1.0) * (abs(e) / sigma) * logs) + exp_err * (logs > 0)
     return np.where(n > 0, t, 0.0), n
 
 
@@ -352,34 +377,91 @@ def _pow_ops(e: float, base: float) -> float:
     return 1.01 * (max(route, fallback) + x + abs(e))
 
 
-def _path_ops(sigmas: tuple, y: tuple, lo, hi: int) -> tuple:
+def _cpow_ops(e: complex, base: float) -> float:
+    """``_pow_ops`` for a complex e with Im e != 0: CPython's complex ``**``
+    (``CPOW_ERR`` and the phase), or exp(-e log base) from ``cmath.exp``
+    where it is not finite; -e may carry the rounding of 1 - s, and the base
+    that of M + 1 + y."""
+    x = abs(e) * math.log(base)
+    if abs(e.real) * math.log(base) > _LOG_CAP:  # the power underflows
+        x = abs(e) / abs(e.real) * _LOG_CAP
+    route = CPOW_ERR + (2.0 * LIBM_ULPS + 1.0) * abs(e.imag) * math.log(base)
+    fallback = (2.0 * LIBM_ULPS + 1.0) * x + CEXP_ERR
+    return 1.01 * (max(route, fallback) + x + abs(e))
+
+
+def _em_ops(e: complex, base: float) -> float:
+    """The rounded operations of an EM value past its prefix, for the
+    corner exponent e at the EM base: the two powers, the subtraction s - 1,
+    the division, the addition and the product with the prefix (a complex
+    one when Im e != 0; a prefix times a real power rounds each part once)."""
+    if isinstance(e, complex):
+        return max(_cpow_ops(e - 1.0, base) + 1.0 + CDIV_ERR, _cpow_ops(e, base)) + 1.0 + CMUL_OPS
+    return max(_pow_ops(e - 1.0, base) + 2.0, _pow_ops(e, base)) + 2.0
+
+
+def _path_ops(exps: tuple, y: tuple, lo, hi: int) -> tuple:
     """The rounded operations on one term's path through a float sum over
-    the cells (sigma_c, y_c), each entry k = lo..hi, in units of u:
-    (tables, sums, exact, em).
+    the cells (e_c, y_c), each entry k = lo..hi, in units of u:
+    (tables, sums, exact, em).  e_c is the exponent, a float where
+    Im e_c = 0 (a float table) and a complex elsewhere.
 
     ``tables`` adds up the cells' table errors, r - 1 products and r - 1
     inflow merges of at most r - 1 additions each; ``sums``, per cell, the
     additions of a cumulative (or final) sum of its at most n nonzero
-    entries.  Both depend only on the cells and the window, so a shape and
-    its chains get one count.  ``exact``: every entry the sum may read is 0
-    or exactly 1, so the sum adds small integers and rounds nothing.  ``em``:
-    an EM value's operations past its prefix (r - 1 additions of prefixes,
-    the two powers, a subtraction, a division, an addition and a product),
-    the most over the cells whose power at the EM base can be nonzero.
-    ``lo`` may be an array."""
-    r = len(sigmas)
-    ops = [_table_ops(sg, yc, lo, hi) for sg, yc in zip(sigmas, y)]
-    tables = sum(t for t, _ in ops) + r * (r - 1)
+    entries.  A product is a complex one (``CMUL_OPS``) when the cell's
+    table is, else one rounding; the first cell's is not a product, so the
+    least one is left out.  Both depend only on the cells and the window,
+    so a shape and its chains get one count.  ``exact``: every entry the
+    sum may read is 0 or exactly 1, so the sum adds small integers and
+    rounds nothing.  ``em``: an EM value's operations past its prefix, r - 1
+    additions of prefixes and ``_em_ops``, the most over the cells whose
+    power at the EM base can be nonzero.  ``lo`` may be an array."""
+    r = len(exps)
+    ops = [_table_ops(e, yc, lo, hi) for e, yc in zip(exps, y)]
+    products = [CMUL_OPS if isinstance(e, complex) else 1 for e in exps]
+    tables = sum(t for t, _ in ops) + (sum(products) - min(products) + (r - 1) ** 2)
     sums = sum(np.maximum(n - 1, 0) for _, n in ops)
     exact = np.logical_and.reduce([(t == 0) & (n <= 1) for t, n in ops])
     em = r - 1 + max((
-        max(_pow_ops(sg - 1.0, hi + 1 + yc) + 2.0, _pow_ops(sg, hi + 1 + yc)) + 2.0
-        for sg, yc in zip(sigmas, y) if (sg - 1.0) * math.log(hi + 1 + yc) <= _LOG_CAP
+        _em_ops(e, hi + 1 + yc)
+        for e, yc in zip(exps, y) if (e.real - 1.0) * math.log(hi + 1 + yc) <= _LOG_CAP
     ), default=0.0)  # past the cap a corner's EM value underflows
     return tables, sums, exact, em
 
 
 _cached_path_ops = lru_cache(maxsize=1024)(_path_ops)
+
+
+@lru_cache(maxsize=1024)
+def _cell_sums(exps: tuple, y: tuple, lo: int, least: tuple, m: int) -> tuple[tuple, tuple]:
+    """Per cell (e_c, y_c), bounds on the sums of moduli that the rounding
+    term of complex or mixed data weighs: sum_{k = lo..M} |(k + y)^(-e)|,
+    over the window of ``_path_ops``, by f(lo) + int_lo^M f for the
+    decreasing f(k) = (k + y)^(-sigma); and, for sigma > 1, that plus
+    |b^(1 - e) / (e - 1)| + |b^(-e)| / 2, b = M + 1 + y, the moduli of the
+    Euler-Maclaurin value's two parts per unit of prefix.  The window, like
+    K's, depends only on the cells, so a shape and its chains get one bound;
+    where f(lo) overflows, a tiny base below the cell's own least entry
+    (``least``), the sum starts there."""
+    heads, ends = [], []
+    for e, yc, own in zip(exps, y, least):
+        sigma, head = e.real, math.inf
+        for start in (max(lo, math.floor(-yc) + 1, 0), own):
+            if start > m:
+                head = 0.0
+                break
+            try:
+                span = math.log((m + yc) / (start + yc))
+                head = (start + yc) ** -sigma + (span if sigma == 1.0 else (
+                    -math.expm1((1.0 - sigma) * span) / (sigma - 1.0) * (start + yc) ** (1.0 - sigma)))
+                break
+            except OverflowError:
+                pass
+        heads.append(head)
+        b = m + 1 + yc
+        ends.append(head + b ** (1.0 - sigma) / abs(e - 1.0) + b ** -sigma / 2.0 if sigma > 1.0 else math.inf)
+    return tuple(heads), tuple(ends)
 
 
 def _gamma_times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -475,17 +557,23 @@ def eval_layers(
     sums (a loose product of one-variable majorants would not).  Cells with
     Re s = 1 take ``_boundary_tail`` instead.
 
-    All-real data (Im s = 0 in every cell, whatever the type) runs the DP
-    in float64 on the float tables; its terms are positive, so its value
-    arrays are the |.| arrays Habs reads, and no separate |.| pass runs.
-    Its bound adds a rigorous rounding term gamma_K |total|, K the rounded
-    operations on one term's path (``_path_ops``): the table entry's error,
-    the products, cumulative sums and inflow merges, the 2r - 1 final
-    additions and the EM value's operations.  K depends only on the cells
-    and the cutoff, so a shape and its chains get one term, and it is 0
-    where nothing rounds.  Complex or mixed data keep the complex value
-    pass and the |.| pass, bit for bit, with no rounding term yet; nor is
-    an underflowed term's error counted (ROADMAP items 1(a) and 4).
+    Each cell reads the value table of its own exponent: the float table
+    where Im s = 0 (whatever the type), which is also every cell's |.|
+    table, else a complex one.  So all-real data runs the DP in float64;
+    its terms are positive, so its value arrays are the |.| arrays Habs
+    reads, and no separate |.| pass runs.  Complex and mixed data run a
+    complex value pass, a real cell multiplying by float entries, and the
+    |.| pass.  Every bound adds a rigorous rounding term, gamma_K times a
+    bound on sum |terms|, K the rounded operations on one term's path
+    (``_path_ops``): the table entry's error, the products (a complex one
+    counts sqrt(2) gamma_2), cumulative sums and inflow merges, the 2r - 1
+    final additions and the EM value's operations.  On all-real data
+    sum |terms| is |total|; elsewhere it is bounded with no new array, by
+    the Hbar of layer r - 3 that the frozen residual reads times closed-form
+    sums of moduli of the cells in the last two layers (``_cell_sums``).
+    K and those sums depend only on the cells and the cutoff, so a shape
+    and its chains get one term, and it is 0 where nothing rounds.  An
+    underflowed term's error is not counted (ROADMAP item 4).
 
     Cells with one (exponent, shift) pair (a diagonal's cells when s and y
     are constant along diagonals, a constant chain's slots) share one power
@@ -526,10 +614,11 @@ def _sum_layers(
     sigmas = [complex(v).real for v in s]
     tails = [tail_integral(sig, m, yc) for sig, yc in zip(sigmas, y)]
     n_eps = sum(sg <= 1.0 for sg in sigmas)  # cells on the Re s = 1 boundary
-    # All-real data has positive terms: its value pass, on the float tables,
-    # is its |.| pass too.
-    real = all(complex(v).imag == 0 for v in s)
-    exps = {False: sigmas if real else [complex(v) for v in s], True: sigmas}  # per pass
+    # Each cell's value table is its own exponent's: the float table where
+    # Im s = 0, which is also every cell's |.| table.  All-real data has
+    # positive terms: its value pass is its |.| pass too.
+    exps = [sg if complex(v).imag == 0 else complex(v) for v, sg in zip(s, sigmas)]
+    real = exps == sigmas
     table = power_tables()
     steps, sole = _strict_steps(layers), _sole_readers(layers)
 
@@ -537,7 +626,7 @@ def _sum_layers(
     carry_layer = -1 if n_eps else r - 2
     passes = (False,) if real else (False, True)
     arrs: dict[bool, list[np.ndarray]] = {False: [], True: []}  # True: |.|
-    hbar, carry = [1.0], [0.0]  # of the empty ideal
+    hbar, hbar_in, carry = [1.0], [1.0], [0.0]  # of the empty ideal
     prefix = [1.0 + 0.0j]  # inner sums through M, frozen for the EM tail
     # Overflow below a least entry is zeroed; any other leaves the total non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -550,11 +639,11 @@ def _sum_layers(
                     prefix = [sum(complex(cums[p][m]) for p, _ in q) for _, q in layer]
                 out = []
                 for own, (c, preds) in zip(sole[i], layer):
-                    a = table(m + 1, exps[absolute][c], y[c])
+                    a = table(m + 1, sigmas[c] if absolute else exps[c], y[c])
                     # Keep the table the first operand: with fused
                     # multiply-adds, complex products do not commute bitwise.
-                    if not i:
-                        a = a.copy()
+                    if not i:  # a copy, complex in a complex value pass
+                        a = a.astype(float if real or absolute else complex)
                     elif own:
                         h = cums[preds[0][0]]
                         a = np.multiply(a, h, out=h)
@@ -572,7 +661,13 @@ def _sum_layers(
             if i < carry_layer:  # from the |.| arrays, on all-real data the value arrays
                 hbar = [float(a.sum()) + t for a, t in zip(arrs[passes[-1]], carry)]
 
-        total, em_total, err = 0j, 0j, 0.0
+        if not real:
+            # Sum|terms| through M of the ideals before the corners: Hbar of
+            # layer r - 3 times a bound on the next cell's sum of moduli.
+            least = tuple(first_min + n for n in steps)
+            heads, ends = _cell_sums(tuple(exps), tuple(y), first_min, least, m)
+            inner = [h * heads[c] for h, (c, _) in zip(hbar_in, layers[-2])] if r > 1 else [1.0]
+        total, em_total, err, moduli = 0j, 0j, 0.0, 0.0
         for k, (d, preds) in enumerate(layers[-1]):
             total += complex(arrs[False][k].sum())
             if n_eps:
@@ -585,15 +680,23 @@ def _sum_layers(
             total += em_value
             em_total += em_value
             err += em_remainder + frozen_residual
+            if not real:  # the head's terms and the EM value's parts
+                moduli += sum(inner[p] for p, _ in preds) * ends[d]
     if not cmath.isfinite(total):
         raise DomainError(f"the sum overflows the double range (least shift {min(y)})")
-    if real and total:
+    if not real and n_eps:  # every cell's sum of moduli, as if independent
+        moduli = math.prod(heads)
+    if real and total or moduli:
         # One term's path: its cells, then the 2r - 1 additions of the corner
         # sums and EM values; an EM value's path also runs its own operations.
-        tables, sums, exact, em_ops = _cached_path_ops(tuple(sigmas), tuple(y), first_min, m)
+        tables, sums, exact, em_ops = _cached_path_ops(tuple(exps), tuple(y), first_min, m)
         if not (exact and em_total == 0):
             ku = float(tables + sums + 2 * r - 1 + (em_ops if em_total else 0.0)) * UNIT_ROUNDOFF
-            err += ku / (1.0 - ku) * abs(total) if ku < 1.0 else math.inf  # gamma_K |total|
+            if real:  # gamma_K |total|
+                err += ku / (1.0 - ku) * abs(total) if ku < 1.0 else math.inf
+            else:  # gamma_K sum|terms|, and never more than |total| + sum|terms|
+                gamma = ku / (1.0 - ku) if ku < 1.0 else math.inf
+                err += 1.01 * min(gamma * moduli, moduli + abs(total))
     return Approx(total, err)
 
 

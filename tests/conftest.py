@@ -36,8 +36,9 @@ def partitions(draw, max_size: int = 12, max_rows: int = 5, max_cols: int = 6):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts the power tables built, by pass: a value table has a complex
-    exponent, a |.| table the real part.  Every ``neg_power`` call in the
+    """Counts the power tables built, by type: "value" a complex exponent's
+    table, "abs" a float exponent's, the |.| table of every cell and the
+    value table of a cell with Im s = 0.  Every ``neg_power`` call in the
     package counts, in whichever module binds the name."""
     counts = {"value": 0, "abs": 0}
     neg_power = ezzeta.neg_power

@@ -632,6 +632,16 @@ class TestEvalRecord:
         # its five contents carry only the pairs (3, 0) and (2, 0).
         assert rec["work"] == {"dp_states": 21, "power_tables": 2, "array_len": 301}
 
+    def test_mixed_data_counts_one_table_per_pair(self, capsys):
+        # Five contents, five (exponent, shift) pairs: four float tables and
+        # one complex table, whichever tables the |.| pass reads besides.
+        code, out, _ = run(
+            capsys, "eval", "--shape", "3,2,1", "--z", "-2=2,-1=2.5,0=3,1=2+0.5j,2=2.25",
+            "--cutoff", "300",
+        )
+        assert code == 0
+        assert json_lines(out)[0]["work"] == {"dp_states": 21, "power_tables": 5, "array_len": 301}
+
     def test_negative_imaginary_part_prints_a_minus(self, capsys):
         code, out, err = run(capsys, "eval", "--shape", "1", "--z", "0=2+1j")
         assert code == 0

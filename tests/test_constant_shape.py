@@ -6,13 +6,11 @@ shape is a skew Schur function of x_n = (n + y)^(-s), which
 sharing no code with the kernel.  The sweep asserts that the whole error,
 truncation and rounding, is within ``err_bound``.
 
-The bound counts rounding only for all-real data (ROADMAP item 1), so
-where a complex case's truncation error falls below its rounding error the
-check fails: the cases in ``ROUNDING`` are strict xfails, listed with their
-error / bound as measured.  One that starts to pass fails the run, so the
-list cannot outlive its cause.  The one-row and one-column shapes of 1-6
-cells, the constant weak and strict chains, also run at the cutoff 2*10^5
-with real exponents, where rounding outweighs truncation.
+The bound counts rounding for real, complex and mixed data alike (ROADMAP
+item 1), so every case must pass.  The one-row and one-column shapes of
+1-6 cells, the constant weak and strict chains, also run at the cutoff
+2*10^5, where rounding outweighs truncation, with real and complex
+exponents.
 """
 
 import functools
@@ -35,23 +33,15 @@ SHIFTS = (0, 0.3)
 CUTOFFS = (200, 2000, 20000)
 DPS = 30
 
-# (shape, s, y, cutoff): error / bound as measured.
-ROUNDING = {
-    ("1", 2.5 + 1j, 0, 20000): 1.110,
-}
-
 CHAINS = tuple(dict.fromkeys(
     text for n in range(1, 7) for text in (str(n), ",".join("1" * n))
 ))
-LONG_CASES = tuple(itertools.product(CHAINS, (2, 3), SHIFTS, (200000,)))
+LONG_CASES = tuple(itertools.product(CHAINS, EXPONENTS, SHIFTS, (200000,)))
 
 
 def _cases():
     for case in (*itertools.product(SHAPES, EXPONENTS, SHIFTS, CUTOFFS), *LONG_CASES):
-        marks = ()
-        if case in ROUNDING:
-            marks = pytest.mark.xfail(strict=True, reason="uncounted rounding (ROADMAP item 1)")
-        yield pytest.param(*case, marks=marks, id="{}-s{}-y{}-M{}".format(*case))
+        yield pytest.param(*case, id="{}-s{}-y{}-M{}".format(*case))
 
 
 @functools.cache
@@ -62,17 +52,16 @@ def _reference(text, s, y):
 
 @pytest.fixture(scope="module")
 def ratios(request):
-    """error / bound per case; the worst outside ``ROUNDING`` is reported."""
+    """error / bound per case; the worst is reported."""
     found = {}
     yield found
-    kept = {case: r for case, r in found.items() if case not in ROUNDING}
     plugins = request.config.pluginmanager
     reporter, capture = plugins.get_plugin("terminalreporter"), plugins.get_plugin("capturemanager")
-    if kept and reporter is not None and capture is not None:
-        worst = max(kept, key=kept.get)
+    if found and reporter is not None and capture is not None:
+        worst = max(found, key=found.get)
         with capture.global_and_fixture_disabled():
             reporter.write_line(f"\nconstant-shape sweep: worst error / bound "
-                                f"{kept[worst]:.6f} at {worst}, over {len(kept)} cases")
+                                f"{found[worst]:.6f} at {worst}, over {len(found)} cases")
 
 
 @pytest.mark.parametrize("text,s,y,cutoff", _cases())

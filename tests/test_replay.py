@@ -3,10 +3,11 @@
 ``oracles.replay_layers`` sums what ``eval_layers`` sums, the head DP
 through the cutoff and the Euler-Maclaurin value of the outer tail on the
 frozen prefix, at 40 digits.  Their difference is the kernel's rounding,
-with no truncation error in it, so on all-real data it must lie within the
-rounding term: the part of ``err_bound`` that the unit roundoff scales.
-The worst ratio of difference to term is reported.  ``chain_tails``' tails
-are per-m chains, replayed the same way.
+with no truncation error in it, so it must lie within the rounding term:
+the part of ``err_bound`` that the unit roundoff scales.  The cases run
+real, complex and mixed data, and the worst ratio of difference to term is
+reported.  ``chain_tails``' tails are per-m chains, replayed the same way,
+on real data.
 """
 
 import mpmath
@@ -24,18 +25,19 @@ from shzeta.tableaux import as_skew
 PARTITIONS = ((1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
-def _chain(depth, strict, first_min):
-    """Depth-``depth`` chain, exponents 2, 2.25, ... and shifts 0.3, then
-    0 from 1 and 0.5 from 0."""
-    s = [2 + 0.25 * i for i in range(depth)]
+def _chain(depth, strict, first_min, imag=0.0):
+    """Depth-``depth`` chain, exponents 2, 2.25, ... with imaginary parts
+    +-``imag`` alternating, and shifts 0.3, then 0 from 1 and 0.5 from 0."""
+    s = [complex(2 + 0.25 * i, imag * (-1) ** i) if imag else 2 + 0.25 * i for i in range(depth)]
     y = [0.5 * (1 - first_min) if i % 2 else 0.3 for i in range(depth)]
     return chain_layers((strict,) * (depth - 1)), s, y, first_min
 
 
-def _shape(parts):
-    """Exponent 2 on even contents, 3 on odd ones; shift 0.3 on content 0."""
+def _shape(parts, mixed=False):
+    """Exponent 2 on even contents, 3 on odd ones, plus 0.5i on the
+    contents 0 mod 3 if ``mixed``; shift 0.3 on content 0."""
     cells, layers = ideal_layers(as_skew(Partition(parts)))
-    s = [2 + (j - i) % 2 for i, j in cells]
+    s = [2 + (j - i) % 2 + (0.5j if mixed and (j - i) % 3 == 0 else 0) for i, j in cells]
     y = [0.3 if i == j else 0.0 for i, j in cells]
     return layers, s, y, 1
 
@@ -46,7 +48,14 @@ CASES = [
     for depth in range(1, 5) for strict, first_min in ((False, 0), (True, 1))
 ] + [
     pytest.param(*_shape(parts), 200, id=f"{','.join(map(str, parts))}-M200") for parts in PARTITIONS
-] + [pytest.param(*_shape((2, 1)), 20000, id="2,1-M20000")]
+] + [pytest.param(*_shape((2, 1)), 20000, id="2,1-M20000")] + [
+    pytest.param(*_chain(depth, strict, first_min, 0.5), 2000,
+                 id=f"complex-chain-{depth}-{'strict' if strict else 'weak'}-from{first_min}-M2000")
+    for depth in range(1, 5) for strict, first_min in ((False, 0), (True, 1))
+] + [
+    pytest.param(*_shape(parts, True), 200, id=f"mixed-{','.join(map(str, parts))}-M200")
+    for parts in PARTITIONS
+] + [pytest.param(*_shape((2, 1), True), 20000, id="mixed-2,1-M20000")]
 
 
 @pytest.fixture(scope="module")
